@@ -430,7 +430,7 @@ class CyclotomicAlgebra:
                 v = CycloElem(self, self.ctx.monomial(*kv))
                 row.append(self.trace(self.mul(u, v)))
             rows.append(row)
-        invertible = linalg.inverse(rows) is not None
+        invertible = linalg.is_invertible(rows)
         self._gram = (rows, invertible)
         return self._gram
 

@@ -845,7 +845,7 @@ class AwpaAlgebra:
             if xi is None:
                 raise BadAutomorphismParams("frobenius automorphism needs xi")
             verdict = check_frobenius_morphism(self.F, self.F, xi, anti=False)
-            if not verdict or linalg.inverse([[self.F.scalar(v) for v in row] for row in xi]) is None:
+            if not verdict or not linalg.is_invertible([[self.F.scalar(v) for v in row] for row in xi]):
                 raise BadAutomorphismParams(f"xi is not a Frobenius automorphism: {verdict}")
             rows = [[self.F.scalar(v) for v in row] for row in xi]
             images = {
@@ -858,7 +858,7 @@ class AwpaAlgebra:
             if tau is None:
                 raise BadAutomorphismParams("antihom needs tau")
             verdict = check_frobenius_morphism(self.F, self.F, tau, anti=True)
-            if not verdict or linalg.inverse([[self.F.scalar(v) for v in row] for row in tau]) is None:
+            if not verdict or not linalg.is_invertible([[self.F.scalar(v) for v in row] for row in tau]):
                 raise BadAutomorphismParams(f"tau is not a Frobenius anti-isomorphism: {verdict}")
             rows = [[self.F.scalar(v) for v in row] for row in tau]
             images = {

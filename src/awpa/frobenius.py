@@ -222,7 +222,7 @@ class FrobAlg:
         self.nakayama = linalg.mat_mul(signed, gram_t_inv)
 
         power = self.nakayama
-        ident = linalg.eye(self.dim)
+        ident = linalg.eye(self.dim, self.conductor)
         theta = 1
         while power != ident:
             power = linalg.mat_mul(power, self.nakayama)
@@ -328,7 +328,7 @@ class FrobAlg:
         power %= self.theta
         if power not in self._psi_pow_cache:
             if power == 0:
-                self._psi_pow_cache[0] = linalg.eye(self.dim)
+                self._psi_pow_cache[0] = linalg.eye(self.dim, self.conductor)
             else:
                 self._psi_pow_cache[power] = linalg.mat_mul(
                     self._psi_power_matrix(power - 1), self.nakayama
@@ -341,7 +341,7 @@ class FrobAlg:
 
     def is_invertible(self, u: AlgElem) -> bool:
         mat = [list(self.mul(u, self.basis_elem(j)).coords) for j in range(self.dim)]
-        return linalg.inverse(linalg.transpose(mat)) is not None
+        return linalg.is_invertible(mat)
 
     # -- distinguished subspaces ----------------------------------------------
 

@@ -1,29 +1,50 @@
-"""Dense exact linear algebra over CycScalar.
+"""Exact linear algebra over CycScalar.
 
-Matrices are lists of row lists.  Everything is fraction-exact Gaussian
-elimination; sizes here are small (a few hundred at most), so no pivoting
-heuristics or sparsity tricks are needed.
+Matrices are lists of row lists.  Everything is fraction-exact.
+
+``rref`` runs Gauss-Jordan elimination on sparse rows: each row is held as a
+``{column: scalar}`` dict of its nonzeros, so scaling or eliminating with a
+pivot row touches only the pivot row's nonzeros, only rows with a nonzero in
+the pivot column are updated, and rows that become zero are dropped.  The
+matrices solved here (centres, centralizers, Gram and transition matrices)
+are mostly structural zeros, which dense elimination would multiply through
+cell by cell.  Among the rows that can serve as a pivot, the one with the
+fewest nonzeros is taken, which limits fill-in.  The choice of pivot row does
+not change the result: the reduced row echelon form of a matrix is unique,
+so the returned rows and pivot columns are those of textbook elimination.
+
+Every scalar these functions return carries the conductor of their operands
+(the lcm over all entries), zeros included, so later arithmetic with it never
+has to lift a conductor-1 zero.
 """
 
 from __future__ import annotations
 
-from .scalars import CycScalar
+from .scalars import CycScalar, lcm
 
 
-def zeros(rows: int, cols: int):
-    return [[CycScalar.zero() for _ in range(cols)] for _ in range(rows)]
+def _conductor(*mats) -> int:
+    """The lcm of the conductors of all entries of the given matrices."""
+    m = 1
+    for k in {x.m for mat in mats for row in mat for x in row}:
+        m = lcm(m, k)
+    return m
 
 
-def eye(n: int):
-    mat = zeros(n, n)
+def zeros(rows: int, cols: int, m: int = 1):
+    return [[CycScalar.zero(m) for _ in range(cols)] for _ in range(rows)]
+
+
+def eye(n: int, m: int = 1):
+    mat = zeros(n, n, m)
     for i in range(n):
-        mat[i][i] = CycScalar.one()
+        mat[i][i] = CycScalar.one(m)
     return mat
 
 
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
+    out = zeros(rows, cols, _conductor(a, b))
     for i in range(rows):
         for k in range(inner):
             x = a[i][k]
@@ -37,8 +58,9 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     out = []
+    m = _conductor(a, [v])
     for row in a:
-        acc = CycScalar.zero()
+        acc = CycScalar.zero(m)
         for x, y in zip(row, v):
             if x and y:
                 acc = acc + x * y
@@ -51,46 +73,74 @@ def transpose(a):
 
 
 def rref(mat):
-    """Reduced row echelon form (in place on a copy).
+    """Reduced row echelon form of a copy of mat.
 
-    Returns (rref_matrix, pivot_columns).
+    Returns (rref_matrix, pivot_columns): the nonzero rows of the reduced
+    form in pivot order, then zero rows up to the row count of mat.
     """
-    m = [list(row) for row in mat]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
+    if not mat:
+        return [], []
+    cols = len(mat[0])
+    m = _conductor(mat)
+    active = []
+    for row in mat:
+        sparse = {c: x if x.m == m else x.lift(m) for c, x in enumerate(row) if x}
+        if sparse:
+            active.append(sparse)
+    done = []
     pivots = []
-    r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+        hits = [row for row in active if c in row]
+        if not hits:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        chosen = min(hits, key=len)
+        inv = chosen[c].inverse()
+        p = {j: x * inv for j, x in chosen.items()}
+        active = [row for row in active if c not in row]
+        hits = [row for row in hits if row is not chosen]
+        targets = hits + [row for row in done if c in row]
+        for row in targets:
+            f = row.pop(c)
+            for j, y in p.items():
+                if j == c:
+                    continue
+                x = row.get(j)
+                if x is None:
+                    row[j] = -(f * y)
+                else:
+                    x = x - f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        active.extend(row for row in hits if row)
+        done.append(p)
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    zero = CycScalar.zero(m)
+    out = []
+    for row in done:
+        dense = [zero] * cols
+        for j, x in row.items():
+            dense[j] = x
+        out.append(dense)
+    out.extend([zero] * cols for _ in range(len(mat) - len(done)))
+    return out, pivots
 
 
 def rank(mat) -> int:
     return len(rref(mat)[1])
 
 
+def is_invertible(mat) -> bool:
+    """Whether mat is square with rank equal to its size."""
+    n = len(mat)
+    return all(len(row) == n for row in mat) and rank(mat) == n
+
+
 def inverse(mat):
     """Inverse of a square matrix, or None if singular."""
     n = len(mat)
-    aug = [list(row) + list(e) for row, e in zip(mat, eye(n))]
+    aug = [list(row) + list(e) for row, e in zip(mat, eye(n, _conductor(mat)))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None
@@ -103,11 +153,13 @@ def nullspace(mat):
         return []
     cols = len(mat[0])
     red, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
+    m = _conductor(mat)
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [CycScalar.zero() for _ in range(cols)]
-        v[f] = CycScalar.one()
+        v = [CycScalar.zero(m) for _ in range(cols)]
+        v[f] = CycScalar.one(m)
         for r, c in enumerate(pivots):
             v[c] = -red[r][f]
         basis.append(v)
@@ -123,7 +175,7 @@ def solve(mat, rhs):
     red, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [CycScalar.zero() for _ in range(cols)]
+    x = [CycScalar.zero(_conductor(aug)) for _ in range(cols)]
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x

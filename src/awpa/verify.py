@@ -255,7 +255,7 @@ def check_t_basis_independence(ctx, rng):
             for c in range(F.dim):
                 if (F.degrees[r], F.parities[r]) != (F.degrees[c], F.parities[c]):
                     rows[r][c] = F.scalar(1 if r == c else 0)
-        if linalg.inverse(rows) is not None:
+        if linalg.is_invertible(rows):
             break
     basis = [ctx.F.elem(row) for row in rows]
     duals = F.dual_of_basis([list(b.coords) for b in basis])

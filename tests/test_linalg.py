@@ -1,0 +1,234 @@
+"""Exact linear algebra: the sparse-row rref against a dense reference."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from awpa import linalg
+from awpa.cyclotomic import CyclotomicAlgebra, make_params
+from awpa.engine import AwpaAlgebra
+from awpa.frobenius import clifford_algebra, taft_algebra
+from awpa.scalars import CycScalar, root_of_unity
+
+
+def dense_rref(mat):
+    """Textbook dense Gauss-Jordan elimination: first nonzero row as pivot,
+    every cell of every touched row updated.  The reference for rref."""
+    m = [list(row) for row in mat]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if m[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def scalar(a, b=0, m=1):
+    """a + b*zeta_m (b must be 0 when m = 1)."""
+    s = CycScalar.from_rational(a, m)
+    return s + CycScalar.from_rational(b, m) * root_of_unity(m) if b else s
+
+
+def as_text(mat):
+    return [[str(x) for x in row] for row in mat]
+
+
+def sparse_matrices(m, max_rows=7, max_cols=7, square=False):
+    """Random matrices over Q(zeta_m) with about two thirds structural zeros,
+    small entries, and repeated rows now and then."""
+    coeff = st.integers(-3, 3)
+    entry = st.tuples(coeff, coeff if m > 1 else st.just(0))
+    zero_or = st.one_of(st.just((0, 0)), st.just((0, 0)), entry)
+
+    @st.composite
+    def build(draw):
+        rows = draw(st.integers(1, max_rows))
+        cols = rows if square else draw(st.integers(1, max_cols))
+        mat = [[scalar(*draw(zero_or), m=m) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and draw(st.booleans()):
+            mat[draw(st.integers(1, rows - 1))] = list(mat[0])
+        return mat
+
+    return build()
+
+
+def check_against_reference(mat):
+    red, pivots = linalg.rref(mat)
+    ref, ref_pivots = dense_rref(mat)
+    assert pivots == ref_pivots
+    assert red == ref
+    assert as_text(red) == as_text(ref)
+    assert len(red) == len(mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(1))
+def test_rref_matches_dense_reference_over_q(mat):
+    check_against_reference(mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(3))
+def test_rref_matches_dense_reference_over_q_zeta3(mat):
+    check_against_reference(mat)
+
+
+def q_matrix(rows):
+    return [[scalar(v) for v in row] for row in rows]
+
+
+EDGE_CASES = {
+    "zero_rows": [[1, 0, 2], [0, 0, 0], [0, 3, 1], [0, 0, 0]],
+    "duplicate_rows": [[1, 2, 0], [1, 2, 0], [0, 1, 1], [1, 2, 0]],
+    "rank_deficient": [[1, 2, 3], [2, 4, 6], [1, 0, 1], [0, 2, 2]],
+    "all_zero": [[0, 0], [0, 0], [0, 0]],
+    "one_by_one": [[5]],
+    "one_by_one_zero": [[0]],
+    "wide": [[0, 0, 1, 2, 0], [0, 3, 0, 0, 1]],
+    "tall": [[0, 1], [0, 2], [0, 0], [1, 1], [2, 2]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_rref_edge_cases(name):
+    check_against_reference(q_matrix(EDGE_CASES[name]))
+
+
+def test_rref_empty_matrix():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rank([]) == 0
+    assert linalg.nullspace([]) == []
+    assert linalg.inverse([]) == []
+    assert linalg.is_invertible([])
+
+
+def test_rref_known_form():
+    red, pivots = linalg.rref(q_matrix(EDGE_CASES["rank_deficient"]))
+    assert pivots == [0, 1]
+    assert red == q_matrix([[1, 0, 1], [0, 1, 1], [0, 0, 0], [0, 0, 0]])
+
+
+def test_rref_does_not_modify_input():
+    mat = q_matrix(EDGE_CASES["duplicate_rows"])
+    before = as_text(mat)
+    linalg.rref(mat)
+    assert as_text(mat) == before
+
+
+def test_entries_carry_the_operands_conductor():
+    z = root_of_unity(3)
+    assert all(x.m == 3 for row in linalg.zeros(2, 3, 3) for x in row)
+    assert all(x.m == 3 for row in linalg.eye(3, 3) for x in row)
+    assert linalg.eye(2) == q_matrix([[1, 0], [0, 1]])
+    # a rational zero of conductor 1 mixed into a Q(zeta_3) matrix
+    mat = [[z, CycScalar.zero(), scalar(1, m=3)], [scalar(0, m=3)] * 3]
+    red, _ = linalg.rref(mat)
+    assert all(x.m == 3 for row in red for x in row)
+    square = [[z, scalar(1, m=3)], [scalar(0, m=3), z]]
+    assert all(x.m == 3 for row in linalg.inverse(square) for x in row)
+    assert all(x.m == 3 for row in linalg.mat_mul(square, square) for x in row)
+    assert all(x.m == 3 for x in linalg.mat_vec(square, [z, z]))
+    for vec in linalg.nullspace(mat):
+        assert all(x.m == 3 for x in vec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(sparse_matrices(1), sparse_matrices(3)))
+def test_nullspace_vectors_are_killed(mat):
+    basis = linalg.nullspace(mat)
+    cols = len(mat[0])
+    assert len(basis) == cols - linalg.rank(mat)
+    for v in basis:
+        assert all(not x for x in linalg.mat_vec(mat, v))
+    if basis:
+        assert linalg.rank(basis) == len(basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(sparse_matrices(1, square=True), sparse_matrices(3, square=True)))
+def test_inverse_and_is_invertible(mat):
+    inv = linalg.inverse(mat)
+    assert linalg.is_invertible(mat) == (inv is not None)
+    if inv is not None:
+        n = len(mat)
+        m = mat[0][0].m
+        assert linalg.mat_mul(inv, mat) == linalg.eye(n, m)
+        assert linalg.mat_mul(mat, inv) == linalg.eye(n, m)
+
+
+def test_is_invertible_rejects_non_square():
+    assert not linalg.is_invertible(q_matrix([[1, 0, 0], [0, 1, 0]]))
+    assert not linalg.is_invertible(q_matrix([[1, 0], [0, 1], [1, 1]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(sparse_matrices(1), sparse_matrices(3)), st.data())
+def test_solve_in_span_same_span(mat, data):
+    m = mat[0][0].m
+    cols = len(mat[0])
+    x = [scalar(data.draw(st.integers(-2, 2)), m=m) for _ in range(cols)]
+    rhs = linalg.mat_vec(mat, x)
+    y = linalg.solve(mat, rhs)
+    assert y is not None
+    assert linalg.mat_vec(mat, y) == rhs
+    # the columns of mat span rhs; a vector outside the column span does not
+    cols_as_rows = linalg.transpose(mat)
+    assert linalg.in_span(cols_as_rows, rhs)
+    red, pivots = linalg.rref(cols_as_rows)
+    outside = [scalar(0, m=m) for _ in range(len(mat))]
+    free = [c for c in range(len(mat)) if c not in pivots]
+    if free:
+        outside[free[0]] = scalar(1, m=m)
+        assert not linalg.in_span(red[: len(pivots)], outside)
+        assert linalg.solve(mat, outside) is None
+    # a matrix and its nonzero reduced rows span the same space
+    nonzero = red[: len(pivots)]
+    assert linalg.same_span(cols_as_rows, nonzero)
+    assert linalg.same_span(nonzero, cols_as_rows)
+    if free:
+        assert not linalg.same_span(nonzero, nonzero + [outside])
+
+
+def test_rref_matches_reference_on_engine_matrices(monkeypatch):
+    """The systems the package itself solves: centre solves over Q and
+    Q(zeta_3), Frobenius data of a Taft algebra, and a quotient Gram matrix."""
+    seen = []
+    real = linalg.rref
+
+    def record(mat):
+        seen.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(linalg, "rref", record)
+    centres = [(clifford_algebra(), 2, 2), (taft_algebra(2), 2, 0), (taft_algebra(3), 1, 1)]
+    for F, n, degree in centres:
+        AwpaAlgebra(F, n).center_up_to_degree(degree)
+    Cl = clifford_algebra()
+    params = make_params(Cl, {2: [Cl.scalar(Fraction(1, 2)) * Cl.unit_elem()]})
+    CyclotomicAlgebra(params, 2).gram_matrix()
+    monkeypatch.undo()
+    assert any(not x.is_rational() for mat in seen for row in mat for x in row)
+    assert max(len(mat) for mat in seen) >= 40
+    for mat in seen:
+        check_against_reference(mat)
