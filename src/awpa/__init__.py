@@ -6,8 +6,13 @@ normal-form monomial basis x^alpha * b * pi, and computes cyclotomic
 quotients together with their trace forms.  All coefficients live in
 cyclotomic number fields Q(zeta_m); nothing is approximated.
 
-Values are immutable after construction and all operations are pure, so
-algebras and elements can be shared freely across threads.
+Sharing: operations never change their operands, and an element's
+``terms`` dict is read-only by convention (nothing stops a caller from
+mutating it, and doing so corrupts the element).  Algebra contexts are not
+immutable: they fill memo caches (products, t-elements, twists) as they
+compute.  Each cache entry is a pure function of its key, so filling is
+idempotent, but the package does no locking; share a context across threads
+only if the caller serializes its use.
 """
 
 from .cyclotomic import (

@@ -14,7 +14,12 @@ import os
 import sys
 
 from . import frobenius
-from .cyclotomic import CycloParams, CyclotomicAlgebra, InductionStructure, make_params
+from .cyclotomic import (
+    CycloParams,
+    CyclotomicAlgebra,
+    InductionStructure,
+    nakayama_counterexample,
+)
 from .engine import AwpaAlgebra
 from .errors import AwpaError, ParseError
 from .frobenius import FrobAlg
@@ -27,31 +32,17 @@ BUILTIN_USAGE = (
 
 
 def resolve_algebra(spec: str) -> FrobAlg:
-    """Builtin names resolve before file paths; collisions are warned."""
+    """Builtin names (``name:p1:p2``) resolve before file paths; collisions
+    are warned."""
     name, _, rest = spec.partition(":")
-    params = rest.split(":") if rest else []
-    builtin = None
-    if name == "trivial":
-        builtin = frobenius.trivial_algebra()
-    elif name == "clifford":
-        builtin = frobenius.clifford_algebra()
-    elif name == "dual_numbers":
-        builtin = frobenius.dual_numbers_algebra()
-    elif name == "cyclic_group":
-        builtin = frobenius.cyclic_group_algebra(int(params[0]) if params else 2)
-    elif name == "taft":
-        q = int(params[0]) if params else 2
-        ydeg = int(params[1]) if len(params) > 1 else 2
-        builtin = frobenius.taft_algebra(q, ydeg)
-    elif name == "s3":
-        builtin = frobenius.symmetric_group_algebra(3)
-    if builtin is not None:
+    if name in frobenius.BUILTINS:
+        F = frobenius.builtin(name, rest.split(":") if rest else [])
         if os.path.exists(spec):
             print(
                 f"warning: {spec!r} is both a builtin and a file; using the builtin",
                 file=sys.stderr,
             )
-        return builtin
+        return F
     if os.path.exists(spec):
         return FrobAlg.load(spec)
     raise AwpaError(f"no builtin or file named {spec!r} (builtins: {BUILTIN_USAGE})")
@@ -75,11 +66,7 @@ def _emit(args, payload: dict, text_lines: list[str]):
 
 
 def cmd_algebra_verify(args) -> int:
-    try:
-        F = resolve_algebra(args.spec)
-    except AwpaError as exc:
-        print(f"FAIL: {exc}")
-        return 1
+    F = resolve_algebra(args.spec)
     lines = [
         f"algebra: {F.name}",
         f"dim: {F.dim}",
@@ -228,32 +215,13 @@ def cmd_cyclotomic(args) -> int:
         )
         return 0 if invertible else 1
     if args.action == "nakayama":
-        import random as _random
-
-        from .engine import AwpaElem
-        from .cyclotomic import CycloElem
-        from .wreath import word_parity
-
-        rng = _random.Random(args.seed)
-        keys = qalg.basis_keys()
-        ok = True
-        example = ""
-        for _ in range(args.pairs):
-            pair = []
-            for _ in range(2):
-                par = rng.randrange(2)
-                cand = [k for k in keys if word_parity(F, k[1]) == par] or keys
-                t = {rng.choice(cand): F.scalar(rng.randint(-3, 3)) for _ in range(2)}
-                pair.append(CycloElem(qalg, AwpaElem(qalg.ctx, t)))
-            if not qalg.nakayama_identity_holds(*pair):
-                ok = False
-                example = f"a={pair[0]}, b={pair[1]}"
-                break
+        failure = nakayama_counterexample(qalg, args.pairs, args.seed)
+        ok = failure is None
         sym = qalg.is_symmetric()
         lines = [
             f"level: {qalg.d} theta: {F.theta}",
             f"Nakayama identity on {args.pairs} random pairs (seed {args.seed}): "
-            + ("PASS" if ok else f"FAIL at {example}"),
+            + ("PASS" if ok else f"FAIL at a={failure[0]}, b={failure[1]}"),
             f"symmetric (theta | level): {sym}",
         ]
         _emit(

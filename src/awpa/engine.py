@@ -20,6 +20,7 @@ dimensions, and Mackey dimension bookkeeping.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb, factorial
 
 from . import linalg
@@ -27,50 +28,35 @@ from . import permutations as perms
 from .errors import (
     AlgebraMismatch,
     BadAutomorphismParams,
-    BadComposition,
+    InternalInconsistency,
     NotPolynomial,
     SizeMismatch,
     ZeroElement,
 )
-from .frobenius import AlgElem, FrobAlg, check_frobenius_morphism, opposite_algebra
+from .frobenius import AlgElem, FrobAlg, check_frobenius_morphism
 from .scalars import CycScalar
+from .sparse import SparseElem, acc
 from .wreath import (
     TensorElem,
     WreathElem,
-    koszul_mul_sign,
     permute_word,
-    unit_word_expansion,
+    superpermute,
+    tensor_of_vectors,
     word_degree,
     word_mul,
     word_parity,
 )
 
 
-def _acc(d: dict, key, value):
-    old = d.get(key)
-    if old is None:
-        if value:
-            d[key] = value
-    else:
-        s = old + value
-        if s:
-            d[key] = s
-        else:
-            del d[key]
-
-
-class AwpaElem:
+class AwpaElem(SparseElem):
     """Sparse element: {(alpha, word, perm): CycScalar}."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx",)
+    _context = ("ctx",)
 
     def __init__(self, ctx: AwpaAlgebra, terms=None):
         self.ctx = ctx
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = c
+        super().__init__(terms)
 
     def _check(self, other: AwpaElem):
         if self.ctx.F is not other.ctx.F:
@@ -78,37 +64,10 @@ class AwpaElem:
         if self.ctx.n != other.ctx.n:
             raise SizeMismatch("elements with different n")
 
-    def __add__(self, other: AwpaElem) -> AwpaElem:
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(out, k, c)
-        return AwpaElem(self.ctx, out)
-
-    def __neg__(self) -> AwpaElem:
-        return AwpaElem(self.ctx, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: AwpaElem) -> AwpaElem:
-        return self + (-other)
-
     def __mul__(self, other) -> AwpaElem:
         if isinstance(other, AwpaElem):
             return self.ctx.mul(self, other)
-        return AwpaElem(self.ctx, {k: c * other for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar) -> AwpaElem:
-        return AwpaElem(self.ctx, {k: c * scalar for k, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AwpaElem):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return super().__mul__(other)
 
     def poly_degree(self) -> int:
         """Total degree in the x_i (max over monomials); -1 for zero."""
@@ -130,13 +89,7 @@ class AwpaElem:
         out = {0: {}, 1: {}}
         for k, c in self.terms.items():
             out[word_parity(self.ctx.F, k[1])][k] = c
-        return {p: AwpaElem(self.ctx, t) for p, t in out.items() if t}
-
-    def degree_components(self) -> dict:
-        out: dict = {}
-        for k, c in self.terms.items():
-            out.setdefault(self.degree_of_key(k), {})[k] = c
-        return {d: AwpaElem(self.ctx, t) for d, t in sorted(out.items())}
+        return {p: self._like(t) for p, t in out.items() if t}
 
     def __str__(self) -> str:
         from .textio import element_str
@@ -146,44 +99,22 @@ class AwpaElem:
     __repr__ = __str__
 
 
-class PolyModElem:
+class PolyModElem(SparseElem):
     """Element of the module V = P_n(F) (x) kS_n; same key shape as AwpaElem
-    but with the module semantics (the permutation is a tensor factor)."""
+    but with the module semantics (the permutation is a tensor factor).
+    Elements of different contexts compare unequal."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx",)
+    _context = ("ctx",)
 
     def __init__(self, ctx: AwpaAlgebra, terms=None):
         self.ctx = ctx
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    self.terms[k] = c
-
-    def __add__(self, other: PolyModElem) -> PolyModElem:
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(out, k, c)
-        return PolyModElem(self.ctx, out)
-
-    def __sub__(self, other: PolyModElem) -> PolyModElem:
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(out, k, -c)
-        return PolyModElem(self.ctx, out)
-
-    def __rmul__(self, scalar) -> PolyModElem:
-        return PolyModElem(self.ctx, {k: c * scalar for k, c in self.terms.items()})
+        super().__init__(terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyModElem):
-            return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        if isinstance(other, PolyModElem) and other.ctx is not self.ctx:
+            return False
+        return super().__eq__(other)
 
 
 class IsCentralResult:
@@ -242,14 +173,22 @@ class AwpaAlgebra:
 
     # -- constructors ---------------------------------------------------------
 
+    def _keyed(self, alpha, words: dict, pi) -> dict:
+        """{(alpha, w, pi): c} for the word combination {w: c}."""
+        return {(alpha, w, pi): c for w, c in words.items()}
+
+    def _elem(self, terms: dict) -> AwpaElem:
+        """Wrap terms built with acc, which hold no zero, without a second
+        filtering pass."""
+        out = AwpaElem(self)
+        out.terms = terms
+        return out
+
     def zero(self) -> AwpaElem:
-        return AwpaElem(self, {})
+        return AwpaElem(self)
 
     def one(self) -> AwpaElem:
-        return AwpaElem(
-            self,
-            {(self.zero_alpha, w, self.identity_perm): c for w, c in self._unit_words.items()},
-        )
+        return AwpaElem(self, self._keyed(self.zero_alpha, self._unit_words, self.identity_perm))
 
     def scalar_elem(self, value) -> AwpaElem:
         return self.F.scalar(value) * self.one()
@@ -257,16 +196,10 @@ class AwpaAlgebra:
     def x(self, i: int, power: int = 1) -> AwpaElem:
         if not 1 <= i <= self.n:
             raise IndexError(f"x_{i} does not exist for n={self.n}")
-        alpha = tuple(power if j == i - 1 else 0 for j in range(self.n))
-        return AwpaElem(
-            self, {(alpha, w, self.identity_perm): c for w, c in self._unit_words.items()}
-        )
+        return self.x_monomial(power if j == i - 1 else 0 for j in range(self.n))
 
     def x_monomial(self, alpha) -> AwpaElem:
-        alpha = tuple(alpha)
-        return AwpaElem(
-            self, {(alpha, w, self.identity_perm): c for w, c in self._unit_words.items()}
-        )
+        return AwpaElem(self, self._keyed(tuple(alpha), self._unit_words, self.identity_perm))
 
     def slot_elem(self, f, i: int) -> AwpaElem:
         """f_i = 1 (x) ... (x) f (x) ... (x) 1 as an element of A_n(F)."""
@@ -274,13 +207,10 @@ class AwpaAlgebra:
         return self.from_tensor(t)
 
     def from_tensor(self, t: TensorElem) -> AwpaElem:
-        return AwpaElem(
-            self, {(self.zero_alpha, w, self.identity_perm): c for w, c in t.terms.items()}
-        )
+        return AwpaElem(self, self._keyed(self.zero_alpha, t.terms, self.identity_perm))
 
     def perm_elem(self, pi) -> AwpaElem:
-        pi = tuple(pi)
-        return AwpaElem(self, {(self.zero_alpha, w, pi): c for w, c in self._unit_words.items()})
+        return AwpaElem(self, self._keyed(self.zero_alpha, self._unit_words, tuple(pi)))
 
     def s(self, i: int) -> AwpaElem:
         return self.perm_elem(perms.simple(self.n, i))
@@ -294,14 +224,10 @@ class AwpaAlgebra:
         return AwpaElem(self, {(tuple(alpha), tuple(word), tuple(pi)): self.F.scalar(coeff)})
 
     def module_one(self) -> PolyModElem:
-        return PolyModElem(
-            self,
-            {(self.zero_alpha, w, self.identity_perm): c for w, c in self._unit_words.items()},
-        )
+        terms = self._keyed(self.zero_alpha, self._unit_words, self.identity_perm)
+        return PolyModElem(self, terms)
 
     def basis_words(self):
-        from itertools import product
-
         return [tuple(w) for w in product(range(self.F.dim), repeat=self.n)]
 
     # -- low-level P_n(F) arithmetic -------------------------------------------
@@ -316,44 +242,31 @@ class AwpaAlgebra:
         cached = self._twist_cache.get(ckey)
         if cached is not None:
             return cached
-        terms = {(): CycScalar.one(F.conductor)}
-        for slot, b in enumerate(word):
-            vec = F.psi_on_basis(b, gkey[slot])
-            new = {}
-            for prefix, c in terms.items():
-                for k, v in enumerate(vec):
-                    if v:
-                        _acc(new, prefix + (k,), c * v)
-            terms = new
+        terms = tensor_of_vectors(F, [F.psi_on_basis(b, g) for b, g in zip(word, gkey)])
         self._twist_cache[ckey] = terms
         return terms
 
-    def _pd_mono_mul(self, a1, w1, a2, w2) -> dict:
-        """(x^a1 w1)(x^a2 w2) in P_n(F): {(alpha, word): scalar}."""
+    def _pd_mono_mul(self, a1, w1, a2, w2):
+        """(x^a1 w1)(x^a2 w2) in P_n(F) as ((alpha, word), scalar) pairs.  A
+        key can repeat; every caller accumulates into its own sum."""
         alpha = tuple(x + y for x, y in zip(a1, a2))
-        out = {}
         for tw, c1 in self._word_psi_twist(w1, a2).items():
             for w, c2 in word_mul(self.F, tw, w2).items():
-                _acc(out, (alpha, w), c1 * c2)
-        return out
+                yield (alpha, w), c1 * c2
 
     def _pd_mul(self, p1: dict, p2: dict) -> dict:
         out = {}
         for (a1, w1), c1 in p1.items():
             for (a2, w2), c2 in p2.items():
                 c12 = c1 * c2
-                for k, c in self._pd_mono_mul(a1, w1, a2, w2).items():
-                    _acc(out, k, c12 * c)
+                for k, c in self._pd_mono_mul(a1, w1, a2, w2):
+                    acc(out, k, c12 * c)
         return out
 
-    def _slot_pd(self, vec, i: int) -> dict:
-        """Coordinate vector of F placed in slot i: {(0, word): scalar}."""
-        out = {}
-        for w, cu in self._unit_words.items():
-            for k, fk in enumerate(vec):
-                if fk:
-                    _acc(out, (self.zero_alpha, w[: i - 1] + (k,) + w[i:]), cu * fk)
-        return out
+    def _slot_pd(self, f: AlgElem, i: int) -> dict:
+        """f placed in slot i as a P_n(F) dict {(0, word): scalar}."""
+        t = TensorElem.slot(self.F, self.n, f, i)
+        return {(self.zero_alpha, w): c for w, c in t.terms.items()}
 
     def t_pd(self, k: int, i: int, j: int) -> dict:
         """t^(k)_{i,j} = sum_b sum_{l<k} b_i x_i^(k-1-l) x_j^l (b^vee)_j
@@ -366,11 +279,9 @@ class AwpaAlgebra:
         if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
             raise IndexError(f"t_{{{i},{j}}} needs distinct slots in 1..{self.n}")
         out: dict = {}
-        one = CycScalar.one(F.conductor)
         for b in range(F.dim):
-            b_vec = [one if t == b else CycScalar.zero(F.conductor) for t in range(F.dim)]
-            left = self._slot_pd(b_vec, i)
-            right = self._slot_pd(F.dual_matrix[b], j)
+            left = self._slot_pd(F.basis_elem(b), i)
+            right = self._slot_pd(AlgElem(F, F.dual_matrix[b]), j)
             for l in range(k):
                 m = k - 1 - l
                 alpha = tuple(
@@ -379,7 +290,7 @@ class AwpaAlgebra:
                 xmono = {(alpha, w): cu for w, cu in self._unit_words.items()}
                 piece = self._pd_mul(self._pd_mul(left, xmono), right)
                 for kk, c in piece.items():
-                    _acc(out, kk, c)
+                    acc(out, kk, c)
         self._t_cache[key] = out
         return out
 
@@ -404,18 +315,18 @@ class AwpaAlgebra:
             xq = tuple(q if t == i else 0 for t in range(self.n))
             xq_pd = {(xq, w): cu for w, cu in self._unit_words.items()}
             for k, c in self._pd_mul(self.t_pd(p, i, i + 1), xq_pd).items():
-                _acc(middle, k, c)
+                acc(middle, k, c)
         if q:
             # left factor is a pure x-power: plain exponent shift
             xp = tuple(p if t == i else 0 for t in range(self.n))
             for (a, w), c in self.t_pd(q, i + 1, i).items():
-                _acc(middle, (tuple(x + y for x, y in zip(a, xp)), w), -c)
+                acc(middle, (tuple(x + y for x, y in zip(a, xp)), w), -c)
         # x^rest on the left is a plain exponent shift; then multiply the word in
         out: dict = {}
         for (a, w), c in middle.items():
             shifted = tuple(x + y for x, y in zip(rest, a))
             for w2, c2 in word_mul(self.F, w, word).items():
-                _acc(out, (shifted, w2), c * c2)
+                acc(out, (shifted, w2), c * c2)
         return out
 
     def divided_difference(self, i: int, a: AwpaElem) -> AwpaElem:
@@ -429,8 +340,8 @@ class AwpaAlgebra:
             if pi != self.identity_perm:
                 raise NotPolynomial("divided differences act on P_n(F) only")
             for (da, dw), dc in self._delta_mono(i, alpha, word).items():
-                _acc(out, (da, dw, self.identity_perm), c * dc)
-        return AwpaElem(self, out)
+                acc(out, (da, dw, self.identity_perm), c * dc)
+        return self._elem(out)
 
     def superpermute_pnf(self, pi, alpha, word):
         """(s_i-convention) superpermutation of a P_n(F) monomial: returns
@@ -448,8 +359,17 @@ class AwpaAlgebra:
             if p != self.identity_perm:
                 raise NotPolynomial("superpermute acts on P_n(F) elements")
             a2, w2, sgn = self.superpermute_pnf(pi, alpha, word)
-            _acc(out, (a2, w2, p), -c if sgn else c)
-        return AwpaElem(self, out)
+            acc(out, (a2, w2, p), -c if sgn else c)
+        return self._elem(out)
+
+    def psi_twist(self, a: AwpaElem, gamma) -> AwpaElem:
+        """psi^gamma applied slotwise to the F^(x)n part of every monomial of
+        a: slot i is twisted by psi^(gamma_i)."""
+        out: dict = {}
+        for (alpha, word, pi), c in a.terms.items():
+            for w2, c2 in self._word_psi_twist(word, gamma).items():
+                acc(out, (alpha, w2, pi), c * c2)
+        return self._elem(out)
 
     def _s_times_mono(self, i: int, alpha, word) -> dict:
         """s_i * (x^alpha word) = (s_i . x^alpha word) s_i - Delta_i(x^alpha word),
@@ -463,7 +383,7 @@ class AwpaAlgebra:
         one = CycScalar.one(self.F.conductor)
         out = {(a2, w2, si): -one if sgn else one}
         for (da, dw), dc in self._delta_mono(i, alpha, word).items():
-            _acc(out, (da, dw, self.identity_perm), -dc)
+            acc(out, (da, dw, self.identity_perm), -dc)
         self._smono_cache[key] = out
         return out
 
@@ -476,7 +396,7 @@ class AwpaAlgebra:
             new: dict = {}
             for (a, w, tail), c in state.items():
                 for (a2, w2, t2), c2 in self._s_times_mono(i, a, w).items():
-                    _acc(new, (a2, w2, perms.mul(t2, tail)), c * c2)
+                    acc(new, (a2, w2, perms.mul(t2, tail)), c * c2)
             state = new
         return state
 
@@ -491,11 +411,9 @@ class AwpaAlgebra:
         a2, w2, p2 = k2
         out: dict = {}
         for (g, d, tau), c in self._perm_times_pnf(p1, a2, w2).items():
-            alpha = tuple(x + y for x, y in zip(a1, g))
             tail = perms.mul(tau, p2)
-            for tw, c1 in self._word_psi_twist(w1, g).items():
-                for w, c2 in word_mul(self.F, tw, d).items():
-                    _acc(out, (alpha, w, tail), c * c1 * c2)
+            for (alpha, w), c2 in self._pd_mono_mul(a1, w1, g, d):
+                acc(out, (alpha, w, tail), c * c2)
         if len(self._mono_cache) < 200_000:
             self._mono_cache[ckey] = out
         return out
@@ -507,8 +425,8 @@ class AwpaAlgebra:
             for k2, c2 in b.terms.items():
                 c12 = c1 * c2
                 for k, c in self._mono_mul(k1, k2).items():
-                    _acc(out, k, c12 * c)
-        return AwpaElem(self, out)
+                    acc(out, k, c12 * c)
+        return self._elem(out)
 
     def graded_mul(self, a: AwpaElem, b: AwpaElem) -> AwpaElem:
         """Multiplication in the associated graded algebra
@@ -522,12 +440,10 @@ class AwpaAlgebra:
                 c12 = c1 * c2
                 if sgn:
                     c12 = -c12
-                alpha = tuple(x + y for x, y in zip(a1, g))
                 tail = perms.mul(p1, p2)
-                for tw, cc1 in self._word_psi_twist(w1, g).items():
-                    for w, cc2 in word_mul(self.F, tw, d).items():
-                        _acc(out, (alpha, w, tail), c12 * cc1 * cc2)
-        return AwpaElem(self, out)
+                for (alpha, w), c in self._pd_mono_mul(a1, w1, g, d):
+                    acc(out, (alpha, w, tail), c12 * c)
+        return self._elem(out)
 
     def leading_term(self, a: AwpaElem) -> AwpaElem:
         """Top polynomial-degree component (an element of the associated
@@ -535,7 +451,7 @@ class AwpaAlgebra:
         if a.is_zero():
             raise ZeroElement("zero element has no leading term")
         top = a.poly_degree()
-        return AwpaElem(self, {k: c for k, c in a.terms.items() if sum(k[0]) == top})
+        return self._elem({k: c for k, c in a.terms.items() if sum(k[0]) == top})
 
     # -- module oracle -------------------------------------------------------------
 
@@ -544,9 +460,9 @@ class AwpaAlgebra:
         si = perms.simple(self.n, i)
         for (a, w, sigma), c in terms.items():
             a2, w2, sgn = self.superpermute_pnf(si, a, w)
-            _acc(out, (a2, w2, perms.mul(si, sigma)), -c if sgn else c)
+            acc(out, (a2, w2, perms.mul(si, sigma)), -c if sgn else c)
             for (da, dw), dc in self._delta_mono(i, a, w).items():
-                _acc(out, (da, dw, sigma), -(c * dc))
+                acc(out, (da, dw, sigma), -(c * dc))
         return out
 
     def oracle_act(self, a: AwpaElem, v: PolyModElem) -> PolyModElem:
@@ -562,10 +478,10 @@ class AwpaAlgebra:
                 cur = self._act_simple(i, cur)
             new: dict = {}
             for (a2, w2, sigma), c2 in cur.items():
-                for (a3, w3), c3 in self._pd_mono_mul(alpha, word, a2, w2).items():
-                    _acc(new, (a3, w3, sigma), c2 * c3)
+                for (a3, w3), c3 in self._pd_mono_mul(alpha, word, a2, w2):
+                    acc(new, (a3, w3, sigma), c2 * c3)
             for k, c2 in new.items():
-                _acc(out, k, c * c2)
+                acc(out, k, c * c2)
         return PolyModElem(self, out)
 
     def element_to_module(self, a: AwpaElem) -> PolyModElem:
@@ -670,35 +586,19 @@ class AwpaAlgebra:
         for j in range(1, self.n):
             si = perms.simple(self.n, j)
             for alpha, wcoeffs in by_alpha.items():
-                moved: dict = {}
-                for w, c in wcoeffs.items():
-                    w2, sgn = permute_word(self.F, si, w)
-                    _acc(moved, w2, -c if sgn else c)
+                moved = superpermute(si, TensorElem(self.F, self.n, wcoeffs))
                 salpha = tuple(alpha[si[t] - 1] for t in range(self.n))
-                other = by_alpha.get(salpha, {})
-                if moved != other:
+                if moved.terms != by_alpha.get(salpha, {}):
                     return f"not superinvariant under s_{j} at alpha={alpha}"
         return None
 
     def _tensor_subspace_basis(self, ks) -> list:
         """Words basis of F_psi^(k_1) (x) ... (x) F_psi^(k_n) as word dicts."""
         slot_bases = [self.F.graded_piece(k, fixed_only=True) for k in ks]
-        out = [{(): CycScalar.one(self.F.conductor)}]
-        for sb in slot_bases:
-            new = []
-            for prefix in out:
-                for el in sb:
-                    cur: dict = {}
-                    for w, c in prefix.items():
-                        for k, v in enumerate(el.coords):
-                            if v:
-                                _acc(cur, w + (k,), c * v)
-                    if cur:
-                        new.append(cur)
-            out = new
-            if not out:
-                return []
-        return out
+        return [
+            tensor_of_vectors(self.F, [el.coords for el in choice])
+            for choice in product(*slot_bases)
+        ]
 
     def _word_dict_to_vec(self, wdict: dict) -> list:
         zero = CycScalar.zero(self.F.conductor)
@@ -712,15 +612,14 @@ class AwpaAlgebra:
         commutation route and the structural-form cross-check."""
         failed = self._supercommutes_with_generators(z)
         reason = self._structural_center_check(z)
-        assert (failed is None) == (reason is None), (
-            "generator and structural centrality checks disagree: "
-            f"{failed!r} vs {reason!r}"
-        )
+        if (failed is None) != (reason is None):
+            raise InternalInconsistency(
+                "generator and structural centrality checks disagree: "
+                f"{failed!r} vs {reason!r}"
+            )
         return IsCentralResult(failed is None, failed, reason)
 
     def candidate_monomials(self, poly_degree_bound: int, include_perms=True):
-        from itertools import product
-
         alphas = [
             a
             for a in product(range(poly_degree_bound + 1), repeat=self.n)
@@ -779,19 +678,12 @@ class AwpaAlgebra:
     def expected_pnf_centralizer(self, poly_degree_bound: int) -> list:
         """(+)_alpha x^alpha F_psi^(-alpha), truncated: the centralizer of
         P_n(F)."""
-        from itertools import product
-
         out = []
         for alpha in product(range(poly_degree_bound + 1), repeat=self.n):
             if sum(alpha) > poly_degree_bound:
                 continue
             for wdict in self._tensor_subspace_basis([-e for e in alpha]):
-                out.append(
-                    AwpaElem(
-                        self,
-                        {(tuple(alpha), w, self.identity_perm): c for w, c in wdict.items()},
-                    )
-                )
+                out.append(AwpaElem(self, self._keyed(alpha, wdict, self.identity_perm)))
         return out
 
     # -- automorphisms -----------------------------------------------------------------
@@ -840,33 +732,24 @@ class AwpaAlgebra:
                 "slot": lambda b, i: self.slot_elem(self.F.basis_elem(b), n + 1 - i),
                 "s": lambda j: -self.s(n - j),
             }
-        elif kind == "frobenius":
-            xi = params.get("xi")
-            if xi is None:
-                raise BadAutomorphismParams("frobenius automorphism needs xi")
-            verdict = check_frobenius_morphism(self.F, self.F, xi, anti=False)
-            if not verdict or not linalg.is_invertible([[self.F.scalar(v) for v in row] for row in xi]):
-                raise BadAutomorphismParams(f"xi is not a Frobenius automorphism: {verdict}")
-            rows = [[self.F.scalar(v) for v in row] for row in xi]
+        elif kind in ("frobenius", "antihom"):
+            anti = kind == "antihom"
+            name = "tau" if anti else "xi"
+            matrix = params.get(name)
+            if matrix is None:
+                raise BadAutomorphismParams(
+                    "antihom needs tau" if anti else "frobenius automorphism needs xi"
+                )
+            verdict = check_frobenius_morphism(self.F, self.F, matrix, anti=anti)
+            rows = [[self.F.scalar(v) for v in row] for row in matrix]
+            if not verdict or not linalg.is_invertible(rows):
+                what = "anti-isomorphism" if anti else "automorphism"
+                raise BadAutomorphismParams(f"{name} is not a Frobenius {what}: {verdict}")
             images = {
                 "x": lambda i: self.x(i),
                 "slot": lambda b, i: self.slot_elem(AlgElem(self.F, rows[b]), i),
                 "s": lambda j: self.s(j),
             }
-        elif kind == "antihom":
-            tau = params.get("tau")
-            if tau is None:
-                raise BadAutomorphismParams("antihom needs tau")
-            verdict = check_frobenius_morphism(self.F, self.F, tau, anti=True)
-            if not verdict or not linalg.is_invertible([[self.F.scalar(v) for v in row] for row in tau]):
-                raise BadAutomorphismParams(f"tau is not a Frobenius anti-isomorphism: {verdict}")
-            rows = [[self.F.scalar(v) for v in row] for row in tau]
-            images = {
-                "x": lambda i: self.x(i),
-                "slot": lambda b, i: self.slot_elem(AlgElem(self.F, rows[b]), i),
-                "s": lambda j: self.s(j),
-            }
-            anti = True
         elif kind == "trace_change":
             u = params.get("u")
             if not isinstance(u, AlgElem):
@@ -901,7 +784,9 @@ class AwpaAlgebra:
                 c = TensorElem.slot(self.F, n, c, 1) if n else None
             if not isinstance(c, TensorElem):
                 raise BadAutomorphismParams("shift needs c as a TensorElem or AlgElem")
-            self._validate_shift_param(c)
+            reason = self._f1_violation(c, 1)
+            if reason:
+                raise BadAutomorphismParams(_SHIFT_PARAM_ERRORS[reason])
             shifts = [self.from_tensor(c)]
             for i in range(2, n + 1):
                 si = self.s(i - 1)
@@ -915,48 +800,32 @@ class AwpaAlgebra:
             raise BadAutomorphismParams(f"unknown automorphism kind {kind!r}")
         return AwpaMorphism(self, target, images, anti)
 
-    def apply_automorphism(self, kind: str, a: AwpaElem, **params) -> AwpaElem:
-        """One-shot form of automorphism(); for trace_change, repeated calls
-        should reuse one morphism so the images share a target context."""
-        return self.automorphism(kind, **params)(a)
-
-    def _validate_shift_param(self, c: TensorElem):
-        """c must lie in F_1^(1): slot 1 in F_psi^(1), other slots in
-        F_psi^(0), invariant under superpermutations fixing slot 1, even,
-        of degree delta."""
-        if c.is_zero():
-            return
-        parity = {word_parity(self.F, w) for w in c.terms}
-        if parity != {0}:
-            raise BadAutomorphismParams("shift parameter must be even")
-        degs = {word_degree(self.F, w) for w in c.terms}
-        if degs != {self.F.delta}:
-            raise BadAutomorphismParams("shift parameter must have degree delta")
-        ks = [1] + [0] * (self.n - 1)
-        basis = self._tensor_subspace_basis(ks)
+    def _f1_violation(self, t: TensorElem, k: int):
+        """Why t is not in F_1^(k), or None if it is.  F_1^(k) holds the even
+        elements of degree k*delta with slot 1 in F_psi^(k) and the other
+        slots in F_psi^(0) that are invariant under the superpermutations
+        fixing slot 1.  The reason is "parity", "degree", "span" or
+        "symmetry", the first test t fails in that order."""
+        if t.is_zero():
+            return None
+        if {word_parity(self.F, w) for w in t.terms} != {0}:
+            return "parity"
+        if {word_degree(self.F, w) for w in t.terms} != {k * self.F.delta}:
+            return "degree"
+        basis = self._tensor_subspace_basis([k] + [0] * (self.n - 1))
         vecs = [self._word_dict_to_vec(b) for b in basis]
-        if not linalg.in_span(vecs, self._word_dict_to_vec(c.terms)):
-            raise BadAutomorphismParams(
-                "shift parameter is not in F_psi^(1) (x) F_psi^(0) (x) ..."
-            )
+        if not linalg.in_span(vecs, self._word_dict_to_vec(t.terms)):
+            return "span"
         for j in range(2, self.n):
-            si = perms.simple(self.n, j)
-            moved: dict = {}
-            for w, cc in c.terms.items():
-                w2, sgn = permute_word(self.F, si, w)
-                _acc(moved, w2, -cc if sgn else cc)
-            if moved != c.terms:
-                raise BadAutomorphismParams(
-                    "shift parameter must be invariant under permutations fixing slot 1"
-                )
+            if superpermute(perms.simple(self.n, j), t) != t:
+                return "symmetry"
+        return None
 
     # -- graded dimension ------------------------------------------------------------
 
     def graded_dimension(self, cutoff: int):
         """Counts of normal-form monomials by total degree (delta > 0), or by
         polynomial-degree layer (delta = 0), up to the cutoff."""
-        from itertools import product
-
         F = self.F
         nfact = factorial(self.n)
         if F.delta == 0:
@@ -1045,6 +914,14 @@ class AwpaAlgebra:
                 if self.mul(self.s(ii), self.mul(fb, self.s(ii))) != image:
                     return False
         return True
+
+
+_SHIFT_PARAM_ERRORS = {
+    "parity": "shift parameter must be even",
+    "degree": "shift parameter must have degree delta",
+    "span": "shift parameter is not in F_psi^(1) (x) F_psi^(0) (x) ...",
+    "symmetry": "shift parameter must be invariant under permutations fixing slot 1",
+}
 
 
 def _poly_mul_trunc(a, b, cutoff: int):

@@ -91,3 +91,9 @@ class TooLarge(AwpaError):
 
 class ParseError(AwpaError):
     pass
+
+
+class InternalInconsistency(AwpaError):
+    """Two independent computations of the same mathematical fact disagree.
+
+    Raised by the package's cross-checks, which stay active under python -O."""

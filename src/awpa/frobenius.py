@@ -15,7 +15,6 @@ so that all theta-th roots of unity (the psi-eigenvalues) are representable.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
     DegenerateTrace,
     DimensionMismatch,
     GradingViolation,
+    InternalInconsistency,
     NakayamaInfiniteOrder,
     NakayamaNotDiagonalizable,
     NoUnit,
@@ -486,10 +486,6 @@ def _signed_chunks(text: str):
     return chunks
 
 
-def alg_elem_str(u: AlgElem) -> str:
-    return str(u)
-
-
 # -- builtin algebras ----------------------------------------------------------
 
 
@@ -674,31 +670,33 @@ def opposite_algebra(F: FrobAlg) -> FrobAlg:
     )
 
 
-BUILTIN_NAMES = ("trivial", "clifford", "dual_numbers", "group_algebra", "cyclic_group", "taft")
+# name -> (constructor, defaults of its integer parameters)
+BUILTINS = {
+    "trivial": (trivial_algebra, ()),
+    "clifford": (clifford_algebra, ()),
+    "dual_numbers": (dual_numbers_algebra, ()),
+    "cyclic_group": (cyclic_group_algebra, (2,)),
+    "taft": (taft_algebra, (2, 2)),
+    "s3": (lambda: symmetric_group_algebra(3), ()),
+}
 
 
-def builtin(name: str, params=None) -> FrobAlg:
-    """Construct a named builtin algebra.
-
-    ``group_algebra`` takes {"table": [[...]], "labels": [...]};
-    ``cyclic_group`` takes {"m": int}; ``taft`` takes {"q": int, "y_degree": int}.
-    """
-    params = params or {}
-    if name == "trivial":
-        return trivial_algebra()
-    if name == "clifford":
-        return clifford_algebra()
-    if name == "dual_numbers":
-        return dual_numbers_algebra()
-    if name == "group_algebra":
-        if "table" not in params:
-            raise BadParams("group_algebra requires a multiplication table")
-        return group_algebra(params["table"], params.get("labels"))
-    if name == "cyclic_group":
-        return cyclic_group_algebra(int(params.get("m", 2)))
-    if name == "taft":
-        return taft_algebra(int(params.get("q", 2)), int(params.get("y_degree", 2)))
-    raise BadParams(f"unknown builtin algebra {name!r}")
+def builtin(name: str, params=()) -> FrobAlg:
+    """Construct a named builtin algebra from its integer parameters, given
+    as ints or decimal strings: ``cyclic_group`` takes the order m (default
+    2), ``taft`` takes q and the degree of y (defaults 2, 2).  Missing
+    parameters take their defaults; surplus or malformed ones raise
+    BadParams."""
+    if name not in BUILTINS:
+        raise BadParams(f"unknown builtin algebra {name!r}")
+    make, defaults = BUILTINS[name]
+    if len(params) > len(defaults):
+        raise BadParams(f"builtin {name!r} takes at most {len(defaults)} parameters")
+    try:
+        values = [int(p) for p in params]
+    except ValueError as exc:
+        raise BadParams(f"builtin {name!r}: parameters must be integers ({exc})") from exc
+    return make(*values, *defaults[len(values):])
 
 
 # -- morphism verification -------------------------------------------------------
@@ -724,8 +722,9 @@ def check_frobenius_morphism(F: FrobAlg, G: FrobAlg, matrix, anti: bool = False)
     """Check that matrix (rows = images of F's basis in G's coordinates) is a
     trace-preserving algebra (anti)homomorphism.
 
-    For a valid antihomomorphism, additionally asserts tau psi = psi^{-1} tau
-    and the dual-basis identity tau(b^vee)^vee = (-1)^{|b|} tau(b).
+    For a valid antihomomorphism, additionally cross-checks tau psi =
+    psi^{-1} tau and the dual-basis identity tau(b^vee)^vee = (-1)^{|b|} tau(b),
+    raising InternalInconsistency if either fails.
     """
     if len(matrix) != F.dim or any(len(row) != G.dim for row in matrix):
         raise DimensionMismatch("morphism matrix has wrong shape")
@@ -778,11 +777,15 @@ def check_frobenius_morphism(F: FrobAlg, G: FrobAlg, matrix, anti: bool = False)
         left = linalg.mat_mul(F.nakayama, matrix)
         psi_inv = linalg.inverse(G.nakayama)
         right = linalg.mat_mul(matrix, psi_inv)
-        assert left == right, "tau psi != psi^{-1} tau for a valid anti-isomorphism"
+        if left != right:
+            raise InternalInconsistency(
+                "tau psi != psi^{-1} tau for a valid anti-isomorphism"
+            )
         # duals of the basis {tau(b^vee)} are (-1)^{|b|} tau(b)
         tau_dual_rows = linalg.mat_mul(F.dual_matrix, matrix)
         duals = G.dual_of_basis(tau_dual_rows)
         for i, d in enumerate(duals):
             expected = images[i] if F.parities[i] == 0 else -images[i]
-            assert d == expected, "dual-basis identity fails for anti-isomorphism"
+            if d != expected:
+                raise InternalInconsistency("dual-basis identity fails for anti-isomorphism")
     return verdict

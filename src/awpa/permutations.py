@@ -13,17 +13,13 @@ from __future__ import annotations
 
 from itertools import permutations as _all_perms
 
-from .errors import BadComposition, SizeMismatch
+from .errors import BadComposition, InternalInconsistency, SizeMismatch
 
 Perm = tuple
 
 
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
-
-
-def is_identity(p: Perm) -> bool:
-    return all(v == i + 1 for i, v in enumerate(p))
 
 
 def simple(n: int, i: int) -> Perm:
@@ -54,10 +50,6 @@ def inverse(p: Perm) -> Perm:
     for i, v in enumerate(p):
         inv[v - 1] = i + 1
     return tuple(inv)
-
-
-def apply(p: Perm, i: int) -> int:
-    return p[i - 1]
 
 
 def length(p: Perm) -> int:
@@ -225,8 +217,8 @@ def min_double_cosets(mu, nu, n: int | None = None):
         }
         # minimality makes conjugation by pi match the simple reflections up:
         # for s_i in S_{mu cap pi.nu}, pi^-1(i+1) = pi^-1(i) + 1.
-        for i in left:
-            assert pinv[i] == pinv[i - 1] + 1
+        if any(pinv[i] != pinv[i - 1] + 1 for i in left):
+            raise InternalInconsistency(f"double coset representative {p} is not minimal")
         out.append(
             (p, composition_from_simples(left, n), composition_from_simples(right, n))
         )

@@ -1,0 +1,93 @@
+"""Sparse linear combinations {key: CycScalar} with no stored zeros.
+
+``acc`` is the one accumulate-and-drop-zero step of the package, and
+``SparseElem`` holds the arithmetic every element class shares: sums,
+differences, negation, scalar multiples and equality.  The element classes
+build on it and keep only what is their own (their context, operand check,
+product and printing):
+
+* ``engine.AwpaElem``: A_n(F) in normal form, keys (alpha, word, perm);
+* ``engine.PolyModElem``: the module P_n(F) (x) kS_n, same keys;
+* ``wreath.TensorElem``: F^(x)n, keys are basis words;
+* ``wreath.WreathElem``: F^(x)n x| S_n, keys (word, perm).
+
+``terms`` is a plain dict, read-only by convention: operations build new
+elements and never change an operand.
+"""
+
+from __future__ import annotations
+
+
+def acc(d: dict, key, value):
+    """d[key] += value, keeping d free of zero coefficients."""
+    old = d.get(key)
+    if old is None:
+        if value:
+            d[key] = value
+    else:
+        s = old + value
+        if s:
+            d[key] = s
+        else:
+            del d[key]
+
+
+class SparseElem:
+    """Base of the element classes.  A subclass names its context slots in
+    ``_context``, sets them before calling ``SparseElem.__init__``, and may
+    override ``_check`` to reject operands from another context."""
+
+    __slots__ = ("terms",)
+    _context: tuple = ()
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    def _like(self, terms: dict):
+        """A new element in self's context from terms that hold no zero."""
+        out = object.__new__(type(self))
+        for name in self._context:
+            setattr(out, name, getattr(self, name))
+        out.terms = terms
+        return out
+
+    def _check(self, other):
+        pass
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            acc(out, k, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            acc(out, k, -c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        out = {}
+        for k, c in self.terms.items():
+            v = c * scalar
+            if v:
+                out[k] = v
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not self.terms

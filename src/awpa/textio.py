@@ -11,7 +11,6 @@ always emits canonical normal-form terms, so round-tripping is exact.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .engine import AwpaAlgebra, AwpaElem
 from .errors import ParseError

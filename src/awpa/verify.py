@@ -145,49 +145,22 @@ def check_Ft_commutation(ctx, rng):
     t = ctx.t_element(i, j, k)
     sij = perms.transposition(ctx.n, i, j)
     moved = ctx.superpermute_elem(sij, f)
-    twisted = AwpaElem(
-        ctx,
-        {
-            key: c
-            for (a, w, p), cc in moved.terms.items()
-            for key, c in [((a, w, p), cc)]
-        },
-    )
-    # psi_i^k on the moved element
-    out = {}
-    for (a, w, p), c in moved.terms.items():
-        for w2, c2 in ctx._word_psi_twist(
-            w, tuple(k if t2 == i - 1 else 0 for t2 in range(ctx.n))
-        ).items():
-            key = (a, w2, p)
-            out[key] = out.get(key, ctx.F.scalar(0)) + c * c2
-    rhs1 = ctx.mul(t, AwpaElem(ctx, out))
+    gamma_i = tuple(k if t2 == i - 1 else 0 for t2 in range(ctx.n))
+    gamma_j = tuple(k if t2 == j - 1 else 0 for t2 in range(ctx.n))
+    rhs1 = ctx.mul(t, ctx.psi_twist(moved, gamma_i))
     _expect(ctx.mul(f, t) == rhs1, "Ft-commutation", f"i={i}, j={j}, k={k}")
-    # second form
-    out2 = {}
-    for (a, w, p), c in f.terms.items():
-        for w2, c2 in ctx._word_psi_twist(
-            w, tuple(k if t2 == j - 1 else 0 for t2 in range(ctx.n))
-        ).items():
-            key = (a, w2, p)
-            out2[key] = out2.get(key, ctx.F.scalar(0)) + c * c2
-    rhs2 = ctx.mul(t, ctx.superpermute_elem(sij, AwpaElem(ctx, out2)))
+    rhs2 = ctx.mul(t, ctx.superpermute_elem(sij, ctx.psi_twist(f, gamma_j)))
     _expect(ctx.mul(f, t) == rhs2, "Ft-commutation-form2", f"i={i}, j={j}, k={k}")
 
 
 def check_psi_tij_reverse(ctx, rng):
     """psi_j(t_{i,j}) = t_{j,i}"""
     i, j = rng.sample(range(1, ctx.n + 1), 2)
-    t = ctx.t_element(i, j)
-    out = {}
-    for (a, w, p), c in t.terms.items():
-        for w2, c2 in ctx._word_psi_twist(
-            w, tuple(1 if t2 == j - 1 else 0 for t2 in range(ctx.n))
-        ).items():
-            key = (a, w2, p)
-            out[key] = out.get(key, ctx.F.scalar(0)) + c * c2
+    gamma = tuple(1 if t2 == j - 1 else 0 for t2 in range(ctx.n))
     _expect(
-        AwpaElem(ctx, out) == ctx.t_element(j, i), "psi-tij-reverse", f"i={i}, j={j}"
+        ctx.psi_twist(ctx.t_element(i, j), gamma) == ctx.t_element(j, i),
+        "psi-tij-reverse",
+        f"i={i}, j={j}",
     )
 
 

@@ -19,6 +19,7 @@ from . import permutations as perms
 from .errors import AlgebraMismatch, SizeMismatch
 from .frobenius import FrobAlg
 from .scalars import CycScalar
+from .sparse import SparseElem, acc
 
 
 def permute_word(F: FrobAlg, pi, word):
@@ -58,49 +59,33 @@ def koszul_mul_sign(F: FrobAlg, w1, w2) -> int:
     return sign % 2
 
 
-def word_mul(F: FrobAlg, w1, w2) -> dict:
-    """Product of two basis words as {word: scalar}."""
-    sign = koszul_mul_sign(F, w1, w2)
-    terms = {(): CycScalar.one(F.conductor) if not sign else -CycScalar.one(F.conductor)}
-    for b1, b2 in zip(w1, w2):
-        new_terms = {}
-        col = F.struct[b1][b2]
-        for prefix, coeff in terms.items():
-            for k, c in enumerate(col):
-                if c:
-                    key = prefix + (k,)
-                    val = coeff * c
-                    if key in new_terms:
-                        val = new_terms[key] + val
-                    if val:
-                        new_terms[key] = val
-                    elif key in new_terms:
-                        del new_terms[key]
-        terms = new_terms
-        if not terms:
-            break
+def tensor_of_vectors(F: FrobAlg, vectors, coeff=None) -> dict:
+    """coeff * (v_1 (x) ... (x) v_n) as {word: scalar}, for coordinate
+    vectors v_i of F (coeff defaults to 1).  Distinct choices of basis
+    indices give distinct words, so no two terms ever combine."""
+    terms = {(): CycScalar.one(F.conductor) if coeff is None else coeff}
+    for vec in vectors:
+        terms = {w + (k,): c * v for w, c in terms.items() for k, v in enumerate(vec) if v}
     return terms
 
 
-def unit_word_expansion(F: FrobAlg) -> dict:
-    """The unit of F^(x)n is a combination of words when 1 is not a basis
-    element; this returns {basis_index: coeff} for one slot."""
-    return {i: c for i, c in enumerate(F.unit) if c}
+def word_mul(F: FrobAlg, w1, w2) -> dict:
+    """Product of two basis words as {word: scalar}."""
+    one = CycScalar.one(F.conductor)
+    sign = -one if koszul_mul_sign(F, w1, w2) else one
+    return tensor_of_vectors(F, [F.struct[b1][b2] for b1, b2 in zip(w1, w2)], sign)
 
 
-class TensorElem:
+class TensorElem(SparseElem):
     """Element of F^(x)n: sparse {word: scalar}."""
 
-    __slots__ = ("F", "n", "terms")
+    __slots__ = ("F", "n")
+    _context = ("F", "n")
 
     def __init__(self, F: FrobAlg, n: int, terms=None):
         self.F = F
         self.n = n
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[tuple(w)] = c
+        super().__init__(terms)
 
     def _check(self, other: TensorElem):
         if self.F is not other.F:
@@ -110,14 +95,7 @@ class TensorElem:
 
     @staticmethod
     def unit(F: FrobAlg, n: int) -> TensorElem:
-        terms = {(): CycScalar.one(F.conductor)}
-        for _ in range(n):
-            new = {}
-            for w, c in terms.items():
-                for i, u in unit_word_expansion(F).items():
-                    new[w + (i,)] = c * u
-            terms = new
-        return TensorElem(F, n, terms)
+        return TensorElem(F, n, tensor_of_vectors(F, [F.unit] * n))
 
     @staticmethod
     def slot(F: FrobAlg, n: int, f, i: int) -> TensorElem:
@@ -128,64 +106,20 @@ class TensorElem:
         for w, c in TensorElem.unit(F, n).terms.items():
             for k, fk in enumerate(f.coords):
                 if fk:
-                    out_key = w[: i - 1] + (k,) + w[i:]
-                    val = c * fk
-                    if out_key in out:
-                        val = out[out_key] + val
-                    if val:
-                        out[out_key] = val
-                    elif out_key in out:
-                        del out[out_key]
+                    acc(out, w[: i - 1] + (k,) + w[i:], c * fk)
         return TensorElem(F, n, out)
-
-    def __add__(self, other: TensorElem) -> TensorElem:
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, None)
-            v = c if v is None else v + c
-            if v:
-                out[w] = v
-            elif w in out:
-                del out[w]
-        return TensorElem(self.F, self.n, out)
-
-    def __neg__(self) -> TensorElem:
-        return TensorElem(self.F, self.n, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: TensorElem) -> TensorElem:
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> TensorElem:
-        return TensorElem(self.F, self.n, {w: c * scalar for w, c in self.terms.items()})
 
     def __mul__(self, other) -> TensorElem:
         if not isinstance(other, TensorElem):
-            return TensorElem(self.F, self.n, {w: c * other for w, c in self.terms.items()})
+            return super().__mul__(other)
         self._check(other)
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 c12 = c1 * c2
                 for w, c in word_mul(self.F, w1, w2).items():
-                    v = out.get(w, None)
-                    v = c12 * c if v is None else v + c12 * c
-                    if v:
-                        out[w] = v
-                    elif w in out:
-                        del out[w]
-        return TensorElem(self.F, self.n, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElem):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
+                    acc(out, w, c12 * c)
+        return self._like(out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -206,29 +140,20 @@ def superpermute(pi, t: TensorElem) -> TensorElem:
     out = {}
     for w, c in t.terms.items():
         new, sign = permute_word(t.F, pi, w)
-        val = -c if sign else c
-        if new in out:
-            val = out[new] + val
-        if val:
-            out[new] = val
-        elif new in out:
-            del out[new]
-    return TensorElem(t.F, t.n, out)
+        acc(out, new, -c if sign else c)
+    return t._like(out)
 
 
-class WreathElem:
+class WreathElem(SparseElem):
     """Element of the wreath product F^(x)n x| S_n: sparse {(word, pi): scalar}."""
 
-    __slots__ = ("F", "n", "terms")
+    __slots__ = ("F", "n")
+    _context = ("F", "n")
 
     def __init__(self, F: FrobAlg, n: int, terms=None):
         self.F = F
         self.n = n
-        self.terms = {}
-        if terms:
-            for (w, p), c in terms.items():
-                if c:
-                    self.terms[(tuple(w), tuple(p))] = c
+        super().__init__(terms)
 
     def _check(self, other: WreathElem):
         if self.F is not other.F:
@@ -238,43 +163,20 @@ class WreathElem:
 
     @staticmethod
     def unit(F: FrobAlg, n: int) -> WreathElem:
-        e = perms.identity(n)
-        return WreathElem(F, n, {(w, e): c for w, c in TensorElem.unit(F, n).terms.items()})
+        return WreathElem.from_perm(F, n, perms.identity(n))
 
     @staticmethod
     def from_tensor(t: TensorElem, pi=None) -> WreathElem:
-        pi = pi or perms.identity(t.n)
-        return WreathElem(t.F, t.n, {(w, tuple(pi)): c for w, c in t.terms.items()})
+        pi = tuple(pi or perms.identity(t.n))
+        return WreathElem(t.F, t.n, {(w, pi): c for w, c in t.terms.items()})
 
     @staticmethod
     def from_perm(F: FrobAlg, n: int, pi) -> WreathElem:
-        u = TensorElem.unit(F, n)
-        return WreathElem(F, n, {(w, tuple(pi)): c for w, c in u.terms.items()})
-
-    def __add__(self, other: WreathElem) -> WreathElem:
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, None)
-            v = c if v is None else v + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return WreathElem(self.F, self.n, out)
-
-    def __neg__(self) -> WreathElem:
-        return WreathElem(self.F, self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: WreathElem) -> WreathElem:
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> WreathElem:
-        return WreathElem(self.F, self.n, {k: c * scalar for k, c in self.terms.items()})
+        return WreathElem.from_tensor(TensorElem.unit(F, n), pi)
 
     def __mul__(self, other) -> WreathElem:
         if not isinstance(other, WreathElem):
-            return WreathElem(self.F, self.n, {k: c * other for k, c in self.terms.items()})
+            return super().__mul__(other)
         self._check(other)
         out = {}
         for (w1, p1), c1 in self.terms.items():
@@ -286,25 +188,8 @@ class WreathElem:
                     c12 = -c12
                 tail = perms.mul(p1, p2)
                 for w, c in word_mul(self.F, w1, moved).items():
-                    key = (w, tail)
-                    v = out.get(key, None)
-                    v = c12 * c if v is None else v + c12 * c
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
-        return WreathElem(self.F, self.n, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WreathElem):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
+                    acc(out, (w, tail), c12 * c)
+        return self._like(out)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -1,9 +1,15 @@
 """Command-line surface: subcommands, exit codes, determinism, --json."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import awpa
+from awpa import cyclotomic
 from awpa.cli import main
 from awpa.frobenius import dual_numbers_algebra, clifford_algebra
 
@@ -147,3 +153,45 @@ def test_algebra_file_roundtrip_via_cli(capsys, tmp_path):
     F.dump(path)
     code, out, _ = run(capsys, "algebra", "verify", str(path))
     assert code == 0
+
+
+def test_builtin_table_covers_cli_names(capsys):
+    code, out, _ = run(capsys, "algebra", "verify", "s3")
+    assert code == 0 and "algebra: symmetric_group_3" in out
+    code, out, _ = run(capsys, "algebra", "verify", "taft:3:1")
+    assert code == 0 and "algebra: taft_3" in out
+
+
+@pytest.mark.parametrize("spec", ["cyclic_group:x", "taft:2:y", "trivial:1"])
+def test_malformed_builtin_params_fail_cleanly(spec):
+    env = dict(os.environ, PYTHONPATH=str(Path(awpa.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "awpa.cli", "algebra", "verify", spec],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("FAIL: ")
+
+
+def test_cyclotomic_nakayama_prints_counterexample(capsys, tmp_path, monkeypatch):
+    F = dual_numbers_algebra()
+    data = F.to_json_dict()
+    data["cyclotomic"] = {"e": [1], "c": [["z"]]}
+    path = tmp_path / "dual_cyclo.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(
+        cyclotomic.CyclotomicAlgebra, "nakayama_identity_holds", lambda self, a, b: False
+    )
+    code, out, _ = run(
+        capsys, "cyclotomic", "nakayama", "--params", str(path), "--n", "1", "--seed", "3"
+    )
+    assert code == 1
+    assert "(seed 3): FAIL at a=" in out and ", b=" in out
+    params = cyclotomic.CycloParams.from_json_dict(F, data["cyclotomic"])
+    qalg = cyclotomic.CyclotomicAlgebra(params, 1)
+    a, b = cyclotomic.nakayama_counterexample(qalg, 50, 3)
+    assert f"FAIL at a={a}, b={b}" in out
+    assert cyclotomic.nakayama_check(qalg, 50, 3)[0] is False

@@ -1,0 +1,56 @@
+"""Source hygiene: no unused imports in the package.
+
+A stdlib ``ast`` scan, so it runs without a linter.  An imported name counts
+as used if it is read anywhere in its module or listed in ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "awpa"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "from math import comb, factorial\n"
+        "from .x import exported\n"
+        "__all__ = ['exported']\n"
+        "def f():\n"
+        "    from json import dumps\n"
+        "    return factorial(3)\n"
+    )
+    assert unused_imports(source) == [
+        "line 2: os",
+        "line 3: osp",
+        "line 4: comb",
+        "line 8: dumps",
+    ]

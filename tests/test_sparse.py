@@ -1,0 +1,177 @@
+"""The shared sparse-combination kernel under the element classes.
+
+Properties over AwpaElem, PolyModElem, TensorElem and WreathElem, with
+coefficients in Q (the Clifford algebra) and in Q(zeta_3) (Taft(3)).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from awpa import permutations as perms
+from awpa.cyclotomic import CycloElem
+from awpa.engine import AwpaAlgebra, AwpaElem, PolyModElem
+from awpa.errors import AlgebraMismatch, SizeMismatch
+from awpa.frobenius import clifford_algebra, taft_algebra
+from awpa.scalars import CycScalar
+from awpa.sparse import SparseElem, acc
+from awpa.wreath import TensorElem, WreathElem
+
+N = 2
+FIELDS = {"Q": clifford_algebra(), "Q(zeta3)": taft_algebra(3)}
+CONTEXTS = {name: AwpaAlgebra(F, N) for name, F in FIELDS.items()}
+KINDS = ["awpa", "polymod", "tensor", "wreath"]
+PERMS = perms.all_permutations(N)
+
+
+def scalars(F):
+    """Small coefficients of F's field, zero included."""
+    small = st.integers(-2, 2)
+    if F.conductor == 1:
+        return small.map(lambda a: CycScalar(1, (Fraction(a),)))
+    return st.tuples(small, small).map(lambda ab: CycScalar(3, tuple(map(Fraction, ab))))
+
+
+def keys(F, kind):
+    word = st.tuples(*[st.integers(0, F.dim - 1)] * N)
+    alpha = st.tuples(*[st.integers(0, 1)] * N)
+    pi = st.sampled_from(PERMS)
+    if kind == "tensor":
+        return word
+    if kind == "wreath":
+        return st.tuples(word, pi)
+    return st.tuples(alpha, word, pi)
+
+
+def build(name, kind, terms):
+    ctx = CONTEXTS[name]
+    if kind == "awpa":
+        return AwpaElem(ctx, terms)
+    if kind == "polymod":
+        return PolyModElem(ctx, terms)
+    if kind == "tensor":
+        return TensorElem(ctx.F, N, terms)
+    return WreathElem(ctx.F, N, terms)
+
+
+def elements(name, kind, max_size=3):
+    F = FIELDS[name]
+    terms = st.dictionaries(keys(F, kind), scalars(F), max_size=max_size)
+    return terms.map(lambda t: build(name, kind, t))
+
+
+def product(a, b):
+    if isinstance(a, PolyModElem):
+        # the module action of an algebra element on a module element
+        return a.ctx.oracle_act(AwpaElem(a.ctx, b.terms), a)
+    return a * b
+
+
+def zero_free(x) -> bool:
+    return all(c for c in x.terms.values())
+
+
+CASES = [(name, kind) for name in FIELDS for kind in KINDS]
+case_ids = [f"{kind}-{name}" for name, kind in CASES]
+common = settings(max_examples=25, deadline=None)
+
+
+@pytest.mark.parametrize("name,kind", CASES, ids=case_ids)
+@common
+@given(data=st.data())
+def test_additive_inverse_is_empty(name, kind, data):
+    a = data.draw(elements(name, kind))
+    z = a + (-a)
+    assert z.is_zero() and z.terms == {}
+    assert (a - a).terms == {}
+
+
+@pytest.mark.parametrize("name,kind", CASES, ids=case_ids)
+@common
+@given(data=st.data())
+def test_add_then_sub_round_trips(name, kind, data):
+    a = data.draw(elements(name, kind))
+    b = data.draw(elements(name, kind))
+    assert (a + b) - b == a
+    assert a + b == b + a
+
+
+@pytest.mark.parametrize("name,kind", CASES, ids=case_ids)
+@common
+@given(data=st.data())
+def test_scalar_zero_gives_zero(name, kind, data):
+    a = data.draw(elements(name, kind))
+    zero = CycScalar.zero(FIELDS[name].conductor)
+    for z in (zero * a, a * zero, 0 * a, a * 0):
+        assert z.is_zero() and z.terms == {}
+        assert type(z) is type(a)
+
+
+@pytest.mark.parametrize("name,kind", CASES, ids=case_ids)
+@common
+@given(data=st.data())
+def test_no_stored_zero(name, kind, data):
+    a = data.draw(elements(name, kind))
+    b = data.draw(elements(name, kind))
+    s = data.draw(scalars(FIELDS[name]))
+    assert zero_free(a) and zero_free(b)  # the constructors filter zeros
+    for result in (a + b, a - b, -a, s * a, a * s, product(a, b)):
+        assert zero_free(result)
+        assert type(result) is type(a)
+
+
+@pytest.mark.parametrize("kind", ["awpa", "tensor", "wreath"])
+def test_mismatch_errors(kind):
+    F, G = FIELDS["Q"], FIELDS["Q(zeta3)"]
+    key = {"tensor": (0, 0), "wreath": ((0, 0), (1, 2))}.get(kind, ((0, 0), (0, 0), (1, 2)))
+    one = CycScalar.one()
+    if kind == "awpa":
+        a = AwpaElem(AwpaAlgebra(F, 2), {key: one})
+        other_algebra = AwpaElem(AwpaAlgebra(G, 2), {key: one})
+        other_size = AwpaElem(AwpaAlgebra(F, 3), {((0,) * 3, (0,) * 3, (1, 2, 3)): one})
+    else:
+        cls = TensorElem if kind == "tensor" else WreathElem
+        a = cls(F, 2, {key: one})
+        other_algebra = cls(G, 2, {key: one})
+        other_size = cls(F, 3, {})
+    for op in (
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x * y,
+        lambda x, y: x == y,
+    ):
+        with pytest.raises(AlgebraMismatch):
+            op(a, other_algebra)
+        with pytest.raises(SizeMismatch):
+            op(a, other_size)
+
+
+def test_polymod_equality_across_contexts_is_false():
+    F = FIELDS["Q"]
+    ctx1, ctx2 = AwpaAlgebra(F, 2), AwpaAlgebra(F, 2)
+    assert ctx1.module_one() == ctx1.module_one()
+    assert ctx1.module_one() != ctx2.module_one()
+
+
+def test_acc_drops_cancelled_keys():
+    d = {}
+    one = CycScalar.one()
+    acc(d, "k", CycScalar.zero())
+    assert d == {}
+    acc(d, "k", one)
+    acc(d, "k", -one)
+    assert d == {}
+    acc(d, "k", one)
+    acc(d, "k", one)
+    assert d == {"k": CycScalar.from_rational(2)}
+
+
+def test_element_classes_share_the_kernel():
+    for cls in (AwpaElem, PolyModElem, TensorElem, WreathElem, CycloElem):
+        assert issubclass(cls, SparseElem)
+        for op in ("__add__", "__sub__", "__neg__", "__rmul__", "is_zero"):
+            assert getattr(cls, op) is getattr(SparseElem, op)
+    # PolyModElem only adds the cross-context case to equality
+    assert AwpaElem.__eq__ is SparseElem.__eq__
