@@ -169,6 +169,8 @@ def cmd_center(args) -> int:
 def cmd_jm(args) -> int:
     F = resolve_algebra(args.algebra)
     ctx = AwpaAlgebra(F, args.n)
+    if not 1 <= args.k <= args.n:
+        raise ParseError(f"no Jucys-Murphy element J_{args.k} for n={args.n}")
     jk = ctx.from_wreath(ctx.jucys_murphy(args.k))
     _emit(args, {"result": element_str(jk)}, [element_str(jk)])
     return 0

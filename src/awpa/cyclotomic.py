@@ -34,6 +34,7 @@ from .errors import (
     NotPsiFixed,
     OddParity,
     ParamsMismatch,
+    ParseError,
     TooLarge,
     WrongDegree,
 )
@@ -47,7 +48,13 @@ DEFAULT_GRAM_BOUND = 20_000
 
 def gram_entry_bound() -> int:
     value = os.environ.get("AWPA_MAX_DIM")
-    return int(value) if value else DEFAULT_GRAM_BOUND
+    try:
+        bound = int(value) if value else DEFAULT_GRAM_BOUND
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ParseError(f"AWPA_MAX_DIM must be a positive integer, got {value!r}")
+    return bound
 
 
 class CycloParams:

@@ -102,7 +102,8 @@ class AwpaElem(SparseElem):
 class PolyModElem(SparseElem):
     """Element of the module V = P_n(F) (x) kS_n; same key shape as AwpaElem
     but with the module semantics (the permutation is a tensor factor).
-    Elements of different contexts compare unequal."""
+    Sums check F and n as AwpaElem's do; elements of different contexts
+    compare unequal."""
 
     __slots__ = ("ctx",)
     _context = ("ctx",)
@@ -110,6 +111,8 @@ class PolyModElem(SparseElem):
     def __init__(self, ctx: AwpaAlgebra, terms=None):
         self.ctx = ctx
         super().__init__(terms)
+
+    _check = AwpaElem._check
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PolyModElem) and other.ctx is not self.ctx:

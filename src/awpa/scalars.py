@@ -1,8 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 A scalar is stored as a coordinate vector of rationals in the power basis
-1, z, ..., z^(phi(m)-1) of Q(zeta_m), reduced modulo the m-th cyclotomic
-polynomial.  All arithmetic is exact; there is no floating point anywhere.
+1, z, ..., z^(phi(m)-1) of Q(zeta_m).  All arithmetic is exact; there is no
+floating point anywhere.
+
+One table per conductor carries the field: ``_zeta_powers(m)`` holds z^k
+reduced modulo the m-th cyclotomic polynomial Phi_m for k < m, and its
+width is phi(m).  ``_reduce`` folds a coefficient list of any length
+through it; products, embeddings, rationals and roots of unity all go
+through that one step.  The inverse is the Galois norm: with sigma_k the
+automorphism z -> z^k (gcd(k, m) = 1), 1/a = prod_{k != 1} sigma_k(a) / N(a),
+where N(a) = a * prod_{k != 1} sigma_k(a) is rational.
 
 Scalars of different conductors compare and combine by embedding both into
 Q(zeta_lcm) via zeta_m = zeta_lcm^(lcm/m).
@@ -12,9 +20,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lcm
 
-from .errors import ParseError
+from .errors import InternalInconsistency, ParseError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -29,66 +38,52 @@ def euler_phi(m: int) -> int:
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Divide integer polynomials (lists of coeffs, low degree first)."""
-    num = list(num)
+    """Divide integer polynomials (coefficient lists, lowest degree first) by
+    a monic ``den``.  The remainder has exactly deg(den) coefficients."""
+    if den[-1] != 1:
+        raise ValueError(f"divisor {den} is not monic")
+    num = list(num) + [0] * (len(den) - 1 - len(num))
     q = [0] * (len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c, r = divmod(num[k + len(den) - 1], den[-1])
-        assert r == 0, "nonexact division while building cyclotomic polynomial"
-        q[k] = c
-        for i, d in enumerate(den):
-            num[k + i] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = num[k + len(den) - 1]
+        if c:
+            for i, d in enumerate(den):
+                num[k + i] -= c * d
+    return q, num[: len(den) - 1]
 
 
-_CYCLO_CACHE: dict[int, list[int]] = {}
-
-
+@cache
 def cyclotomic_polynomial(m: int) -> list[int]:
     """Integer coefficients of Phi_m, lowest degree first (monic)."""
-    if m in _CYCLO_CACHE:
-        return _CYCLO_CACHE[m]
     # Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
             poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert rem == [0]
-    _CYCLO_CACHE[m] = poly
+            if any(rem):
+                raise InternalInconsistency(f"Phi_{d} does not divide x^{m} - 1")
     return poly
 
 
-_POWER_CACHE: dict[int, list[tuple[Fraction, ...]]] = {}
-
-
-def _zeta_powers(m: int) -> list[tuple[Fraction, ...]]:
-    """zeta_m^k for k = 0..m-1 as reduced coordinate vectors."""
-    if m in _POWER_CACHE:
-        return _POWER_CACHE[m]
-    phi = euler_phi(m)
+@cache
+def _zeta_powers(m: int) -> list[tuple[int, ...]]:
+    """zeta_m^k for k = 0..m-1: x^k mod Phi_m as integer coordinate vectors."""
     cyc = cyclotomic_polynomial(m)
-    powers: list[tuple[Fraction, ...]] = []
-    for k in range(phi):
-        vec = [_ZERO] * phi
-        vec[k] = _ONE
-        powers.append(tuple(vec))
-    # z^phi = -(cyc[0] + cyc[1] z + ...), then multiply up by z repeatedly.
-    for _ in range(phi, m):
-        prev = powers[-1]
-        shifted = [_ZERO] + list(prev[:-1])
-        top = prev[-1]
-        if top:
-            for i in range(phi):
-                shifted[i] -= top * cyc[i]
-        powers.append(tuple(shifted))
-    _POWER_CACHE[m] = powers
-    return powers
+    return [tuple(_poly_divmod([0] * k + [1], cyc)[1]) for k in range(m)]
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _reduce(m: int, coeffs) -> list[Fraction]:
+    """Coordinates of sum_k coeffs[k] z^k in Q(zeta_m), for any len(coeffs)."""
+    powers = _zeta_powers(m)
+    phi = len(powers[0])
+    vec = list(coeffs[:phi]) + [_ZERO] * (phi - len(coeffs))
+    for k in range(phi, len(coeffs)):
+        c = coeffs[k]
+        if c:
+            for i, p in enumerate(powers[k % m]):
+                if p:
+                    vec[i] += c * p
+    return vec
 
 
 class CycScalar:
@@ -99,15 +94,14 @@ class CycScalar:
     def __init__(self, m: int, coeffs):
         self.m = m
         self.coeffs = tuple(coeffs)
-        assert len(self.coeffs) == euler_phi(m)
+        if len(self.coeffs) != len(_zeta_powers(m)[0]):
+            raise ValueError(f"Q(zeta_{m}) needs phi({m}) coordinates, got {len(self.coeffs)}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(value, m: int = 1) -> CycScalar:
-        vec = [_ZERO] * euler_phi(m)
-        vec[0] = Fraction(value)
-        return CycScalar(m, vec)
+        return CycScalar(m, _reduce(m, [Fraction(value)]))
 
     @staticmethod
     def zero(m: int = 1) -> CycScalar:
@@ -123,18 +117,15 @@ class CycScalar:
         """Embed into Q(zeta_big); requires m | big."""
         if big == self.m:
             return self
-        assert big % self.m == 0
-        step = big // self.m
-        powers = _zeta_powers(big)
-        phi = euler_phi(big)
-        vec = [_ZERO] * phi
-        for k, a in enumerate(self.coeffs):
-            if a:
-                pw = powers[(k * step) % big]
-                for i in range(phi):
-                    if pw[i]:
-                        vec[i] += a * pw[i]
-        return CycScalar(big, vec)
+        if big % self.m:
+            raise ValueError(f"cannot embed Q(zeta_{self.m}) into Q(zeta_{big})")
+        return self._substitute(big, big // self.m)
+
+    def _substitute(self, big: int, step: int) -> CycScalar:
+        """The image under z -> zeta_big^step, reduced in Q(zeta_big)."""
+        spread = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
+        spread[::step] = self.coeffs
+        return CycScalar(big, _reduce(big, spread))
 
     @staticmethod
     def _unify(a: CycScalar, b: CycScalar) -> tuple[CycScalar, CycScalar]:
@@ -162,13 +153,13 @@ class CycScalar:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_part(self) -> Fraction:
         """The value as a Fraction; only meaningful if is_rational()."""
@@ -215,49 +206,23 @@ class CycScalar:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         conv[i + j] += x * y
-        vec = list(conv[:phi])
-        powers = _zeta_powers(a.m)
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                pw = powers[k % a.m]
-                for i in range(phi):
-                    if pw[i]:
-                        vec[i] += c * pw[i]
-        return CycScalar(a.m, vec)
+        return CycScalar(a.m, _reduce(a.m, conv))
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycScalar:
         if self.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        phi = len(self.coeffs)
-        if phi == 1:
-            return CycScalar(self.m, (1 / self.coeffs[0],))
-        # extended Euclid in Q[x]: s * self + t * Phi_m = 1
-        cyc = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
-        r0, r1 = cyc, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while len(r1) > 1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, r = _frac_poly_divmod(r0, r1)
-            s = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
-        inv = [c / r1[0] for c in s1]
-        vec = [_ZERO] * phi
-        powers = _zeta_powers(self.m)
-        for k, c in enumerate(inv):
-            if c:
-                if k < phi:
-                    vec[k] += c
-                else:
-                    pw = powers[k % self.m]
-                    for i in range(phi):
-                        vec[i] += c * pw[i]
-        return CycScalar(self.m, vec)
+        # Galois norm: conj = prod_{k != 1} sigma_k(self), N = self * conj
+        m = self.m
+        conj = CycScalar.one(m)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = conj * self._substitute(m, k)
+        norm = self * conj
+        if not norm.is_rational():
+            raise InternalInconsistency(f"norm of {self} in Q(zeta_{m}) is not rational: {norm}")
+        return CycScalar(m, [c / norm.coeffs[0] for c in conj.coeffs])
 
     def __truediv__(self, other) -> CycScalar:
         other = CycScalar._try_coerce(other)
@@ -321,41 +286,11 @@ class CycScalar:
         return f"CycScalar({self.m}, {self})"
 
 
-def _frac_poly_divmod(num, den):
-    num = list(num)
-    q = [_ZERO] * max(len(num) - len(den) + 1, 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        q[k] = c
-        if c:
-            for i, d in enumerate(den):
-                num[k + i] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _frac_poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a, b):
-    out = list(a) + [_ZERO] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
 def root_of_unity(m: int, power: int = 1) -> CycScalar:
     """zeta_m^power as an element of Q(zeta_m)."""
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    return CycScalar(m, _zeta_powers(m)[power % m])
+    return CycScalar(m, _reduce(m, [_ZERO] * (power % m) + [_ONE]))
 
 
 _TERM_RE = re.compile(
@@ -404,6 +339,8 @@ def parse_scalar(text: str, conductor: int = 1) -> CycScalar:
             raise ParseError(f"bad scalar term {piece!r} in {text!r}")
         num = Fraction(int(mt.group("num") if mt.group("num") is not None else 1))
         if mt.group("den"):
+            if int(mt.group("den")) == 0:
+                raise ParseError(f"zero denominator in {text!r}")
             num /= int(mt.group("den"))
         term = CycScalar.from_rational(sign * num, conductor)
         if mt.group("z"):
@@ -414,4 +351,6 @@ def parse_scalar(text: str, conductor: int = 1) -> CycScalar:
         saw_term = True
     if not saw_term:
         raise ParseError(f"empty scalar {text!r}")
+    if pieces[-1] == "":
+        raise ParseError(f"dangling sign at the end of {text!r}")
     return total

@@ -47,9 +47,12 @@ def parse_element(ctx: AwpaAlgebra, text: str) -> AwpaElem:
         raise ParseError("empty element")
     if text == "0":
         return ctx.zero()
+    pieces = _split_top(text, "+-")
+    if not pieces[-1].strip():
+        raise ParseError(f"dangling sign at the end of {text!r}")
     out = ctx.zero()
     sign = 1
-    for piece in _split_top(text, "+-"):
+    for piece in pieces:
         piece = piece.strip()
         if piece == "":
             continue

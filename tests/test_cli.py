@@ -162,14 +162,33 @@ def test_builtin_table_covers_cli_names(capsys):
     assert code == 0 and "algebra: taft_3" in out
 
 
-@pytest.mark.parametrize("spec", ["cyclic_group:x", "taft:2:y", "trivial:1"])
-def test_malformed_builtin_params_fail_cleanly(spec):
+MALFORMED = [
+    *(pytest.param(["algebra", "verify", spec], {}, id=spec)
+      for spec in ["cyclic_group:x", "taft:2:y", "trivial:1"]),
+    pytest.param(["jm", "--algebra", "trivial", "--n", "2", "--k", "5"], {}, id="jm-k-above-n"),
+    pytest.param(["mul", "--algebra", "trivial", "--n", "2", "x1", "1/0"], {}, id="zero-denominator"),
+    pytest.param(
+        ["cyclotomic", "gram", "--params", "PARAMS", "--n", "1"],
+        {"AWPA_MAX_DIM": "abc"},
+        id="max-dim-not-an-integer",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,extra_env", MALFORMED)
+def test_malformed_builtin_params_fail_cleanly(argv, extra_env, tmp_path):
+    """Malformed input ends in one FAIL line, never in a traceback."""
+    data = dual_numbers_algebra().to_json_dict()
+    data["cyclotomic"] = {"e": [1], "c": [["z"]]}
+    params = tmp_path / "dual_cyclo.json"
+    params.write_text(json.dumps(data))
+    argv = [str(params) if a == "PARAMS" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(awpa.__file__).resolve().parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-m", "awpa.cli", "algebra", "verify", spec],
+        [sys.executable, "-m", "awpa.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env={**env, **extra_env},
     )
     assert proc.returncode in (1, 2)
     assert "Traceback" not in proc.stderr

@@ -13,11 +13,12 @@ from awpa.cyclotomic import (
     CycloParams,
     CyclotomicAlgebra,
     InductionStructure,
+    gram_entry_bound,
     level_one_matches_wreath,
     make_params,
 )
 from awpa.engine import AwpaAlgebra, AwpaElem
-from awpa.errors import NotPsiFixed, OddParity, LevelZero, TooLarge, WrongDegree
+from awpa.errors import NotPsiFixed, OddParity, LevelZero, ParseError, TooLarge, WrongDegree
 from awpa.frobenius import (
     clifford_algebra,
     cyclic_group_algebra,
@@ -250,6 +251,20 @@ def test_gram_too_large(monkeypatch):
     Q = CyclotomicAlgebra(make_params(Cl, {2: [Cl.zero_elem()]}), 1)
     with pytest.raises(TooLarge):
         Q.gram_matrix()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_gram_bound_rejects_malformed_env(monkeypatch, value):
+    monkeypatch.setenv("AWPA_MAX_DIM", value)
+    with pytest.raises(ParseError):
+        gram_entry_bound()
+
+
+def test_gram_bound_default(monkeypatch):
+    monkeypatch.delenv("AWPA_MAX_DIM", raising=False)
+    assert gram_entry_bound() == 20_000
+    monkeypatch.setenv("AWPA_MAX_DIM", "")
+    assert gram_entry_bound() == 20_000
 
 
 def test_nakayama_symmetric_cases():

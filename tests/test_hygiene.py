@@ -1,7 +1,8 @@
-"""Source hygiene: no unused imports in the package.
+"""Source hygiene: no unused imports and no ``assert`` in the package.
 
-A stdlib ``ast`` scan, so it runs without a linter.  An imported name counts
-as used if it is read anywhere in its module or listed in ``__all__``.
+Stdlib ``ast`` scans, so they run without a linter.  An imported name counts
+as used if it is read anywhere in its module or listed in ``__all__``.  An
+``assert`` vanishes under ``python -O``, so package checks raise instead.
 """
 
 import ast
@@ -34,6 +35,20 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text()) == []
+
+
+def test_scan_finds_assert_statements():
+    source = "x = 1\nassert x\ndef f():\n    assert x, 'msg'\n# assert in a comment\n"
+    assert assert_lines(source) == [2, 4]
 
 
 def test_scan_finds_unused_imports():

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from awpa.errors import InternalInconsistency, ParseError
 from awpa.scalars import (
     CycScalar,
     cyclotomic_polynomial,
@@ -102,6 +105,21 @@ def test_division_by_zero():
         CycScalar.one() / CycScalar.zero()
 
 
+def test_checks_raise_under_python_O():
+    with pytest.raises(ValueError):
+        CycScalar(3, (Fraction(1),))  # Q(zeta_3) has two coordinates
+    with pytest.raises(ValueError):
+        root_of_unity(3).lift(4)  # 3 does not divide 4
+
+
+def test_inverse_rejects_non_rational_norm(monkeypatch):
+    # with sigma_k forced to the identity, N(1 + z) = (1 + z)^2 = z
+    a = 1 + root_of_unity(3)
+    monkeypatch.setattr(CycScalar, "_substitute", lambda self, big, step: self)
+    with pytest.raises(InternalInconsistency):
+        a.inverse()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 12])
 def test_str_parse_roundtrip(m):
     rng = random.Random(m)
@@ -116,3 +134,83 @@ def test_parse_forms():
     assert parse_scalar("1/2 + 1/2*z", 4) * 2 == 1 + root_of_unity(4)
     assert parse_scalar("z^2", 3) == root_of_unity(3, 2)
     assert parse_scalar("(1 - z)", 4) == 1 - root_of_unity(4)
+
+
+@pytest.mark.parametrize("text", ["1/0", "3/0*z", "1 -", "1 + z -", "(1 - z) +", "-"])
+def test_parse_rejects_zero_denominator_and_dangling_sign(text):
+    with pytest.raises(ParseError):
+        parse_scalar(text, 3)
+
+
+# -- sympy as an independent oracle ---------------------------------------
+#
+# The power table and cyclotomic_polynomial share one integer division, so
+# products, inverses and embeddings are checked against sympy's polynomial
+# remainder and inverse modulo its own cyclotomic polynomials.
+
+ORACLE = settings(max_examples=150, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def field_scalars(draw, m):
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return CycScalar(m, [draw(small) for _ in range(euler_phi(m))])
+
+
+def to_poly(sp, a):
+    x = sp.Symbol("x")
+    coeffs = [sp.Rational(c.numerator, c.denominator) for c in reversed(a.coeffs)]
+    return sp.Poly(coeffs, x, domain="QQ")
+
+
+def poly_coords(poly, m):
+    """Coordinates of a sympy Poly already reduced modulo Phi_m."""
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (euler_phi(m) - len(coeffs)))
+
+
+def phi_poly(sp, m):
+    x = sp.Symbol("x")
+    return sp.Poly(sp.cyclotomic_poly(m, x), x, domain="QQ")
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_cyclotomic_polynomial_matches_sympy(sp, m):
+    expected = [int(c) for c in reversed(phi_poly(sp, m).all_coeffs())]
+    assert cyclotomic_polynomial(m) == expected
+
+
+@ORACLE
+@given(data=st.data())
+def test_mul_matches_sympy(sp, data):
+    m = data.draw(st.integers(1, 15))
+    a, b = data.draw(field_scalars(m)), data.draw(field_scalars(m))
+    expected = (to_poly(sp, a) * to_poly(sp, b)).rem(phi_poly(sp, m))
+    assert (a * b).coeffs == poly_coords(expected, m)
+
+
+@ORACLE
+@given(data=st.data())
+def test_inverse_matches_sympy(sp, data):
+    m = data.draw(st.integers(1, 15))
+    a = data.draw(field_scalars(m).filter(bool))
+    expected = to_poly(sp, a).invert(phi_poly(sp, m))
+    assert a.inverse().coeffs == poly_coords(expected, m)
+
+
+@ORACLE
+@given(data=st.data())
+def test_lift_matches_sympy(sp, data):
+    m = data.draw(st.integers(1, 15))
+    k = data.draw(st.sampled_from([2, 3]))
+    a = data.draw(field_scalars(m))
+    x = sp.Symbol("x")
+    expected = to_poly(sp, a).compose(sp.Poly(x**k, x, domain="QQ")).rem(phi_poly(sp, m * k))
+    lifted = a.lift(m * k)
+    assert lifted.m == m * k
+    assert lifted.coeffs == poly_coords(expected, m * k)

@@ -122,26 +122,25 @@ def test_no_stored_zero(name, kind, data):
         assert type(result) is type(a)
 
 
-@pytest.mark.parametrize("kind", ["awpa", "tensor", "wreath"])
+@pytest.mark.parametrize("kind", ["awpa", "polymod", "tensor", "wreath"])
 def test_mismatch_errors(kind):
     F, G = FIELDS["Q"], FIELDS["Q(zeta3)"]
     key = {"tensor": (0, 0), "wreath": ((0, 0), (1, 2))}.get(kind, ((0, 0), (0, 0), (1, 2)))
     one = CycScalar.one()
-    if kind == "awpa":
-        a = AwpaElem(AwpaAlgebra(F, 2), {key: one})
-        other_algebra = AwpaElem(AwpaAlgebra(G, 2), {key: one})
-        other_size = AwpaElem(AwpaAlgebra(F, 3), {((0,) * 3, (0,) * 3, (1, 2, 3)): one})
+    if kind in ("awpa", "polymod"):
+        cls = AwpaElem if kind == "awpa" else PolyModElem
+        a = cls(AwpaAlgebra(F, 2), {key: one})
+        other_algebra = cls(AwpaAlgebra(G, 2), {key: one})
+        other_size = cls(AwpaAlgebra(F, 3), {((0,) * 3, (0,) * 3, (1, 2, 3)): one})
     else:
         cls = TensorElem if kind == "tensor" else WreathElem
         a = cls(F, 2, {key: one})
         other_algebra = cls(G, 2, {key: one})
         other_size = cls(F, 3, {})
-    for op in (
-        lambda x, y: x + y,
-        lambda x, y: x - y,
-        lambda x, y: x * y,
-        lambda x, y: x == y,
-    ):
+    ops = [lambda x, y: x + y, lambda x, y: x - y]
+    if kind != "polymod":  # PolyModElem has no product and compares unequal
+        ops += [lambda x, y: x * y, lambda x, y: x == y]
+    for op in ops:
         with pytest.raises(AlgebraMismatch):
             op(a, other_algebra)
         with pytest.raises(SizeMismatch):

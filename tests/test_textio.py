@@ -6,7 +6,8 @@ import pytest
 
 from awpa.engine import AwpaAlgebra
 from awpa.errors import ParseError
-from awpa.frobenius import clifford_algebra, taft_algebra, trivial_algebra
+from awpa.frobenius import clifford_algebra, parse_alg_elem, taft_algebra, trivial_algebra
+from awpa.scalars import parse_scalar
 from awpa.textio import element_str, parse_element
 from awpa.verify import random_element
 
@@ -71,3 +72,14 @@ def test_parse_errors():
         parse_element(ctx, "b(q,1)")  # unknown label
     with pytest.raises(ParseError):
         parse_element(ctx, "")
+    for text in ("x1 -", "x1 + x2 +", "-", "1/0*x1", "x1 - 3/0"):
+        with pytest.raises(ParseError):
+            parse_element(ctx, text)  # dangling sign, zero denominator
+
+
+def test_parsers_agree_on_dangling_sign():
+    Cl = clifford_algebra()
+    for parse in (lambda t: parse_alg_elem(Cl, t), lambda t: parse_scalar(t),
+                  lambda t: parse_element(AwpaAlgebra(Cl, 2), t)):
+        with pytest.raises(ParseError):
+            parse("1 -")
