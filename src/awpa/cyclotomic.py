@@ -74,10 +74,7 @@ class CycloParams:
         self.general_entries = general_entries or {}
         self.n_fixed = n_fixed
         self.level = sum(
-            k * (len(v) + len(self.general_entries.get(k, ())))
-            for k, v in entries.items()
-        ) + sum(
-            k * len(v) for k, v in self.general_entries.items() if k not in entries
+            k * len(v) for d in (entries, self.general_entries) for k, v in d.items()
         )
         if self.level < 1:
             raise LevelZero("cyclotomic level must be at least 1")

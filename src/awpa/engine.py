@@ -257,23 +257,15 @@ class AwpaAlgebra:
             for w, c2 in word_mul(self.F, tw, w2).items():
                 yield (alpha, w), c1 * c2
 
-    def _pd_mul(self, p1: dict, p2: dict) -> dict:
-        out = {}
-        for (a1, w1), c1 in p1.items():
-            for (a2, w2), c2 in p2.items():
-                c12 = c1 * c2
-                for k, c in self._pd_mono_mul(a1, w1, a2, w2):
-                    acc(out, k, c12 * c)
-        return out
-
-    def _slot_pd(self, f: AlgElem, i: int) -> dict:
-        """f placed in slot i as a P_n(F) dict {(0, word): scalar}."""
-        t = TensorElem.slot(self.F, self.n, f, i)
-        return {(self.zero_alpha, w): c for w, c in t.terms.items()}
-
     def t_pd(self, k: int, i: int, j: int) -> dict:
         """t^(k)_{i,j} = sum_b sum_{l<k} b_i x_i^(k-1-l) x_j^l (b^vee)_j
-        as a P_n(F) dict."""
+        as a P_n(F) dict {(alpha, word): scalar}, from its closed form
+
+            sum_{l<k} x_i^(k-1-l) x_j^l sum_b psi^(k-1-l)(b)_i (b^vee)_j,
+
+        since b_i crosses x_i^(k-1-l) as psi^(k-1-l)(b)_i.  When i > j the
+        factor (b^vee)_j moves left past psi^(k-1-l)(b)_i to reach its slot,
+        with sign (-1)^|b| (|b^vee| = |b|); the other slots hold the unit."""
         F = self.F
         key = (k, i, j)
         cached = self._t_cache.get(key)
@@ -281,19 +273,18 @@ class AwpaAlgebra:
             return cached
         if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
             raise IndexError(f"t_{{{i},{j}}} needs distinct slots in 1..{self.n}")
+        minus_one = -CycScalar.one(F.conductor)
         out: dict = {}
-        for b in range(F.dim):
-            left = self._slot_pd(F.basis_elem(b), i)
-            right = self._slot_pd(AlgElem(F, F.dual_matrix[b]), j)
-            for l in range(k):
-                m = k - 1 - l
-                alpha = tuple(
-                    m if t == i - 1 else (l if t == j - 1 else 0) for t in range(self.n)
-                )
-                xmono = {(alpha, w): cu for w, cu in self._unit_words.items()}
-                piece = self._pd_mul(self._pd_mul(left, xmono), right)
-                for kk, c in piece.items():
-                    acc(out, kk, c)
+        for l in range(k):
+            m = k - 1 - l
+            alpha = tuple(m if t == i - 1 else (l if t == j - 1 else 0) for t in range(self.n))
+            for b in range(F.dim):
+                vectors = [F.unit] * self.n
+                vectors[i - 1] = F.psi_on_basis(b, m)
+                vectors[j - 1] = F.dual_matrix[b]
+                sign = minus_one if i > j and F.parities[b] else None
+                for w, c in tensor_of_vectors(F, vectors, sign).items():
+                    acc(out, (alpha, w), c)
         self._t_cache[key] = out
         return out
 
@@ -316,9 +307,10 @@ class AwpaAlgebra:
         if p:
             # right factor x_{i+1}^q crosses the word part of t: Nakayama twist
             xq = tuple(q if t == i else 0 for t in range(self.n))
-            xq_pd = {(xq, w): cu for w, cu in self._unit_words.items()}
-            for k, c in self._pd_mul(self.t_pd(p, i, i + 1), xq_pd).items():
-                acc(middle, k, c)
+            for (a, w), c in self.t_pd(p, i, i + 1).items():
+                shifted = tuple(x + y for x, y in zip(a, xq))
+                for w2, c2 in self._word_psi_twist(w, xq).items():
+                    acc(middle, (shifted, w2), c * c2)
         if q:
             # left factor is a pure x-power: plain exponent shift
             xp = tuple(p if t == i else 0 for t in range(self.n))
@@ -622,13 +614,13 @@ class AwpaAlgebra:
             )
         return IsCentralResult(failed is None, failed, reason)
 
-    def candidate_monomials(self, poly_degree_bound: int, include_perms=True):
+    def candidate_monomials(self, poly_degree_bound: int):
         alphas = [
             a
             for a in product(range(poly_degree_bound + 1), repeat=self.n)
             if sum(a) <= poly_degree_bound
         ]
-        ps = perms.all_permutations(self.n) if include_perms else [self.identity_perm]
+        ps = perms.all_permutations(self.n)
         return [
             (alpha, w, p) for alpha in sorted(alphas) for w in self.basis_words() for p in ps
         ]

@@ -31,77 +31,65 @@ from .errors import (
     NotAssociative,
 )
 from .scalars import CycScalar, lcm, parse_scalar, root_of_unity
+from .sparse import SparseElem, acc
 
 DEFAULT_NAKAYAMA_ORDER_BOUND = 64
 
 
-class AlgElem:
-    """An element of a FrobAlg, as a dense coordinate vector."""
+class AlgElem(SparseElem):
+    """An element of a FrobAlg: sparse {basis index: CycScalar}.
 
-    __slots__ = ("algebra", "coords")
+    The constructor takes a dense coordinate vector and ``coords`` returns
+    one.  Sums and products check the algebra; elements of different
+    algebras compare unequal."""
+
+    __slots__ = ("algebra",)
+    _context = ("algebra",)
 
     def __init__(self, algebra: FrobAlg, coords):
         self.algebra = algebra
-        self.coords = tuple(coords)
+        super().__init__(dict(enumerate(coords)))
+
+    @property
+    def coords(self) -> tuple:
+        zero = CycScalar.zero(self.algebra.conductor)
+        return tuple(self.terms.get(i, zero) for i in range(self.algebra.dim))
 
     def _check(self, other: AlgElem):
         if self.algebra is not other.algebra:
             raise AlgebraMismatch("elements of different algebras")
 
-    def __add__(self, other: AlgElem) -> AlgElem:
-        self._check(other)
-        return AlgElem(self.algebra, (a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: AlgElem) -> AlgElem:
-        self._check(other)
-        return AlgElem(self.algebra, (a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> AlgElem:
-        return AlgElem(self.algebra, (-a for a in self.coords))
+    def __eq__(self, other) -> bool:
+        if isinstance(other, AlgElem) and other.algebra is not self.algebra:
+            return False
+        return super().__eq__(other)
 
     def __mul__(self, other) -> AlgElem:
         if isinstance(other, AlgElem):
             self._check(other)
             return self.algebra.mul(self, other)
-        return AlgElem(self.algebra, (a * other for a in self.coords))
-
-    def __rmul__(self, scalar) -> AlgElem:
-        return AlgElem(self.algebra, (a * scalar for a in self.coords))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgElem):
-            return NotImplemented
-        return self.algebra is other.algebra and all(
-            a == b for a, b in zip(self.coords, other.coords)
-        )
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return all(not a for a in self.coords)
+        return super().__mul__(other)
 
     def parity(self):
         """0 or 1 if homogeneous, None if mixed or zero."""
-        seen = {self.algebra.parities[i] for i, a in enumerate(self.coords) if a}
+        seen = {self.algebra.parities[i] for i in self.terms}
         return seen.pop() if len(seen) == 1 else None
 
     def degree(self):
-        seen = {self.algebra.degrees[i] for i, a in enumerate(self.coords) if a}
+        seen = {self.algebra.degrees[i] for i in self.terms}
         return seen.pop() if len(seen) == 1 else None
 
     def trace(self) -> CycScalar:
-        acc = CycScalar.zero(self.algebra.conductor)
-        for a, t in zip(self.coords, self.algebra.trace_vec):
-            if a and t:
-                acc = acc + a * t
-        return acc
+        out = CycScalar.zero(self.algebra.conductor)
+        for i, a in self.terms.items():
+            t = self.algebra.trace_vec[i]
+            if t:
+                out = out + a * t
+        return out
 
     def __str__(self) -> str:
-        terms = []
-        for i, a in enumerate(self.coords):
-            if a:
-                terms.append(f"({a})*{self.algebra.basis_labels[i]}")
-        return " + ".join(terms) if terms else "0"
+        labels = self.algebra.basis_labels
+        return " + ".join(f"({self.terms[i]})*{labels[i]}" for i in sorted(self.terms)) or "0"
 
     __repr__ = __str__
 
@@ -119,7 +107,6 @@ class FrobAlg:
         trace_vec,
         conductor: int = 1,
         name: str = "",
-        nakayama_order_bound: int = DEFAULT_NAKAYAMA_ORDER_BOUND,
     ):
         self.basis_labels = list(basis_labels)
         self.dim = len(self.basis_labels)
@@ -149,7 +136,7 @@ class FrobAlg:
         self._validate_associativity()
         self.delta = max(self.degrees)
         self._validate_trace_homogeneity()
-        self._derive_frobenius_data(nakayama_order_bound)
+        self._derive_frobenius_data()
         self._psi_pow_cache: dict[int, list] = {}
         self._graded_piece_cache: dict = {}
 
@@ -199,7 +186,7 @@ class FrobAlg:
                     "trace must be supported on even elements of top degree"
                 )
 
-    def _derive_frobenius_data(self, order_bound: int):
+    def _derive_frobenius_data(self):
         gram = [
             [self.mul(self.basis_elem(i), self.basis_elem(j)).trace() for j in range(self.dim)]
             for i in range(self.dim)
@@ -218,8 +205,8 @@ class FrobAlg:
             ]
             for i in range(self.dim)
         ]
-        gram_t_inv = linalg.inverse(linalg.transpose(gram))
-        self.nakayama = linalg.mat_mul(signed, gram_t_inv)
+        # (G^T)^-1 = (G^-1)^T
+        self.nakayama = linalg.mat_mul(signed, linalg.transpose(dual))
 
         power = self.nakayama
         ident = linalg.eye(self.dim, self.conductor)
@@ -227,9 +214,9 @@ class FrobAlg:
         while power != ident:
             power = linalg.mat_mul(power, self.nakayama)
             theta += 1
-            if theta > order_bound:
+            if theta > DEFAULT_NAKAYAMA_ORDER_BOUND:
                 raise NakayamaInfiniteOrder(
-                    f"Nakayama order exceeds bound {order_bound}"
+                    f"Nakayama order exceeds bound {DEFAULT_NAKAYAMA_ORDER_BOUND}"
                 )
         self.theta = theta
 
@@ -290,18 +277,14 @@ class FrobAlg:
         return CycScalar._coerce(value, self.conductor)
 
     def mul(self, u: AlgElem, v: AlgElem) -> AlgElem:
-        out = [CycScalar.zero(self.conductor)] * self.dim
-        for i, a in enumerate(u.coords):
-            if not a:
-                continue
-            for j, b in enumerate(v.coords):
-                if not b:
-                    continue
+        out = {}
+        for i, a in u.terms.items():
+            for j, b in v.terms.items():
                 ab = a * b
                 for k, c in enumerate(self.struct[i][j]):
                     if c:
-                        out[k] = out[k] + ab * c
-        return AlgElem(self, out)
+                        acc(out, k, ab * c)
+        return u._like(out)
 
     def dual_basis(self) -> list[AlgElem]:
         """Left dual basis: tr(b_i^vee b_j) = delta_ij."""
@@ -775,8 +758,7 @@ def check_frobenius_morphism(F: FrobAlg, G: FrobAlg, matrix, anti: bool = False)
     if verdict and anti:
         # tau psi = psi^{-1} tau, as matrices acting on coordinate rows
         left = linalg.mat_mul(F.nakayama, matrix)
-        psi_inv = linalg.inverse(G.nakayama)
-        right = linalg.mat_mul(matrix, psi_inv)
+        right = linalg.mat_mul(matrix, G._psi_power_matrix(-1))
         if left != right:
             raise InternalInconsistency(
                 "tau psi != psi^{-1} tau for a valid anti-isomorphism"

@@ -26,7 +26,6 @@ from math import gcd, lcm
 from .errors import InternalInconsistency, ParseError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def euler_phi(m: int) -> int:
@@ -68,6 +67,8 @@ def cyclotomic_polynomial(m: int) -> list[int]:
 @cache
 def _zeta_powers(m: int) -> list[tuple[int, ...]]:
     """zeta_m^k for k = 0..m-1: x^k mod Phi_m as integer coordinate vectors."""
+    if m < 1:
+        raise ValueError("conductor must be >= 1")
     cyc = cyclotomic_polynomial(m)
     return [tuple(_poly_divmod([0] * k + [1], cyc)[1]) for k in range(m)]
 
@@ -288,9 +289,7 @@ class CycScalar:
 
 def root_of_unity(m: int, power: int = 1) -> CycScalar:
     """zeta_m^power as an element of Q(zeta_m)."""
-    if m < 1:
-        raise ValueError("conductor must be >= 1")
-    return CycScalar(m, _reduce(m, [_ZERO] * (power % m) + [_ONE]))
+    return CycScalar(m, map(Fraction, _zeta_powers(m)[power % m]))
 
 
 _TERM_RE = re.compile(

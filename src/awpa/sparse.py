@@ -9,7 +9,9 @@ product and printing):
 * ``engine.AwpaElem``: A_n(F) in normal form, keys (alpha, word, perm);
 * ``engine.PolyModElem``: the module P_n(F) (x) kS_n, same keys;
 * ``wreath.TensorElem``: F^(x)n, keys are basis words;
-* ``wreath.WreathElem``: F^(x)n x| S_n, keys (word, perm).
+* ``wreath.WreathElem``: F^(x)n x| S_n, keys (word, perm);
+* ``cyclotomic.CycloElem``: the cyclotomic quotient, AwpaElem's keys;
+* ``frobenius.AlgElem``: F itself, keys are basis indices.
 
 ``terms`` is a plain dict, read-only by convention: operations build new
 elements and never change an operand.

@@ -114,7 +114,7 @@ def _parse_factor(ctx: AwpaAlgebra, f: str) -> AwpaElem:
     try:
         return ctx.scalar_elem(parse_scalar(f, ctx.F.conductor))
     except ParseError as exc:
-        raise ParseError(f"cannot parse factor {f!r}") from exc
+        raise ParseError(f"cannot parse factor {f!r}: {exc}") from exc
 
 
 def _coeff_parts(c) -> tuple[int, str]:

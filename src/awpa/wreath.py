@@ -102,12 +102,9 @@ class TensorElem(SparseElem):
         """f in slot i (1-indexed), units elsewhere."""
         if isinstance(f, str):
             f = F.from_label(f)
-        out = {}
-        for w, c in TensorElem.unit(F, n).terms.items():
-            for k, fk in enumerate(f.coords):
-                if fk:
-                    acc(out, w[: i - 1] + (k,) + w[i:], c * fk)
-        return TensorElem(F, n, out)
+        vectors = [F.unit] * n
+        vectors[i - 1] = f.coords
+        return TensorElem(F, n, tensor_of_vectors(F, vectors))
 
     def __mul__(self, other) -> TensorElem:
         if not isinstance(other, TensorElem):

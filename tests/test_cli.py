@@ -195,6 +195,12 @@ def test_malformed_builtin_params_fail_cleanly(argv, extra_env, tmp_path):
     assert proc.stdout.startswith("FAIL: ")
 
 
+def test_parse_failure_names_the_reason(capsys):
+    code, out, _ = run(capsys, "mul", "--algebra", "trivial", "--n", "2", "x1", "1/0")
+    assert code == 1
+    assert out == "FAIL: cannot parse factor '1/0': zero denominator in '1/0'\n"
+
+
 def test_cyclotomic_nakayama_prints_counterexample(capsys, tmp_path, monkeypatch):
     F = dual_numbers_algebra()
     data = F.to_json_dict()

@@ -1,8 +1,11 @@
-"""Source hygiene: no unused imports and no ``assert`` in the package.
+"""Source hygiene: no unused imports, no ``assert`` in the package, and one
+arithmetic kernel.
 
 Stdlib ``ast`` scans, so they run without a linter.  An imported name counts
 as used if it is read anywhere in its module or listed in ``__all__``.  An
 ``assert`` vanishes under ``python -O``, so package checks raise instead.
+Sums, differences and negation of elements live in ``sparse.SparseElem``
+(and of scalars in ``scalars.CycScalar``); no other class defines them.
 """
 
 import ast
@@ -69,3 +72,40 @@ def test_scan_finds_unused_imports():
         "line 4: comb",
         "line 8: dumps",
     ]
+
+
+KERNEL_FILES = {"sparse.py", "scalars.py"}
+ADDITIVE = {"__add__", "__sub__", "__neg__"}
+
+
+def additive_methods(source: str) -> list[str]:
+    """Class.method for every additive dunder a class defines."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ADDITIVE
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name not in KERNEL_FILES),
+    ids=lambda p: p.name,
+)
+def test_one_arithmetic_kernel(path):
+    assert additive_methods(path.read_text()) == []
+
+
+def test_scan_finds_additive_methods():
+    source = (
+        "class A:\n"
+        "    def __add__(self, o): pass\n"
+        "    def __mul__(self, o): pass\n"
+        "class B:\n"
+        "    def helper(self):\n"
+        "        def __neg__(): pass\n"
+        "    def __sub__(self, o): pass\n"
+    )
+    assert additive_methods(source) == ["A.__add__", "B.__sub__"]

@@ -112,6 +112,16 @@ def test_checks_raise_under_python_O():
         root_of_unity(3).lift(4)  # 3 does not divide 4
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: CycScalar.zero(-3), lambda: parse_scalar("z", 0), lambda: root_of_unity(0)],
+    ids=["zero", "parse_scalar", "root_of_unity"],
+)
+def test_conductor_below_one_is_rejected(make):
+    with pytest.raises(ValueError, match="conductor must be >= 1"):
+        make()
+
+
 def test_inverse_rejects_non_rational_norm(monkeypatch):
     # with sigma_k forced to the identity, N(1 + z) = (1 + z)^2 = z
     a = 1 + root_of_unity(3)

@@ -1,7 +1,7 @@
 """The shared sparse-combination kernel under the element classes.
 
-Properties over AwpaElem, PolyModElem, TensorElem and WreathElem, with
-coefficients in Q (the Clifford algebra) and in Q(zeta_3) (Taft(3)).
+Properties over AwpaElem, PolyModElem, TensorElem, WreathElem and AlgElem,
+with coefficients in Q (the Clifford algebra) and in Q(zeta_3) (Taft(3)).
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from awpa import permutations as perms
 from awpa.cyclotomic import CycloElem
 from awpa.engine import AwpaAlgebra, AwpaElem, PolyModElem
 from awpa.errors import AlgebraMismatch, SizeMismatch
-from awpa.frobenius import clifford_algebra, taft_algebra
+from awpa.frobenius import AlgElem, clifford_algebra, taft_algebra
 from awpa.scalars import CycScalar
 from awpa.sparse import SparseElem, acc
 from awpa.wreath import TensorElem, WreathElem
@@ -22,7 +22,7 @@ from awpa.wreath import TensorElem, WreathElem
 N = 2
 FIELDS = {"Q": clifford_algebra(), "Q(zeta3)": taft_algebra(3)}
 CONTEXTS = {name: AwpaAlgebra(F, N) for name, F in FIELDS.items()}
-KINDS = ["awpa", "polymod", "tensor", "wreath"]
+KINDS = ["awpa", "polymod", "tensor", "wreath", "alg"]
 PERMS = perms.all_permutations(N)
 
 
@@ -35,6 +35,8 @@ def scalars(F):
 
 
 def keys(F, kind):
+    if kind == "alg":
+        return st.integers(0, F.dim - 1)
     word = st.tuples(*[st.integers(0, F.dim - 1)] * N)
     alpha = st.tuples(*[st.integers(0, 1)] * N)
     pi = st.sampled_from(PERMS)
@@ -53,6 +55,9 @@ def build(name, kind, terms):
         return PolyModElem(ctx, terms)
     if kind == "tensor":
         return TensorElem(ctx.F, N, terms)
+    if kind == "alg":
+        zero = CycScalar.zero(ctx.F.conductor)
+        return AlgElem(ctx.F, [terms.get(i, zero) for i in range(ctx.F.dim)])
     return WreathElem(ctx.F, N, terms)
 
 
@@ -122,9 +127,16 @@ def test_no_stored_zero(name, kind, data):
         assert type(result) is type(a)
 
 
-@pytest.mark.parametrize("kind", ["awpa", "polymod", "tensor", "wreath"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_mismatch_errors(kind):
     F, G = FIELDS["Q"], FIELDS["Q(zeta3)"]
+    if kind == "alg":  # an algebra has no size; elements compare unequal
+        a, other_algebra = F.unit_elem(), G.unit_elem()
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(AlgebraMismatch):
+                op(a, other_algebra)
+        assert (a == other_algebra) is False and a != other_algebra
+        return
     key = {"tensor": (0, 0), "wreath": ((0, 0), (1, 2))}.get(kind, ((0, 0), (0, 0), (1, 2)))
     one = CycScalar.one()
     if kind in ("awpa", "polymod"):
@@ -168,7 +180,7 @@ def test_acc_drops_cancelled_keys():
 
 
 def test_element_classes_share_the_kernel():
-    for cls in (AwpaElem, PolyModElem, TensorElem, WreathElem, CycloElem):
+    for cls in (AwpaElem, PolyModElem, TensorElem, WreathElem, CycloElem, AlgElem):
         assert issubclass(cls, SparseElem)
         for op in ("__add__", "__sub__", "__neg__", "__rmul__", "is_zero"):
             assert getattr(cls, op) is getattr(SparseElem, op)
