@@ -203,7 +203,7 @@ def cmd_cyclotomic(args) -> int:
     F, params = load_params_file(args.params)
     qalg = CyclotomicAlgebra(params, args.n)
     if args.action == "gram":
-        gram, invertible = qalg.gram_matrix()
+        _, invertible = qalg.gram_matrix()
         lines = [
             f"level: {qalg.d}",
             f"dim: {qalg.dim()}",

@@ -147,8 +147,7 @@ def make_params(F: FrobAlg, entries: dict, general_entries=None, n_fixed=None) -
                         f"parameter at k={k} must have degree {k * F.delta}"
                     )
                 basis = F.graded_piece(k, fixed_only=True)
-                vecs = [list(b.coords) for b in basis]
-                if not linalg.in_span(vecs, list(c.coords)):
+                if not linalg.in_span([b.terms for b in basis], c.terms):
                     raise NotPsiFixed(f"parameter at k={k} is not in F_psi^({k})")
             out.append(c)
         if out:
@@ -470,7 +469,8 @@ class InductionStructure:
         return CycloElem(self.big, self.big.ctx._elem(out))
 
     def _transition(self):
-        """Columns: coordinates of u_{j,a,b} * embed(small basis monomial)."""
+        """The inverse of the matrix whose row i holds the coordinates of
+        u_{j,a,b} * embed(small basis monomial sk), and (j, a, b, sk) per row."""
         if self._matrix_inv is not None:
             return self._matrix_inv, self._slots
         dim_big = self.big.dim()
@@ -479,17 +479,17 @@ class InductionStructure:
                 f"induction transition matrix would have {dim_big * dim_big} entries"
             )
         small_keys = self.small.basis_keys()
-        cols = []
+        rows = []
         slots = []
         for (j, a, b), u in self.right_module_basis():
             for sk in small_keys:
                 y = self.embed(CycloElem(self.small, self.small.ctx.monomial(*sk)))
                 prod = self.big.reduce(self.big.ctx.mul(u.elem, y.elem))
-                cols.append(self.big.coords(prod))
+                rows.append(self.big.coords(prod))
                 slots.append((j, a, b, sk))
-        if len(cols) != dim_big:
+        if len(rows) != dim_big:
             raise InternalInconsistency("right-module basis count mismatch")
-        inv = linalg.inverse(linalg.transpose(cols))
+        inv = linalg.inverse(rows)
         if inv is None:
             raise InternalInconsistency("right-module basis is not free")
         self._matrix_inv = inv
@@ -516,20 +516,16 @@ class InductionStructure:
         if z.qalg is not self.big:
             raise ParamsMismatch("partial trace takes elements of the bigger quotient")
         inv, slots = self._transition()
-        coeffs = linalg.mat_vec(inv, self.big.coords(z))
-        out = self.small.zero()
-        small_index = self.small.key_index()
-        d = self.big.d
-        for c, (j, a, b, sk) in zip(coeffs, slots):
-            if not c:
-                continue
-            if j == self.n + 1 and a == d - 1:
-                t = self.params.F.trace_vec[b]
-                if t:
-                    out = out + CycloElem(
-                        self.small, self.small.ctx.monomial(*sk, coeff=c * t)
-                    )
-        return out
+        index = self.big.key_index()
+        trace_vec = self.params.F.trace_vec
+        out: dict = {}
+        # the coordinates of z on the basis are sum_k z_k inv[k]
+        for key, c in z.terms.items():
+            for i, y in enumerate(inv[index[key]]):
+                j, a, b, sk = slots[i]
+                if y and j == self.n + 1 and a == self.big.d - 1 and trace_vec[b]:
+                    acc(out, sk, c * y * trace_vec[b])
+        return CycloElem(self.small, self.small.ctx._elem(out))
 
     def full_trace_factors(self, z: CycloElem) -> bool:
         """tr_C^{n+1} = tr_C^n o tr^C_{n+1}."""

@@ -496,7 +496,7 @@ class AwpaAlgebra:
         for i in range(1, k):
             sik = perms.transposition(self.n, i, k)
             terms = {}
-            for (a, w), c in self.t_pd(1, i, k).items():
+            for (_, w), c in self.t_pd(1, i, k).items():
                 terms[(w, sik)] = c
             out = out + WreathElem(self.F, self.n, terms)
         self._jm_cache[k] = out
@@ -574,9 +574,7 @@ class AwpaAlgebra:
             by_alpha.setdefault(alpha, {})[word] = c
         for alpha, wcoeffs in by_alpha.items():
             basis = self._tensor_subspace_basis([-e for e in alpha])
-            vecs = [self._word_dict_to_vec(b) for b in basis]
-            target = self._word_dict_to_vec(wcoeffs)
-            if not linalg.in_span(vecs, target):
+            if not linalg.in_span(basis, wcoeffs):
                 return f"coefficient at alpha={alpha} is not in F_psi^(-alpha)"
         for j in range(1, self.n):
             si = perms.simple(self.n, j)
@@ -594,13 +592,6 @@ class AwpaAlgebra:
             tensor_of_vectors(self.F, [el.coords for el in choice])
             for choice in product(*slot_bases)
         ]
-
-    def _word_dict_to_vec(self, wdict: dict) -> list:
-        zero = CycScalar.zero(self.F.conductor)
-        vec = []
-        for w in self.basis_words():
-            vec.append(wdict.get(w, zero))
-        return vec
 
     def is_central(self, z: AwpaElem) -> IsCentralResult:
         """Whether z lies in the (super)center, with both the generator
@@ -637,34 +628,19 @@ class AwpaAlgebra:
             ]
             if not monos:
                 continue
-            cols = []
-            row_index: dict = {}
-            rows_per_gen = []
-            for g in generators:
-                for gpar, gelem in g.parity_components().items():
-                    rows_per_gen.append((gpar, gelem))
-            for k in monos:
+            gens = [pair for g in generators for pair in g.parity_components().items()]
+            # one row per (generator, key): sum_j z_j [z_j, g] at that key
+            rows: dict = {}
+            for j, k in enumerate(monos):
                 zm = AwpaElem(self, {k: CycScalar.one(self.F.conductor)})
-                col: dict = {}
-                for idx, (gpar, gelem) in enumerate(rows_per_gen):
+                for idx, (gpar, gelem) in enumerate(gens):
                     diff = self.mul(zm, gelem) - (
                         -self.mul(gelem, zm) if par and gpar else self.mul(gelem, zm)
                     )
                     for kk, c in diff.terms.items():
-                        row_index.setdefault((idx, kk), len(row_index))
-                        col[row_index[(idx, kk)]] = c
-                cols.append(col)
-            nrows = len(row_index)
-            zero = CycScalar.zero(self.F.conductor)
-            mat = [[zero] * len(monos) for _ in range(nrows)]
-            for j, col in enumerate(cols):
-                for r, c in col.items():
-                    mat[r][j] = c
-            for vec in linalg.nullspace(mat) if nrows else [
-                [CycScalar.one(self.F.conductor) if t == j else zero for t in range(len(monos))]
-                for j in range(len(monos))
-            ]:
-                out.append(AwpaElem(self, dict(zip(monos, vec))))
+                        rows.setdefault((idx, kk), {})[j] = c
+            for vec in linalg.nullspace(list(rows.values()), range(len(monos))):
+                out.append(AwpaElem(self, {monos[j]: c for j, c in vec.items()}))
         return out
 
     def center_up_to_degree(self, poly_degree_bound: int) -> list:
@@ -808,8 +784,7 @@ class AwpaAlgebra:
         if {word_degree(self.F, w) for w in t.terms} != {k * self.F.delta}:
             return "degree"
         basis = self._tensor_subspace_basis([k] + [0] * (self.n - 1))
-        vecs = [self._word_dict_to_vec(b) for b in basis]
-        if not linalg.in_span(vecs, self._word_dict_to_vec(t.terms)):
+        if not linalg.in_span(basis, t.terms):
             return "span"
         for j in range(2, self.n):
             if superpermute(perms.simple(self.n, j), t) != t:

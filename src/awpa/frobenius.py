@@ -228,15 +228,15 @@ class FrobAlg:
         total = 0
         for j in range(self.theta):
             ev = root_of_unity(self.theta, j).lift(self.conductor)
+            # row c: column c of N - ev, so the nullspace holds the v with vN = ev v
             shifted = [
                 [
                     self.nakayama[r][c] - (ev if r == c else CycScalar.zero())
-                    for c in range(self.dim)
+                    for r in range(self.dim)
                 ]
-                for r in range(self.dim)
+                for c in range(self.dim)
             ]
-            for vec in linalg.nullspace(linalg.transpose(shifted)):
-                # nullspace of N^T acting on columns = row vectors v with vN = ev v
+            for vec in linalg.nullspace(shifted, range(self.dim)):
                 eigen_pairs.append((ev, vec))
                 total += 1
         if total != self.dim:
@@ -344,7 +344,7 @@ class FrobAlg:
             for g in range(self.dim):
                 sign = -1 if (self.parities[g] and target_parity) else 1
                 for out in range(self.dim):
-                    row = []
+                    row = {}
                     for i in idxs:
                         # coefficient of b_out in g*b_i - sign * b_i*psi^k(g)
                         left = self.struct[g][i][out]
@@ -352,23 +352,17 @@ class FrobAlg:
                         for h, c in enumerate(self.psi_on_basis(g, k)):
                             if c and self.struct[i][h][out]:
                                 right = right + c * self.struct[i][h][out]
-                        row.append(left - sign * right)
+                        row[i] = left - sign * right
                     rows.append(row)
             if fixed_only:
+                one = CycScalar.one(self.conductor)
                 for out in range(self.dim):
-                    row = []
-                    for i in idxs:
-                        v = self.psi_on_basis(i, 1)[out]
-                        if out == i:
-                            v = v - CycScalar.one(self.conductor)
-                        row.append(v)
-                    rows.append(row)
-            for vec in linalg.nullspace(rows):
-                full = [CycScalar.zero(self.conductor)] * self.dim
-                for pos, i in enumerate(idxs):
-                    full[i] = vec[pos]
-                vectors.append(full)
-        result = [AlgElem(self, v) for v in vectors]
+                    rows.append(
+                        {i: self.psi_on_basis(i, 1)[out] - (one if out == i else 0) for i in idxs}
+                    )
+            vectors.extend(linalg.nullspace(rows, idxs))
+        zero = self.zero_elem()
+        result = [zero._like(v) for v in vectors]
         self._graded_piece_cache[key] = result
         return result
 

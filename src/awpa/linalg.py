@@ -1,50 +1,62 @@
 """Exact linear algebra over CycScalar.
 
-Matrices are lists of row lists.  Everything is fraction-exact.
+Rows.  The elimination functions (``rref``, ``rank``, ``nullspace``,
+``in_span`` and ``same_span``) take a matrix as a list of rows, and a row is
+either a ``{column: scalar}`` dict or a dense list, read as
+``{index: entry}``.  Columns are any sortable keys and are taken in sorted
+order, so a dict row may be an element's ``terms`` as it is (basis indices,
+words or monomial keys), and integer columns pivot as in textbook
+elimination.  A dict row may hold zeros; they are dropped.  ``rref`` turns
+every row into a sparse dict at its one entry point and returns sparse
+rows; ``nullspace`` returns sparse vectors.  Dense matrices (lists of row
+lists) stay where the data is dense by nature: ``inverse``, ``solve``,
+``mat_mul``, ``mat_vec``, ``transpose`` and ``eye`` take and return them.
 
-``rref`` runs Gauss-Jordan elimination on sparse rows: each row is held as a
-``{column: scalar}`` dict of its nonzeros, so scaling or eliminating with a
-pivot row touches only the pivot row's nonzeros, only rows with a nonzero in
-the pivot column are updated, and rows that become zero are dropped.  The
-matrices solved here (centres, centralizers, Gram and transition matrices)
-are mostly structural zeros, which dense elimination would multiply through
-cell by cell.  Among the rows that can serve as a pivot, the one with the
-fewest nonzeros is taken, which limits fill-in.  The choice of pivot row does
-not change the result: the reduced row echelon form of a matrix is unique,
-so the returned rows and pivot columns are those of textbook elimination.
+``rref`` runs Gauss-Jordan elimination on the sparse rows, so scaling or
+eliminating with a pivot row touches only the pivot row's nonzeros, only
+rows with a nonzero in the pivot column are updated, and rows that become
+zero are dropped.  The matrices solved here (centres, centralizers, Gram and
+transition matrices) are mostly structural zeros, which dense elimination
+would multiply through cell by cell.  Among the rows that can serve as a
+pivot, the one with the fewest nonzeros is taken, which limits fill-in.  The
+choice of pivot row does not change the result: the reduced row echelon form
+of a matrix is unique, so the returned rows and pivot columns are those of
+textbook elimination.
 
-Every scalar these functions return carries the conductor of their operands
-(the lcm over all entries), zeros included, so later arithmetic with it never
-has to lift a conductor-1 zero.
+Conductors.  Every scalar these functions return carries the conductor of
+their operands: the lcm over all given entries, zeros in dense rows and in
+dict rows included.  Later arithmetic with a returned zero of a dense result
+then never has to lift a conductor-1 zero.
 """
 
 from __future__ import annotations
 
 from .scalars import CycScalar, lcm
+from .sparse import acc
+
+
+def _entries(row):
+    """The (column, entry) pairs of a dict row or a dense row."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
 
 
 def _conductor(*mats) -> int:
     """The lcm of the conductors of all entries of the given matrices."""
     m = 1
-    for k in {x.m for mat in mats for row in mat for x in row}:
+    for k in {x.m for mat in mats for row in mat for _, x in _entries(row)}:
         m = lcm(m, k)
     return m
 
 
-def zeros(rows: int, cols: int, m: int = 1):
-    return [[CycScalar.zero(m) for _ in range(cols)] for _ in range(rows)]
-
-
 def eye(n: int, m: int = 1):
-    mat = zeros(n, n, m)
-    for i in range(n):
-        mat[i][i] = CycScalar.one(m)
-    return mat
+    zero, one = CycScalar.zero(m), CycScalar.one(m)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols, _conductor(a, b))
+    zero = CycScalar.zero(_conductor(a, b))
+    out = [[zero] * cols for _ in range(rows)]
     for i in range(rows):
         for k in range(inner):
             x = a[i][k]
@@ -60,11 +72,11 @@ def mat_vec(a, v):
     out = []
     m = _conductor(a, [v])
     for row in a:
-        acc = CycScalar.zero(m)
+        total = CycScalar.zero(m)
         for x, y in zip(row, v):
             if x and y:
-                acc = acc + x * y
-        out.append(acc)
+                total = total + x * y
+        out.append(total)
     return out
 
 
@@ -73,23 +85,20 @@ def transpose(a):
 
 
 def rref(mat):
-    """Reduced row echelon form of a copy of mat.
+    """Reduced row echelon form of the rows of mat (which is not changed).
 
-    Returns (rref_matrix, pivot_columns): the nonzero rows of the reduced
-    form in pivot order, then zero rows up to the row count of mat.
+    Returns (rows, pivot_columns): the nonzero rows of the reduced form as
+    ``{column: scalar}`` dicts, in pivot order, one per pivot column.
     """
-    if not mat:
-        return [], []
-    cols = len(mat[0])
     m = _conductor(mat)
     active = []
     for row in mat:
-        sparse = {c: x if x.m == m else x.lift(m) for c, x in enumerate(row) if x}
+        sparse = {c: x if x.m == m else x.lift(m) for c, x in _entries(row) if x}
         if sparse:
             active.append(sparse)
     done = []
     pivots = []
-    for c in range(cols):
+    for c in sorted({c for row in active for c in row}):
         hits = [row for row in active if c in row]
         if not hits:
             continue
@@ -98,33 +107,15 @@ def rref(mat):
         p = {j: x * inv for j, x in chosen.items()}
         active = [row for row in active if c not in row]
         hits = [row for row in hits if row is not chosen]
-        targets = hits + [row for row in done if c in row]
-        for row in targets:
+        for row in hits + [row for row in done if c in row]:
             f = row.pop(c)
             for j, y in p.items():
-                if j == c:
-                    continue
-                x = row.get(j)
-                if x is None:
-                    row[j] = -(f * y)
-                else:
-                    x = x - f * y
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+                if j != c:
+                    acc(row, j, -(f * y))
         active.extend(row for row in hits if row)
         done.append(p)
         pivots.append(c)
-    zero = CycScalar.zero(m)
-    out = []
-    for row in done:
-        dense = [zero] * cols
-        for j, x in row.items():
-            dense[j] = x
-        out.append(dense)
-    out.extend([zero] * cols for _ in range(len(mat) - len(done)))
-    return out, pivots
+    return done, pivots
 
 
 def rank(mat) -> int:
@@ -132,42 +123,42 @@ def rank(mat) -> int:
 
 
 def is_invertible(mat) -> bool:
-    """Whether mat is square with rank equal to its size."""
+    """Whether the dense mat is square with rank equal to its size."""
     n = len(mat)
     return all(len(row) == n for row in mat) and rank(mat) == n
 
 
 def inverse(mat):
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a dense square matrix as dense rows, or None if singular."""
     n = len(mat)
-    aug = [list(row) + list(e) for row, e in zip(mat, eye(n, _conductor(mat)))]
-    red, pivots = rref(aug)
+    m = _conductor(mat)
+    red, pivots = rref([list(row) + e for row, e in zip(mat, eye(n, m))])
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in red]
+    zero = CycScalar.zero(m)
+    return [[row.get(j, zero) for j in range(n, 2 * n)] for row in red]
 
 
-def nullspace(mat):
-    """Basis of the right nullspace {v : mat v = 0}."""
-    if not mat:
-        return []
-    cols = len(mat[0])
-    red, pivots = rref(mat)
-    m = _conductor(mat)
+def nullspace(rows, columns):
+    """Basis of {v : sum_c row[c] v[c] = 0 for every row}, where v runs over
+    the vectors on ``columns`` (the row keys must lie among them).  One
+    sparse ``{column: scalar}`` vector per non-pivot column, in sorted order."""
+    red, pivots = rref(rows)
+    one = CycScalar.one(_conductor(rows))
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
-    for f in free:
-        v = [CycScalar.zero(m) for _ in range(cols)]
-        v[f] = CycScalar.one(m)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
+    for f in sorted(columns):
+        if f not in pivot_set:
+            v = {f: one}
+            for row, c in zip(red, pivots):
+                if f in row:
+                    v[c] = -row[f]
+            basis.append(v)
     return basis
 
 
 def solve(mat, rhs):
-    """One solution of mat x = rhs, or None if inconsistent."""
+    """One solution of the dense system mat x = rhs, or None if inconsistent."""
     if not mat:
         return [] if all(not b for b in rhs) else None
     cols = len(mat[0])
@@ -175,27 +166,26 @@ def solve(mat, rhs):
     red, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [CycScalar.zero(_conductor(aug)) for _ in range(cols)]
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
+    zero = CycScalar.zero(_conductor(aug))
+    x = [zero] * cols
+    for row, c in zip(red, pivots):
+        x[c] = row.get(cols, zero)
     return x
 
 
 def in_span(basis, vec) -> bool:
-    """Whether vec lies in the row span of basis."""
-    if all(not x for x in vec):
-        return True
-    if not basis:
-        return False
-    return solve(transpose(basis), vec) is not None
+    """Whether vec lies in the row span of basis: vec is reduced by the
+    reduced rows of basis, and is in the span iff nothing is left."""
+    v = {c: x for c, x in _entries(vec) if x}
+    red, pivots = rref(basis)
+    for row, c in zip(red, pivots):
+        f = v.get(c)
+        if f:
+            for j, y in row.items():
+                acc(v, j, -(f * y))
+    return not v
 
 
 def same_span(basis_a, basis_b) -> bool:
-    ra = rank(basis_a) if basis_a else 0
-    rb = rank(basis_b) if basis_b else 0
-    if ra != rb:
-        return False
-    if ra == 0:
-        return True
-    joint = [list(r) for r in basis_a] + [list(r) for r in basis_b]
-    return rank(joint) == ra
+    ra = rank(basis_a)
+    return ra == rank(basis_b) and rank(list(basis_a) + list(basis_b)) == ra

@@ -100,6 +100,8 @@ class TensorElem(SparseElem):
     @staticmethod
     def slot(F: FrobAlg, n: int, f, i: int) -> TensorElem:
         """f in slot i (1-indexed), units elsewhere."""
+        if not 1 <= i <= n:
+            raise IndexError(f"slot {i} does not exist for n={n}")
         if isinstance(f, str):
             f = F.from_label(f)
         vectors = [F.unit] * n

@@ -1,11 +1,13 @@
-"""Source hygiene: no unused imports, no ``assert`` in the package, and one
-arithmetic kernel.
+"""Source hygiene: no unused imports or locals, no ``assert`` in the
+package, and one arithmetic kernel.
 
 Stdlib ``ast`` scans, so they run without a linter.  An imported name counts
-as used if it is read anywhere in its module or listed in ``__all__``.  An
+as used if it is read anywhere in its module or listed in ``__all__``; a
+function local counts as used if it is read anywhere in the function.  An
 ``assert`` vanishes under ``python -O``, so package checks raise instead.
 Sums, differences and negation of elements live in ``sparse.SparseElem``
-(and of scalars in ``scalars.CycScalar``); no other class defines them.
+(and of scalars in ``scalars.CycScalar``); no other class defines them, and
+``sparse.acc`` is the one place that deletes a zero coefficient from a dict.
 """
 
 import ast
@@ -38,6 +40,72 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_locals(source: str) -> list[str]:
+    """function:line: name for each name a function assigns and never reads
+    (nested functions count as part of it); ``_`` marks a value left unused."""
+    out = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        out |= {
+            f"{fn.name}:{line}: {name}"
+            for name, line in stored.items()
+            if name not in read and name != "_"
+        }
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []
+
+
+def test_scan_finds_unused_locals():
+    source = (
+        "def f(a):\n"
+        "    b = a\n"
+        "    for i, c in a:\n"
+        "        pass\n"
+        "    _, d = a\n"
+        "    def g():\n"
+        "        return d\n"
+        "    return g\n"
+        "def h():\n"
+        "    global e\n"
+        "    e = 1\n"
+    )
+    assert unused_locals(source) == ["f:2: b", "f:3: c", "f:3: i"]
+
+
+def del_item_lines(source: str) -> list[int]:
+    """Lines of ``del x[...]`` statements."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Delete) and any(isinstance(t, ast.Subscript) for t in node.targets)
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "sparse.py"), ids=lambda p: p.name
+)
+def test_no_del_item_outside_sparse(path):
+    assert del_item_lines(path.read_text()) == []
+
+
+def test_scan_finds_del_item():
+    source = "d = {1: 2}\ndel d[1]\nx = 1\ndel x\ndef f(d):\n    del d['a'], d['b']\n"
+    assert del_item_lines(source) == [2, 6]
 
 
 def assert_lines(source: str) -> list[int]:

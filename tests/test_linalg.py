@@ -73,10 +73,29 @@ def sparse_matrices(m, max_rows=7, max_cols=7, square=False):
     return build()
 
 
+def relabel(mat):
+    """A matrix of dict rows (any sortable column keys) or dense rows as a
+    dense matrix over the sorted union of its columns, and that column list."""
+    rows = [row if isinstance(row, dict) else dict(enumerate(row)) for row in mat]
+    cols = sorted({c for row in rows for c in row})
+    zero = CycScalar.zero()
+    return [[row.get(c, zero) for c in cols] for row in rows], cols
+
+
+def padded(red, cols, nrows):
+    """Sparse reduced rows in the dense format of the reference: dense rows
+    over cols, then zero rows up to nrows."""
+    zero = CycScalar.zero()
+    dense = [[row.get(c, zero) for c in cols] for row in red]
+    return dense + [[zero] * len(cols) for _ in range(nrows - len(red))]
+
+
 def check_against_reference(mat):
+    dense, cols = relabel(mat)
     red, pivots = linalg.rref(mat)
-    ref, ref_pivots = dense_rref(mat)
-    assert pivots == ref_pivots
+    ref, ref_pivots = dense_rref(dense)
+    assert pivots == [cols[c] for c in ref_pivots]
+    red = padded(red, cols, len(mat))
     assert red == ref
     assert as_text(red) == as_text(ref)
     assert len(red) == len(mat)
@@ -92,6 +111,57 @@ def test_rref_matches_dense_reference_over_q(mat):
 @given(sparse_matrices(3))
 def test_rref_matches_dense_reference_over_q_zeta3(mat):
     check_against_reference(mat)
+
+
+WORDS = [(a, b) for a in range(3) for b in range(3)]
+
+
+@st.composite
+def word_keyed_systems(draw):
+    """Dict rows keyed by word tuples, as an element's terms are, with the
+    columns of a random matrix sent to random words: most zeros are left
+    out, a few are kept, and some words occur in no row.  Also a vector that
+    is half the time a combination of the rows."""
+    mat = draw(st.one_of(sparse_matrices(1), sparse_matrices(3)))
+    labels = draw(st.permutations(WORDS))
+    rows = [
+        {labels[c]: x for c, x in enumerate(row) if x or draw(st.integers(0, 3)) == 0}
+        for row in mat
+    ]
+    vec = {}
+    if draw(st.booleans()):
+        for row in rows:
+            f = draw(st.integers(-2, 2))
+            for c, x in row.items():
+                vec[c] = vec.get(c, CycScalar.zero()) + f * x
+    else:
+        for c in draw(st.lists(st.sampled_from(WORDS), max_size=4)):
+            vec[c] = scalar(draw(st.integers(-2, 2)))
+    return rows, vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_keyed_systems())
+def test_word_keyed_rows_match_dense_reference(system):
+    rows, vec = system
+    zero = CycScalar.zero()
+    dense = [[row.get(c, zero) for c in WORDS] for row in rows]
+    ref, ref_pivots = dense_rref(dense)
+    red, pivots = linalg.rref(rows)
+    assert pivots == [WORDS[c] for c in ref_pivots]
+    assert padded(red, WORDS, len(rows)) == ref
+    assert linalg.rank(rows) == len(ref_pivots)
+    expected = []
+    for f in range(len(WORDS)):
+        if f not in ref_pivots:
+            v = {WORDS[f]: CycScalar.one()}
+            for r, c in enumerate(ref_pivots):
+                if ref[r][f]:
+                    v[WORDS[c]] = -ref[r][f]
+            expected.append(v)
+    assert linalg.nullspace(rows, WORDS) == expected
+    with_vec = dense + [[vec.get(c, zero) for c in WORDS]]
+    assert linalg.in_span(rows, vec) == (len(dense_rref(with_vec)[1]) == len(ref_pivots))
 
 
 def q_matrix(rows):
@@ -118,7 +188,7 @@ def test_rref_edge_cases(name):
 def test_rref_empty_matrix():
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0
-    assert linalg.nullspace([]) == []
+    assert linalg.nullspace([], []) == []
     assert linalg.inverse([]) == []
     assert linalg.is_invertible([])
 
@@ -126,7 +196,7 @@ def test_rref_empty_matrix():
 def test_rref_known_form():
     red, pivots = linalg.rref(q_matrix(EDGE_CASES["rank_deficient"]))
     assert pivots == [0, 1]
-    assert red == q_matrix([[1, 0, 1], [0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    assert padded(red, range(3), 4) == q_matrix([[1, 0, 1], [0, 1, 1], [0, 0, 0], [0, 0, 0]])
 
 
 def test_rref_does_not_modify_input():
@@ -138,29 +208,31 @@ def test_rref_does_not_modify_input():
 
 def test_entries_carry_the_operands_conductor():
     z = root_of_unity(3)
-    assert all(x.m == 3 for row in linalg.zeros(2, 3, 3) for x in row)
     assert all(x.m == 3 for row in linalg.eye(3, 3) for x in row)
     assert linalg.eye(2) == q_matrix([[1, 0], [0, 1]])
     # a rational zero of conductor 1 mixed into a Q(zeta_3) matrix
     mat = [[z, CycScalar.zero(), scalar(1, m=3)], [scalar(0, m=3)] * 3]
     red, _ = linalg.rref(mat)
-    assert all(x.m == 3 for row in red for x in row)
+    assert all(x.m == 3 for row in red for x in row.values())
     square = [[z, scalar(1, m=3)], [scalar(0, m=3), z]]
     assert all(x.m == 3 for row in linalg.inverse(square) for x in row)
     assert all(x.m == 3 for row in linalg.mat_mul(square, square) for x in row)
     assert all(x.m == 3 for x in linalg.mat_vec(square, [z, z]))
-    for vec in linalg.nullspace(mat):
-        assert all(x.m == 3 for x in vec)
+    for vec in linalg.nullspace(mat, range(3)):
+        assert all(x.m == 3 for x in vec.values())
+    # a zero kept in a dict row still sets the conductor
+    assert linalg.nullspace([{"a": scalar(0, m=3)}], ["a"])[0]["a"].m == 3
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(sparse_matrices(1), sparse_matrices(3)))
 def test_nullspace_vectors_are_killed(mat):
-    basis = linalg.nullspace(mat)
     cols = len(mat[0])
+    basis = linalg.nullspace(mat, range(cols))
     assert len(basis) == cols - linalg.rank(mat)
     for v in basis:
-        assert all(not x for x in linalg.mat_vec(mat, v))
+        dense = [v.get(c, CycScalar.zero()) for c in range(cols)]
+        assert all(not x for x in linalg.mat_vec(mat, dense))
     if basis:
         assert linalg.rank(basis) == len(basis)
 
@@ -228,7 +300,7 @@ def test_rref_matches_reference_on_engine_matrices(monkeypatch):
     params = make_params(Cl, {2: [Cl.scalar(Fraction(1, 2)) * Cl.unit_elem()]})
     CyclotomicAlgebra(params, 2).gram_matrix()
     monkeypatch.undo()
-    assert any(not x.is_rational() for mat in seen for row in mat for x in row)
+    assert any(not x.is_rational() for mat in seen for row in relabel(mat)[0] for x in row)
     assert max(len(mat) for mat in seen) >= 40
     for mat in seen:
         check_against_reference(mat)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from awpa import permutations as perms
+from awpa.engine import AwpaAlgebra
 from awpa.errors import SizeMismatch
 from awpa.frobenius import clifford_algebra, cyclic_group_algebra, trivial_algebra
 from awpa.wreath import TensorElem, WreathElem, superpermute
@@ -112,3 +113,13 @@ def test_size_mismatch():
     F = trivial_algebra()
     with pytest.raises(SizeMismatch):
         superpermute((1, 2, 3), TensorElem.unit(F, 2))
+
+
+@pytest.mark.parametrize("i", [0, 5])
+def test_slot_index_outside_one_to_n(i):
+    # slot 0 used to wrap round to slot n, slot 5 to fail inside list assignment
+    F = clifford_algebra()
+    with pytest.raises(IndexError, match=f"slot {i} does not exist for n=2"):
+        TensorElem.slot(F, 2, "c", i)
+    with pytest.raises(IndexError, match=f"slot {i} does not exist for n=2"):
+        AwpaAlgebra(F, 2).slot_elem(F.from_label("c"), i)
