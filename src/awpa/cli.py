@@ -31,6 +31,13 @@ BUILTIN_USAGE = (
 )
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of counts: a negative value is a usage error (exit 2)."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return int(text)
+
+
 def resolve_algebra(spec: str) -> FrobAlg:
     """Builtin names (``name:p1:p2``) resolve before file paths; collisions
     are warned."""
@@ -275,20 +282,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mul = sub.add_parser("mul", help="normal-form product of two elements")
     p_mul.add_argument("--algebra", required=True)
-    p_mul.add_argument("--n", type=int, required=True)
+    p_mul.add_argument("--n", type=nonnegative_int, required=True)
     p_mul.add_argument("left")
     p_mul.add_argument("right")
     p_mul.set_defaults(func=cmd_mul)
 
     p_nf = sub.add_parser("nf", help="normal form of an element expression")
     p_nf.add_argument("--algebra", required=True)
-    p_nf.add_argument("--n", type=int, required=True)
+    p_nf.add_argument("--n", type=nonnegative_int, required=True)
     p_nf.add_argument("element")
     p_nf.set_defaults(func=cmd_nf)
 
     p_gr = sub.add_parser("grdim", help="graded dimension counts vs the closed form")
     p_gr.add_argument("--algebra", required=True)
-    p_gr.add_argument("--n", type=int, required=True)
+    p_gr.add_argument("--n", type=nonnegative_int, required=True)
     p_gr.add_argument("--cutoff", type=int, required=True)
     p_gr.set_defaults(func=cmd_grdim)
 
@@ -302,29 +309,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ct = sub.add_parser("center", help="central elements up to polynomial degree")
     p_ct.add_argument("--algebra", required=True)
-    p_ct.add_argument("--n", type=int, required=True)
+    p_ct.add_argument("--n", type=nonnegative_int, required=True)
     p_ct.add_argument("--degree", type=int, required=True)
     p_ct.set_defaults(func=cmd_center)
 
     p_jm = sub.add_parser("jm", help="Jucys-Murphy element J_k")
     p_jm.add_argument("--algebra", required=True)
-    p_jm.add_argument("--n", type=int, required=True)
+    p_jm.add_argument("--n", type=nonnegative_int, required=True)
     p_jm.add_argument("--k", type=int, required=True)
     p_jm.set_defaults(func=cmd_jm)
 
     p_st = sub.add_parser("suite", help="randomized property suite")
     p_st.add_argument("--algebra", required=True)
-    p_st.add_argument("--n", type=int, required=True)
+    p_st.add_argument("--n", type=nonnegative_int, required=True)
     p_st.add_argument("--seed", type=int, default=0)
-    p_st.add_argument("--instances", type=int, default=200)
+    p_st.add_argument("--instances", type=nonnegative_int, default=200)
     p_st.set_defaults(func=cmd_suite)
 
     p_cy = sub.add_parser("cyclotomic", help="cyclotomic quotient computations")
     p_cy.add_argument("action", choices=["gram", "nakayama", "basis"])
     p_cy.add_argument("--params", required=True, help="algebra JSON with a cyclotomic section")
-    p_cy.add_argument("--n", type=int, required=True)
+    p_cy.add_argument("--n", type=nonnegative_int, required=True)
     p_cy.add_argument("--seed", type=int, default=0)
-    p_cy.add_argument("--pairs", type=int, default=50)
+    p_cy.add_argument("--pairs", type=nonnegative_int, default=50)
     p_cy.set_defaults(func=cmd_cyclotomic)
 
     return parser

@@ -458,14 +458,10 @@ class InductionStructure:
         if z.qalg is not self.small:
             raise ParamsMismatch("embed takes elements of the smaller quotient")
         out: dict = {}
+        unit = self.params.F.unit_elem().terms
         for (alpha, word, pi), c in z.terms.items():
-            for k, u in enumerate(self.params.F.unit):
-                if u:
-                    acc(
-                        out,
-                        (alpha + (0,), word + (k,), pi + (self.n + 1,)),
-                        c * u,
-                    )
+            for k, u in unit.items():
+                acc(out, (alpha + (0,), word + (k,), pi + (self.n + 1,)), c * u)
         return CycloElem(self.big, self.big.ctx._elem(out))
 
     def _transition(self):

@@ -274,14 +274,15 @@ class AwpaAlgebra:
         if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
             raise IndexError(f"t_{{{i},{j}}} needs distinct slots in 1..{self.n}")
         minus_one = -CycScalar.one(F.conductor)
+        unit, duals = F.unit_elem().terms, F.dual_basis()
         out: dict = {}
         for l in range(k):
             m = k - 1 - l
             alpha = tuple(m if t == i - 1 else (l if t == j - 1 else 0) for t in range(self.n))
             for b in range(F.dim):
-                vectors = [F.unit] * self.n
+                vectors = [unit] * self.n
                 vectors[i - 1] = F.psi_on_basis(b, m)
-                vectors[j - 1] = F.dual_matrix[b]
+                vectors[j - 1] = duals[b].terms
                 sign = minus_one if i > j and F.parities[b] else None
                 for w, c in tensor_of_vectors(F, vectors, sign).items():
                     acc(out, (alpha, w), c)
@@ -589,7 +590,7 @@ class AwpaAlgebra:
         """Words basis of F_psi^(k_1) (x) ... (x) F_psi^(k_n) as word dicts."""
         slot_bases = [self.F.graded_piece(k, fixed_only=True) for k in ks]
         return [
-            tensor_of_vectors(self.F, [el.coords for el in choice])
+            tensor_of_vectors(self.F, [el.terms for el in choice])
             for choice in product(*slot_bases)
         ]
 
@@ -795,7 +796,10 @@ class AwpaAlgebra:
 
     def graded_dimension(self, cutoff: int):
         """Counts of normal-form monomials by total degree (delta > 0), or by
-        polynomial-degree layer (delta = 0), up to the cutoff."""
+        polynomial-degree layer (delta = 0), up to the cutoff.  A_0(F) is
+        the ground field."""
+        if self.n == 0:
+            return [1] + [0] * cutoff
         F = self.F
         nfact = factorial(self.n)
         if F.delta == 0:

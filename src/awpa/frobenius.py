@@ -95,7 +95,13 @@ class AlgElem(SparseElem):
 
 
 class FrobAlg:
-    """A graded Frobenius superalgebra given by structure constants."""
+    """A graded Frobenius superalgebra given by structure constants.
+
+    Other layers read its data as rows {basis index: scalar} with no zero
+    value, the format of ``AlgElem.terms``: ``struct[i][j]`` (b_i b_j, given
+    as a dense list or as such a dict), ``psi_on_basis(i, k)``,
+    ``unit_elem().terms`` and ``dual_basis()[b].terms``.  ``unit``,
+    ``trace_vec`` and the Gram, dual and Nakayama matrices stay dense."""
 
     def __init__(
         self,
@@ -115,19 +121,13 @@ class FrobAlg:
         self.name = name or "algebra"
         if len(self.degrees) != self.dim or len(self.parities) != self.dim:
             raise BadSpec("degrees/parities length does not match basis")
-        if len(struct) != self.dim or any(
-            len(plane) != self.dim or any(len(row) != self.dim for row in plane)
-            for plane in struct
-        ):
+        if len(struct) != self.dim or any(len(plane) != self.dim for plane in struct):
             raise BadSpec("structure constant cube has wrong shape")
         if len(unit) != self.dim or len(trace_vec) != self.dim:
             raise BadSpec("unit/trace vector length does not match basis")
 
         self.conductor = conductor
-        self.struct = [
-            [[CycScalar._coerce(v, conductor) for v in row] for row in plane]
-            for plane in struct
-        ]
+        self.struct = [[self._row(row) for row in plane] for plane in struct]
         self.unit = [CycScalar._coerce(v, conductor) for v in unit]
         self.trace_vec = [CycScalar._coerce(v, conductor) for v in trace_vec]
 
@@ -137,26 +137,41 @@ class FrobAlg:
         self.delta = max(self.degrees)
         self._validate_trace_homogeneity()
         self._derive_frobenius_data()
-        self._psi_pow_cache: dict[int, list] = {}
+        one = CycScalar.one(self.conductor)
+        self._psi_rows = [
+            [{j: one} for j in range(self.dim)],
+            [self._row(r) for r in self.nakayama],
+        ]
         self._graded_piece_cache: dict = {}
 
     # -- construction-time checks -------------------------------------------
 
+    def _row(self, row) -> dict:
+        """A dense coordinate list or a dict {basis index: value} as a row
+        {basis index: CycScalar} with no zero value, in index order."""
+        if not isinstance(row, dict):
+            if len(row) != self.dim:
+                raise BadSpec("structure constant cube has wrong shape")
+            row = dict(enumerate(row))
+        if not set(row) <= set(range(self.dim)):
+            raise BadSpec(f"row index outside 0..{self.dim - 1}")
+        coerced = ((k, CycScalar._coerce(row[k], self.conductor)) for k in sorted(row))
+        return {k: v for k, v in coerced if v}
+
     def _validate_grading(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if self.struct[i][j][k]:
-                        if self.degrees[k] != self.degrees[i] + self.degrees[j]:
-                            raise GradingViolation(
-                                f"deg({self.basis_labels[i]}*{self.basis_labels[j]})"
-                                " is not additive"
-                            )
-                        if self.parities[k] != (self.parities[i] + self.parities[j]) % 2:
-                            raise GradingViolation(
-                                f"parity of {self.basis_labels[i]}*{self.basis_labels[j]}"
-                                " is not additive"
-                            )
+        for i, plane in enumerate(self.struct):
+            for j, row in enumerate(plane):
+                for k in row:
+                    if self.degrees[k] != self.degrees[i] + self.degrees[j]:
+                        raise GradingViolation(
+                            f"deg({self.basis_labels[i]}*{self.basis_labels[j]})"
+                            " is not additive"
+                        )
+                    if self.parities[k] != (self.parities[i] + self.parities[j]) % 2:
+                        raise GradingViolation(
+                            f"parity of {self.basis_labels[i]}*{self.basis_labels[j]}"
+                            " is not additive"
+                        )
 
     def _validate_unit(self):
         for j in range(self.dim):
@@ -247,7 +262,9 @@ class FrobAlg:
     def _lift_field(self, big: int):
         self.conductor = big
         lift = lambda s: s.lift(big)
-        self.struct = [[[lift(v) for v in row] for row in plane] for plane in self.struct]
+        self.struct = [
+            [{k: lift(v) for k, v in row.items()} for row in plane] for plane in self.struct
+        ]
         self.unit = [lift(v) for v in self.unit]
         self.trace_vec = [lift(v) for v in self.trace_vec]
         self.gram = [[lift(v) for v in row] for row in self.gram]
@@ -281,9 +298,8 @@ class FrobAlg:
         for i, a in u.terms.items():
             for j, b in v.terms.items():
                 ab = a * b
-                for k, c in enumerate(self.struct[i][j]):
-                    if c:
-                        acc(out, k, ab * c)
+                for k, c in self.struct[i][j].items():
+                    acc(out, k, ab * c)
         return u._like(out)
 
     def dual_basis(self) -> list[AlgElem]:
@@ -301,30 +317,24 @@ class FrobAlg:
         return [AlgElem(self, r) for r in coord_rows]
 
     def psi(self, u: AlgElem, power: int = 1) -> AlgElem:
-        power %= self.theta
-        if power == 0:
+        if power % self.theta == 0:
             return u
-        mat = self._psi_power_matrix(power)
-        return AlgElem(self, linalg.mat_vec(linalg.transpose(mat), list(u.coords)))
+        out = {}
+        for i, a in u.terms.items():
+            for k, c in self.psi_on_basis(i, power).items():
+                acc(out, k, a * c)
+        return u._like(out)
 
-    def _psi_power_matrix(self, power: int):
-        power %= self.theta
-        if power not in self._psi_pow_cache:
-            if power == 0:
-                self._psi_pow_cache[0] = linalg.eye(self.dim, self.conductor)
-            else:
-                self._psi_pow_cache[power] = linalg.mat_mul(
-                    self._psi_power_matrix(power - 1), self.nakayama
-                )
-        return self._psi_pow_cache[power]
-
-    def psi_on_basis(self, i: int, power: int = 1):
-        """Coordinates of psi^power(b_i)."""
-        return self._psi_power_matrix(power)[i]
+    def psi_on_basis(self, i: int, power: int = 1) -> dict:
+        """psi^power(b_i) as a row {basis index: scalar}."""
+        rows = self._psi_rows  # rows[p][j] is psi^p(b_j), filled in order of p
+        while len(rows) <= power % self.theta:
+            rows.append([self.psi(self.zero_elem()._like(r)).terms for r in rows[-1]])
+        return rows[power % self.theta][i]
 
     def is_invertible(self, u: AlgElem) -> bool:
-        mat = [list(self.mul(u, self.basis_elem(j)).coords) for j in range(self.dim)]
-        return linalg.is_invertible(mat)
+        products = [self.mul(u, self.basis_elem(j)).terms for j in range(self.dim)]
+        return linalg.rank(products) == self.dim
 
     # -- distinguished subspaces ----------------------------------------------
 
@@ -335,32 +345,28 @@ class FrobAlg:
         if key in self._graded_piece_cache:
             return self._graded_piece_cache[key]
         vectors = []
+        minus_one = -CycScalar.one(self.conductor)
         for target_parity in (0, 1):
             idxs = [i for i in range(self.dim) if self.parities[i] == target_parity]
             if not idxs:
                 continue
-            rows = []
-            # unknowns: coefficients of f on the parity-homogeneous indices
-            for g in range(self.dim):
-                sign = -1 if (self.parities[g] and target_parity) else 1
-                for out in range(self.dim):
-                    row = {}
-                    for i in idxs:
-                        # coefficient of b_out in g*b_i - sign * b_i*psi^k(g)
-                        left = self.struct[g][i][out]
-                        right = CycScalar.zero(self.conductor)
-                        for h, c in enumerate(self.psi_on_basis(g, k)):
-                            if c and self.struct[i][h][out]:
-                                right = right + c * self.struct[i][h][out]
-                        row[i] = left - sign * right
-                    rows.append(row)
-            if fixed_only:
-                one = CycScalar.one(self.conductor)
-                for out in range(self.dim):
-                    rows.append(
-                        {i: self.psi_on_basis(i, 1)[out] - (one if out == i else 0) for i in idxs}
-                    )
-            vectors.extend(linalg.nullspace(rows, idxs))
+            # unknowns: coefficients of f on the parity-homogeneous indices;
+            # row (g, out) is the coefficient of b_out in g f - sign f psi^k(g)
+            rows: dict = {}
+            for i in idxs:
+                for g in range(self.dim):
+                    odd = self.parities[g] and target_parity
+                    for out, c in self.struct[g][i].items():
+                        acc(rows.setdefault((g, out), {}), i, c)
+                    for h, c in self.psi_on_basis(g, k).items():
+                        for out, d in self.struct[i][h].items():
+                            acc(rows.setdefault((g, out), {}), i, c * d if odd else -(c * d))
+                if fixed_only:
+                    # row (-1, out) is the coefficient of b_out in psi(f) - f
+                    for out, c in self.psi_on_basis(i, 1).items():
+                        acc(rows.setdefault((-1, out), {}), i, c)
+                    acc(rows.setdefault((-1, i), {}), i, minus_one)
+            vectors.extend(linalg.nullspace(list(rows.values()), idxs))
         zero = self.zero_elem()
         result = [zero._like(v) for v in vectors]
         self._graded_piece_cache[key] = result
@@ -372,13 +378,17 @@ class FrobAlg:
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        zero = CycScalar.zero(self.conductor)
         return {
             "conductor": self.conductor,
             "basis": list(self.basis_labels),
             "degrees": list(self.degrees),
             "parities": list(self.parities),
             "unit": [str(v) for v in self.unit],
-            "mult": [[[str(v) for v in row] for row in plane] for plane in self.struct],
+            "mult": [
+                [[str(row.get(k, zero)) for k in range(self.dim)] for row in plane]
+                for plane in self.struct
+            ],
             "trace": [str(v) for v in self.trace_vec],
         }
 
@@ -466,31 +476,17 @@ def _signed_chunks(text: str):
 # -- builtin algebras ----------------------------------------------------------
 
 
-def _delta_cube(dim, rule, conductor=1):
-    """Cube from a rule (i, j) -> list of (k, scalar)."""
-    cube = [
-        [[CycScalar.zero(conductor) for _ in range(dim)] for _ in range(dim)]
-        for _ in range(dim)
-    ]
-    for i in range(dim):
-        for j in range(dim):
-            for k, v in rule(i, j):
-                cube[i][j][k] = cube[i][j][k] + CycScalar._coerce(v, conductor)
-    return cube
-
-
 def trivial_algebra() -> FrobAlg:
     return FrobAlg(["1"], [0], [0], [[[1]]], [1], [1], name="trivial")
 
 
 def clifford_algebra() -> FrobAlg:
     """Cl: one odd generator c with c^2 = 1; tr(1) = 1, tr(c) = 0."""
-    rule = lambda i, j: [((i + j) % 2, 1)]
     return FrobAlg(
         ["1", "c"],
         [0, 0],
         [0, 1],
-        _delta_cube(2, rule),
+        [[{(i + j) % 2: 1} for j in range(2)] for i in range(2)],
         [1, 0],
         [1, 0],
         name="clifford",
@@ -499,12 +495,11 @@ def clifford_algebra() -> FrobAlg:
 
 def dual_numbers_algebra() -> FrobAlg:
     """k[z]/(z^2) with |z| = 2; tr(a + bz) = b."""
-    rule = lambda i, j: [(i + j, 1)] if i + j < 2 else []
     return FrobAlg(
         ["1", "z"],
         [0, 2],
         [0, 0],
-        _delta_cube(2, rule),
+        [[{i + j: 1} if i + j < 2 else {} for j in range(2)] for i in range(2)],
         [1, 0],
         [0, 1],
         name="dual_numbers",
@@ -542,12 +537,11 @@ def group_algebra(table, labels=None, name="group_algebra") -> FrobAlg:
         labels[ident] = "e"
     unit = [1 if i == ident else 0 for i in range(size)]
     trace = [1 if i == ident else 0 for i in range(size)]
-    rule = lambda i, j: [(table[i][j], 1)]
     return FrobAlg(
         labels,
         [0] * size,
         [0] * size,
-        _delta_cube(size, rule),
+        [[{table[i][j]: 1} for j in range(size)] for i in range(size)],
         unit,
         trace,
         name=name,
@@ -602,9 +596,9 @@ def taft_algebra(q: int, y_degree: int = 2) -> FrobAlg:
         k1, l1 = divmod(i, q)
         k2, l2 = divmod(j, q)
         if k1 + k2 >= q:
-            return []
+            return {}
         # (y^k1 g^l1)(y^k2 g^l2) = omega^{-l1 k2} y^{k1+k2} g^{l1+l2}
-        return [(idx(k1 + k2, (l1 + l2) % q), omega ** (-l1 * k2))]
+        return {idx(k1 + k2, (l1 + l2) % q): omega ** (-l1 * k2)}
 
     degrees = [y_degree * k for k in range(q) for _ in range(q)]
     unit = [1 if i == 0 else 0 for i in range(dim)]
@@ -613,7 +607,7 @@ def taft_algebra(q: int, y_degree: int = 2) -> FrobAlg:
         labels,
         degrees,
         [0] * dim,
-        _delta_cube(dim, rule, q),
+        [[rule(i, j) for j in range(dim)] for i in range(dim)],
         unit,
         trace,
         conductor=q,
@@ -625,12 +619,7 @@ def opposite_algebra(F: FrobAlg) -> FrobAlg:
     """F^op: a * b = (-1)^{|a||b|} b a, same trace."""
     cube = [
         [
-            [
-                -F.struct[j][i][k]
-                if F.parities[i] and F.parities[j]
-                else F.struct[j][i][k]
-                for k in range(F.dim)
-            ]
+            {k: -c if F.parities[i] and F.parities[j] else c for k, c in F.struct[j][i].items()}
             for j in range(F.dim)
         ]
         for i in range(F.dim)
@@ -717,17 +706,16 @@ def check_frobenius_morphism(F: FrobAlg, G: FrobAlg, matrix, anti: bool = False)
             verdict.fail(f"image of {F.basis_labels[i]} is not homogeneous of the same type")
 
     unit_image = G.zero_elem()
-    for c, img in zip(F.unit, images):
-        unit_image = unit_image + c * img
+    for k, c in F.unit_elem().terms.items():
+        unit_image = unit_image + c * images[k]
     if unit_image != G.unit_elem():
         verdict.fail("unit is not preserved")
 
     for i in range(F.dim):
         for j in range(F.dim):
             target = G.zero_elem()
-            for k, c in enumerate(F.struct[i][j]):
-                if c:
-                    target = target + c * images[k]
+            for k, c in F.struct[i][j].items():
+                target = target + c * images[k]
             if anti:
                 got = G.mul(images[j], images[i])
                 if F.parities[i] and F.parities[j]:
@@ -752,7 +740,7 @@ def check_frobenius_morphism(F: FrobAlg, G: FrobAlg, matrix, anti: bool = False)
     if verdict and anti:
         # tau psi = psi^{-1} tau, as matrices acting on coordinate rows
         left = linalg.mat_mul(F.nakayama, matrix)
-        right = linalg.mat_mul(matrix, G._psi_power_matrix(-1))
+        right = linalg.mat_mul(matrix, linalg.inverse(G.nakayama))
         if left != right:
             raise InternalInconsistency(
                 "tau psi != psi^{-1} tau for a valid anti-isomorphism"

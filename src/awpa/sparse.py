@@ -11,7 +11,8 @@ product and printing):
 * ``wreath.TensorElem``: F^(x)n, keys are basis words;
 * ``wreath.WreathElem``: F^(x)n x| S_n, keys (word, perm);
 * ``cyclotomic.CycloElem``: the cyclotomic quotient, AwpaElem's keys;
-* ``frobenius.AlgElem``: F itself, keys are basis indices.
+* ``frobenius.AlgElem``: F itself, keys are basis indices; ``FrobAlg``
+  hands out its structure constants and psi-powers as such zero-free rows.
 
 ``terms`` is a plain dict, read-only by convention: operations build new
 elements and never change an operand.

@@ -137,15 +137,7 @@ def term_str(ctx: AwpaAlgebra, key, coeff) -> tuple[int, str]:
             bits.append(f"x{i + 1}")
         elif e > 1:
             bits.append(f"x{i + 1}^{e}")
-    unit_word = ctx.F.unit.count(ctx.F.scalar(1)) == 1 and all(
-        (c == 1 or not c) for c in ctx.F.unit
-    )
-    if unit_word:
-        unit_idx = next(i for i, c in enumerate(ctx.F.unit) if c)
-        word_trivial = all(b == unit_idx for b in word)
-    else:
-        word_trivial = False
-    if not word_trivial:
+    if ctx._unit_words != {word: 1}:
         labels = ",".join(ctx.F.basis_labels[b] for b in word)
         bits.append(f"b({labels})")
     if pi != ctx.identity_perm:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import linalg
 from . import permutations as perms
 from .engine import AwpaAlgebra, AwpaElem
+from .errors import SizeMismatch
 from .frobenius import FrobAlg
 from .scalars import CycScalar
 from .wreath import TensorElem, superpermute
@@ -545,6 +546,8 @@ ALL_CHECKS = [
 def run_suite(F: FrobAlg, n: int, seed: int = 0, instances: int = 200):
     """Run the randomized suite; returns (results, failures) where results is
     a list of (check name, instances run) and failures a list of messages."""
+    if n < 1:
+        raise SizeMismatch("the relation suite needs n >= 1")
     ctx = AwpaAlgebra(F, n)
     rng = random.Random(seed)
     applicable = [

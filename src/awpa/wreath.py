@@ -60,17 +60,19 @@ def koszul_mul_sign(F: FrobAlg, w1, w2) -> int:
 
 
 def tensor_of_vectors(F: FrobAlg, vectors, coeff=None) -> dict:
-    """coeff * (v_1 (x) ... (x) v_n) as {word: scalar}, for coordinate
-    vectors v_i of F (coeff defaults to 1).  Distinct choices of basis
-    indices give distinct words, so no two terms ever combine."""
+    """coeff * (v_1 (x) ... (x) v_n) as {word: scalar}, for zero-free rows
+    v_i = {basis index: scalar} of F as ``FrobAlg`` hands them out (coeff,
+    nonzero, defaults to 1).  Distinct choices of basis indices give distinct
+    words, so no two terms ever combine, and no product of them is zero."""
     terms = {(): CycScalar.one(F.conductor) if coeff is None else coeff}
     for vec in vectors:
-        terms = {w + (k,): c * v for w, c in terms.items() for k, v in enumerate(vec) if v}
+        terms = {w + (k,): c * v for w, c in terms.items() for k, v in vec.items()}
     return terms
 
 
 def word_mul(F: FrobAlg, w1, w2) -> dict:
-    """Product of two basis words as {word: scalar}."""
+    """Product of two basis words as {word: scalar}: the Koszul sign times
+    the slotwise product of the rows F.struct[b1][b2]."""
     one = CycScalar.one(F.conductor)
     sign = -one if koszul_mul_sign(F, w1, w2) else one
     return tensor_of_vectors(F, [F.struct[b1][b2] for b1, b2 in zip(w1, w2)], sign)
@@ -95,7 +97,7 @@ class TensorElem(SparseElem):
 
     @staticmethod
     def unit(F: FrobAlg, n: int) -> TensorElem:
-        return TensorElem(F, n, tensor_of_vectors(F, [F.unit] * n))
+        return TensorElem(F, n, tensor_of_vectors(F, [F.unit_elem().terms] * n))
 
     @staticmethod
     def slot(F: FrobAlg, n: int, f, i: int) -> TensorElem:
@@ -104,8 +106,8 @@ class TensorElem(SparseElem):
             raise IndexError(f"slot {i} does not exist for n={n}")
         if isinstance(f, str):
             f = F.from_label(f)
-        vectors = [F.unit] * n
-        vectors[i - 1] = f.coords
+        vectors = [F.unit_elem().terms] * n
+        vectors[i - 1] = f.terms
         return TensorElem(F, n, tensor_of_vectors(F, vectors))
 
     def __mul__(self, other) -> TensorElem:

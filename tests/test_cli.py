@@ -46,6 +46,31 @@ def test_grdim(capsys):
     assert "PASS" in out
 
 
+def test_grdim_n0(capsys):
+    code, out, _ = run(
+        capsys, "grdim", "--algebra", "dual_numbers", "--n", "0", "--cutoff", "3"
+    )
+    assert code == 0
+    assert "monomial counts by degree: [1, 0, 0, 0]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "--algebra", "clifford", "--n", "-1", "x1", "x1"],
+        ["suite", "--algebra", "clifford", "--n", "2", "--instances", "-5"],
+        ["cyclotomic", "nakayama", "--params", "p.json", "--n", "1", "--pairs", "-3"],
+    ],
+    ids=["n", "instances", "pairs"],
+)
+def test_negative_count_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "is negative" in err
+
+
 def test_dual_basis_and_nakayama(capsys):
     code, out, _ = run(capsys, "dual-basis", "--algebra", "dual_numbers")
     assert code == 0
@@ -166,6 +191,7 @@ MALFORMED = [
     *(pytest.param(["algebra", "verify", spec], {}, id=spec)
       for spec in ["cyclic_group:x", "taft:2:y", "trivial:1"]),
     pytest.param(["jm", "--algebra", "trivial", "--n", "2", "--k", "5"], {}, id="jm-k-above-n"),
+    pytest.param(["suite", "--algebra", "clifford", "--n", "0"], {}, id="suite-n0"),
     pytest.param(["mul", "--algebra", "trivial", "--n", "2", "x1", "1/0"], {}, id="zero-denominator"),
     pytest.param(
         ["cyclotomic", "gram", "--params", "PARAMS", "--n", "1"],

@@ -304,6 +304,13 @@ def test_graded_dimension_delta_zero():
     assert ctx.graded_dimension(3) == [2, 4, 6, 8]
 
 
+def test_graded_dimension_n0_is_the_ground_field():
+    """A_0(F) = k: one monomial in degree 0, for delta = 0 and delta > 0."""
+    assert AwpaAlgebra(clifford_algebra(), 0).graded_dimension(3) == [1, 0, 0, 0]
+    ctx = AwpaAlgebra(dual_numbers_algebra(), 0)
+    assert ctx.graded_dimension(3) == ctx.graded_dimension_series(3) == [1, 0, 0, 0]
+
+
 def test_graded_dimension_q0_coefficient():
     for make, n in [(taft_algebra, 2), (dual_numbers_algebra, 2)]:
         F = make() if make is not taft_algebra else taft_algebra(2)

@@ -1,13 +1,18 @@
 """Frobenius superalgebra construction, derived data, and morphism checks."""
 
+import json
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 from awpa import linalg
+from awpa.engine import AwpaAlgebra
 from awpa.errors import (
     BadParams,
+    BadSpec,
     DegenerateTrace,
     GradingViolation,
     NoUnit,
@@ -15,6 +20,7 @@ from awpa.errors import (
 )
 from awpa.frobenius import (
     FrobAlg,
+    builtin,
     check_frobenius_morphism,
     clifford_algebra,
     cyclic_group_algebra,
@@ -26,7 +32,10 @@ from awpa.frobenius import (
     taft_algebra,
     trivial_algebra,
 )
-from awpa.scalars import root_of_unity
+from awpa.scalars import parse_scalar, root_of_unity
+from awpa.wreath import word_mul
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ALL_BUILTINS = [
     trivial_algebra,
@@ -289,12 +298,7 @@ def test_serialization_roundtrip(make):
     assert G.degrees == F.degrees
     assert G.parities == F.parities
     assert G.theta == F.theta
-    assert all(
-        G.struct[i][j][k] == F.struct[i][j][k]
-        for i in range(F.dim)
-        for j in range(F.dim)
-        for k in range(F.dim)
-    )
+    assert G.struct == F.struct
     assert G.trace_vec == F.trace_vec
 
 
@@ -317,3 +321,78 @@ def test_parse_alg_elem():
     assert e == expected
     Cl = clifford_algebra()
     assert parse_alg_elem(Cl, "1 + c") == Cl.unit_elem() + Cl.from_label("c")
+
+
+def _trace_changed_taft3():
+    ctx = AwpaAlgebra(taft_algebra(3), 1)
+    return ctx.automorphism("trace_change", u=ctx.F.from_label("g")).target.F
+
+
+ROW_ALGEBRAS = [
+    *ALL_BUILTINS,
+    lambda: opposite_algebra(clifford_algebra()),
+    _trace_changed_taft3,
+    lambda: FrobAlg.from_json_dict(taft_algebra(3).to_json_dict()),
+]
+
+
+def _is_row(row, dim) -> bool:
+    return isinstance(row, dict) and set(row) <= set(range(dim)) and all(row.values())
+
+
+@pytest.mark.parametrize("make", ROW_ALGEBRAS)
+def test_structure_constants_and_psi_powers_are_rows(make):
+    """F hands out b_i b_j and psi^k(b_i) as zero-free {basis index: scalar}."""
+    F = make()
+    assert all(_is_row(F.struct[i][j], F.dim) for i in range(F.dim) for j in range(F.dim))
+    for k in range(-1, F.theta + 1):
+        assert all(_is_row(F.psi_on_basis(i, k), F.dim) for i in range(F.dim))
+
+
+def test_dict_rows_are_accepted_and_checked():
+    rows = [[{(i + j) % 2: 1} for j in range(2)] for i in range(2)]
+    F = FrobAlg(["1", "c"], [0, 0], [0, 1], rows, [1, 0], [1, 0])
+    assert F.to_json_dict()["mult"] == clifford_algebra().to_json_dict()["mult"]
+    rows[1][1] = {0: 1, 2: 0}
+    with pytest.raises(BadSpec):
+        FrobAlg(["1", "c"], [0, 0], [0, 1], rows, [1, 0], [1, 0])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [clifford_algebra, lambda: symmetric_group_algebra(3), lambda: taft_algebra(3)],
+    ids=["clifford", "s3", "taft3"],
+)
+def test_word_mul_matches_dense_cube(make):
+    """word_mul against the slotwise product read from the dense JSON cube,
+    with the Koszul sign sum_{i > j} |a_i||c_j| counted pair by pair."""
+    F = make()
+    data = F.to_json_dict()
+    cube = [
+        [[parse_scalar(v, data["conductor"]) for v in row] for row in plane]
+        for plane in data["mult"]
+    ]
+    rng = random.Random(11)
+    for _ in range(30):
+        w1 = tuple(rng.randrange(F.dim) for _ in range(3))
+        w2 = tuple(rng.randrange(F.dim) for _ in range(3))
+        odd = sum(
+            F.parities[w1[i]] * F.parities[w2[j]] for i in range(3) for j in range(i)
+        )
+        expected = {}
+        for word in product(range(F.dim), repeat=3):
+            c = F.scalar(-1 if odd % 2 else 1)
+            for s, k in enumerate(word):
+                c = c * cube[w1[s]][w2[s]][k]
+            if c:
+                expected[word] = c
+        assert word_mul(F, w1, w2) == expected
+
+
+@pytest.mark.parametrize("spec,name", [("clifford", "clifford"), ("taft:3", "taft3")])
+def test_to_json_dict_golden(spec, name):
+    """The JSON form keeps the dense cube, byte for byte."""
+    algebra, _, params = spec.partition(":")
+    F = builtin(algebra, [params] if params else [])
+    text = json.dumps(F.to_json_dict(), indent=1) + "\n"
+    assert text == (GOLDEN / f"to-json-{name}.json").read_text()

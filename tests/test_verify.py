@@ -1,5 +1,8 @@
 """The randomized identity suite itself: coverage and determinism."""
 
+import pytest
+
+from awpa.errors import SizeMismatch
 from awpa.frobenius import clifford_algebra, trivial_algebra
 from awpa.verify import ALL_CHECKS, run_suite
 
@@ -13,6 +16,11 @@ def test_suite_passes_clifford():
 def test_suite_passes_n1():
     counts, failures = run_suite(trivial_algebra(), 1, seed=1, instances=12)
     assert not failures
+
+
+def test_suite_rejects_n0():
+    with pytest.raises(SizeMismatch, match="needs n >= 1"):
+        run_suite(clifford_algebra(), 0)
 
 
 def test_suite_deterministic():
