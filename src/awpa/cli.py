@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gr = sub.add_parser("grdim", help="graded dimension counts vs the closed form")
     p_gr.add_argument("--algebra", required=True)
     p_gr.add_argument("--n", type=nonnegative_int, required=True)
-    p_gr.add_argument("--cutoff", type=int, required=True)
+    p_gr.add_argument("--cutoff", type=nonnegative_int, required=True)
     p_gr.set_defaults(func=cmd_grdim)
 
     p_db = sub.add_parser("dual-basis", help="left dual basis of F")
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ct = sub.add_parser("center", help="central elements up to polynomial degree")
     p_ct.add_argument("--algebra", required=True)
     p_ct.add_argument("--n", type=nonnegative_int, required=True)
-    p_ct.add_argument("--degree", type=int, required=True)
+    p_ct.add_argument("--degree", type=nonnegative_int, required=True)
     p_ct.set_defaults(func=cmd_center)
 
     p_jm = sub.add_parser("jm", help="Jucys-Murphy element J_k")

@@ -619,7 +619,19 @@ class AwpaAlgebra:
 
     def centralizer_up_to_degree(self, generators, poly_degree_bound: int) -> list:
         """Basis of {z : z supercommutes with every generator}, restricted to
-        polynomial degree <= bound, by an exact linear solve."""
+        polynomial degree <= bound, by exact linear solves.
+
+        Staged per parity: starting from all candidate monomials, each parity
+        component g of a generator (fewest terms first) cuts the basis down to
+        the nullspace of z -> [z, g] on it, and [z_j, g] is formed only for
+        monomials z_j still in its support.  The result is canonical, so
+        independent of the order and scaling of the generators: the reduced
+        basis with each vector's last monomial leading (rref on columns keyed
+        by minus the candidate index), by ascending leading monomial, which is
+        what one nullspace solve of the whole system gives."""
+        one = CycScalar.one(self.F.conductor)
+        gens = [pair for g in generators for pair in g.parity_components().items()]
+        gens.sort(key=lambda pair: len(pair[1].terms))
         out = []
         for par in (0, 1):
             monos = [
@@ -627,21 +639,30 @@ class AwpaAlgebra:
                 for k in self.candidate_monomials(poly_degree_bound)
                 if word_parity(self.F, k[1]) == par
             ]
-            if not monos:
-                continue
-            gens = [pair for g in generators for pair in g.parity_components().items()]
-            # one row per (generator, key): sum_j z_j [z_j, g] at that key
-            rows: dict = {}
-            for j, k in enumerate(monos):
-                zm = AwpaElem(self, {k: CycScalar.one(self.F.conductor)})
-                for idx, (gpar, gelem) in enumerate(gens):
-                    diff = self.mul(zm, gelem) - (
-                        -self.mul(gelem, zm) if par and gpar else self.mul(gelem, zm)
-                    )
-                    for kk, c in diff.terms.items():
-                        rows.setdefault((idx, kk), {})[j] = c
-            for vec in linalg.nullspace(list(rows.values()), range(len(monos))):
-                out.append(AwpaElem(self, {monos[j]: c for j, c in vec.items()}))
+            basis = [{j: one} for j in range(len(monos))]
+            for gpar, gelem in gens:
+                brackets = {}
+                for j in {j for vec in basis for j in vec}:
+                    zm = AwpaElem(self, {monos[j]: one})
+                    right = self.mul(gelem, zm)
+                    brackets[j] = self.mul(zm, gelem) - (-right if par and gpar else right)
+                # one row per output monomial: sum_b v_b [basis_b, g] at that key
+                rows: dict = {}
+                for b, vec in enumerate(basis):
+                    for j, c in vec.items():
+                        for kk, d in brackets[j].terms.items():
+                            acc(rows.setdefault(kk, {}), b, c * d)
+                combined = []
+                for w in linalg.nullspace(list(rows.values()), range(len(basis))):
+                    vec = {}
+                    for b, c in w.items():
+                        for j, d in basis[b].items():
+                            acc(vec, j, c * d)
+                    combined.append(vec)
+                basis = combined
+            red, _ = linalg.rref([{-j: c for j, c in vec.items()} for vec in basis])
+            for row in reversed(red):
+                out.append(AwpaElem(self, {monos[-j]: c for j, c in row.items()}))
         return out
 
     def center_up_to_degree(self, poly_degree_bound: int) -> list:

@@ -106,6 +106,8 @@ class TensorElem(SparseElem):
             raise IndexError(f"slot {i} does not exist for n={n}")
         if isinstance(f, str):
             f = F.from_label(f)
+        if f.algebra is not F:
+            raise AlgebraMismatch("slot element of another algebra")
         vectors = [F.unit_elem().terms] * n
         vectors[i - 1] = f.terms
         return TensorElem(F, n, tensor_of_vectors(F, vectors))

@@ -60,8 +60,10 @@ def test_grdim_n0(capsys):
         ["mul", "--algebra", "clifford", "--n", "-1", "x1", "x1"],
         ["suite", "--algebra", "clifford", "--n", "2", "--instances", "-5"],
         ["cyclotomic", "nakayama", "--params", "p.json", "--n", "1", "--pairs", "-3"],
+        ["grdim", "--algebra", "dual_numbers", "--n", "1", "--cutoff", "-1"],
+        ["center", "--algebra", "clifford", "--n", "1", "--degree", "-1"],
     ],
-    ids=["n", "instances", "pairs"],
+    ids=["n", "instances", "pairs", "cutoff", "degree"],
 )
 def test_negative_count_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

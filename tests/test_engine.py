@@ -17,8 +17,9 @@ from awpa.frobenius import (
     taft_algebra,
     trivial_algebra,
 )
+from awpa.scalars import CycScalar
 from awpa.verify import random_element
-from awpa.wreath import TensorElem, WreathElem
+from awpa.wreath import TensorElem, WreathElem, word_parity
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +252,119 @@ def test_maximal_commutative_z2():
     # expected dimension: #alpha with |alpha| <= 2 times dim F^(x)2 = 6 * 4
     assert len(got) == 24
 
+
+
+def oneshot_centralizer(ctx, generators, poly_degree_bound):
+    """Reference: the centralizer as one nullspace solve, with one row per
+    (generator parity component, output monomial) and [z, g] formed for every
+    candidate monomial z and every generator g."""
+    out = []
+    for par in (0, 1):
+        monos = [
+            k
+            for k in ctx.candidate_monomials(poly_degree_bound)
+            if word_parity(ctx.F, k[1]) == par
+        ]
+        if not monos:
+            continue
+        gens = [pair for g in generators for pair in g.parity_components().items()]
+        # one row per (generator, key): sum_j z_j [z_j, g] at that key
+        rows: dict = {}
+        for j, k in enumerate(monos):
+            zm = AwpaElem(ctx, {k: CycScalar.one(ctx.F.conductor)})
+            for idx, (gpar, gelem) in enumerate(gens):
+                diff = ctx.mul(zm, gelem) - (
+                    -ctx.mul(gelem, zm) if par and gpar else ctx.mul(gelem, zm)
+                )
+                for kk, c in diff.terms.items():
+                    rows.setdefault((idx, kk), {})[j] = c
+        for vec in linalg.nullspace(list(rows.values()), range(len(monos))):
+            out.append(AwpaElem(ctx, {monos[j]: c for j, c in vec.items()}))
+    return out
+
+
+def generator_orders(ctx, seed):
+    """The generators in natural, reversed and seeded-shuffled order with
+    random nonzero scalings, and without the simple reflections."""
+    gens = ctx.generators()
+    rng = random.Random(seed)
+    shuffled = [ctx.F.scalar(rng.choice([-3, -2, -1, 2, 3])) * g for g in gens]
+    rng.shuffle(shuffled)
+    return {
+        "natural": gens,
+        "reversed": gens[::-1],
+        "shuffled": shuffled,
+        "no_perms": ctx.generators(include_perms=False),
+    }
+
+
+@pytest.mark.parametrize(
+    "make, n, bound",
+    [
+        (trivial_algebra, 3, 3),
+        (clifford_algebra, 2, 3),
+        (lambda: taft_algebra(2), 2, 1),
+        (lambda: cyclic_group_algebra(3), 2, 1),
+        (lambda: taft_algebra(3), 1, 2),
+    ],
+    ids=["k-n3-d3", "Cl-n2-d3", "Taft2-n2-d1", "kZ3-n2-d1", "Taft3-n1-d2"],
+)
+def test_staged_centralizer_matches_oneshot(make, n, bound):
+    """The staged solve returns the one-shot basis term for term, whatever
+    the order and scaling of the generators."""
+    ctx = AwpaAlgebra(make(), n)
+    for order, gens in generator_orders(ctx, seed=n * 10 + bound).items():
+        got = ctx.centralizer_up_to_degree(gens, bound)
+        want = oneshot_centralizer(ctx, gens, bound)
+        assert [z.terms for z in got] == [z.terms for z in want], order
+        assert got, order
+    # the centre: both is_central routes agree on every basis element
+    assert all(ctx.is_central(z) for z in ctx.center_up_to_degree(bound))
+
+
+@pytest.mark.parametrize("bound", [-1, 0])
+def test_staged_centralizer_small_bounds(ctx_cl2, bound):
+    gens = ctx_cl2.generators()
+    got = ctx_cl2.centralizer_up_to_degree(gens, bound)
+    assert [z.terms for z in got] == [z.terms for z in oneshot_centralizer(ctx_cl2, gens, bound)]
+    assert len(got) == (0 if bound < 0 else 1)
+
+
+def test_staged_centralizer_without_generators(ctx_cl2):
+    # nothing to commute with: every candidate monomial, in the candidate order
+    got = ctx_cl2.centralizer_up_to_degree([], 1)
+    assert [z.terms for z in got] == [z.terms for z in oneshot_centralizer(ctx_cl2, [], 1)]
+    monos = ctx_cl2.candidate_monomials(1)
+    assert sorted(k for z in got for k in z.terms) == sorted(monos)
+    assert all(len(z.terms) == 1 and z.terms[k] == 1 for z in got for k in z.terms)
+
+
+def test_staged_centralizer_mixed_parity_generator(ctx_cl2):
+    # x_1 + c_1 has an even and an odd component, imposed one at a time
+    g = ctx_cl2.x(1) + ctx_cl2.slot_elem(ctx_cl2.F.from_label("c"), 1)
+    assert set(g.parity_components()) == {0, 1}
+    for gens in ([g], [g, ctx_cl2.s(1)], [ctx_cl2.x(2), g]):
+        got = ctx_cl2.centralizer_up_to_degree(gens, 2)
+        want = oneshot_centralizer(ctx_cl2, gens, 2)
+        assert [z.terms for z in got] == [z.terms for z in want]
+
+
+def test_staged_centralizer_takes_fewer_products(ctx_cl2, monkeypatch):
+    """A return to the one-shot solve shows as more engine products."""
+    calls = []
+    real = AwpaAlgebra.mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(AwpaAlgebra, "mul", counting)
+    gens = ctx_cl2.generators()
+    ctx_cl2.centralizer_up_to_degree(gens, 3)
+    staged = len(calls)
+    calls.clear()
+    oneshot_centralizer(ctx_cl2, gens, 3)
+    assert 0 < staged < len(calls) / 2, (staged, len(calls))
 
 def test_intertwiner_examples():
     ctx = AwpaAlgebra(trivial_algebra(), 2)

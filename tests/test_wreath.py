@@ -6,8 +6,13 @@ import pytest
 
 from awpa import permutations as perms
 from awpa.engine import AwpaAlgebra
-from awpa.errors import SizeMismatch
-from awpa.frobenius import clifford_algebra, cyclic_group_algebra, trivial_algebra
+from awpa.errors import AlgebraMismatch, SizeMismatch
+from awpa.frobenius import (
+    clifford_algebra,
+    cyclic_group_algebra,
+    taft_algebra,
+    trivial_algebra,
+)
 from awpa.wreath import TensorElem, WreathElem, superpermute
 
 
@@ -123,3 +128,17 @@ def test_slot_index_outside_one_to_n(i):
         TensorElem.slot(F, 2, "c", i)
     with pytest.raises(IndexError, match=f"slot {i} does not exist for n=2"):
         AwpaAlgebra(F, 2).slot_elem(F.from_label("c"), i)
+
+
+def test_slot_of_another_algebra_is_rejected():
+    # the element used to be read as a word over F's basis: Taft(3)'s
+    # y^2*g became the word (7, 0) over Cl's two basis elements
+    F = clifford_algebra()
+    f = taft_algebra(3).from_label("y^2*g")
+    with pytest.raises(AlgebraMismatch):
+        TensorElem.slot(F, 2, f, 1)
+    with pytest.raises(AlgebraMismatch):
+        AwpaAlgebra(F, 2).slot_elem(f, 1)
+    # an element of F itself is still taken, and so is its label
+    c = F.from_label("c")
+    assert TensorElem.slot(F, 2, c, 1) == TensorElem.slot(F, 2, "c", 1)
