@@ -622,7 +622,7 @@ class AwpaAlgebra:
         polynomial degree <= bound, by exact linear solves.
 
         Staged per parity: starting from all candidate monomials, each parity
-        component g of a generator (fewest terms first) cuts the basis down to
+        component g of a generator, in the order given, cuts the basis down to
         the nullspace of z -> [z, g] on it, and [z_j, g] is formed only for
         monomials z_j still in its support.  The result is canonical, so
         independent of the order and scaling of the generators: the reduced
@@ -631,7 +631,6 @@ class AwpaAlgebra:
         what one nullspace solve of the whole system gives."""
         one = CycScalar.one(self.F.conductor)
         gens = [pair for g in generators for pair in g.parity_components().items()]
-        gens.sort(key=lambda pair: len(pair[1].terms))
         out = []
         for par in (0, 1):
             monos = [

@@ -253,7 +253,6 @@ def test_maximal_commutative_z2():
     assert len(got) == 24
 
 
-
 def oneshot_centralizer(ctx, generators, poly_degree_bound):
     """Reference: the centralizer as one nullspace solve, with one row per
     (generator parity component, output monomial) and [z, g] formed for every
@@ -365,6 +364,7 @@ def test_staged_centralizer_takes_fewer_products(ctx_cl2, monkeypatch):
     calls.clear()
     oneshot_centralizer(ctx_cl2, gens, 3)
     assert 0 < staged < len(calls) / 2, (staged, len(calls))
+
 
 def test_intertwiner_examples():
     ctx = AwpaAlgebra(trivial_algebra(), 2)
