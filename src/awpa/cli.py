@@ -52,7 +52,7 @@ def resolve_algebra(spec: str) -> FrobAlg:
         return F
     if os.path.exists(spec):
         return FrobAlg.load(spec)
-    raise AwpaError(f"no builtin or file named {spec!r} (builtins: {BUILTIN_USAGE})")
+    raise ParseError(f"no builtin or file named {spec!r} (builtins: {BUILTIN_USAGE})")
 
 
 def load_params_file(path: str) -> tuple[FrobAlg, CycloParams]:
@@ -60,7 +60,7 @@ def load_params_file(path: str) -> tuple[FrobAlg, CycloParams]:
         data = json.load(fh)
     F = FrobAlg.from_json_dict(data)
     if "cyclotomic" not in data:
-        raise AwpaError(f"{path!r} has no 'cyclotomic' section")
+        raise ParseError(f"{path!r} has no 'cyclotomic' section")
     return F, CycloParams.from_json_dict(F, data["cyclotomic"])
 
 
@@ -342,9 +342,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AwpaError, ParseError) as exc:
+    except AwpaError as exc:
         print(f"FAIL: {exc}")
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     except (OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -112,13 +112,15 @@ class CycloParams:
     def from_json_dict(F: FrobAlg, data: dict) -> CycloParams:
         from .frobenius import parse_alg_elem
 
-        e = [int(v) for v in data["e"]]
-        entries: dict = {}
-        for k0, strings in enumerate(data["c"]):
-            k = k0 + 1
-            if not strings:
-                continue
-            entries[k] = [parse_alg_elem(F, s) for s in strings]
+        try:
+            e = [int(v) for v in data["e"]]
+            entries = {
+                k0 + 1: [parse_alg_elem(F, s) for s in strings]
+                for k0, strings in enumerate(data["c"])
+                if strings
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed cyclotomic section: {exc}") from exc
         for k0, count in enumerate(e):
             if count != len(entries.get(k0 + 1, ())):
                 raise ParamsMismatch("e vector does not match parameter lists")

@@ -30,7 +30,7 @@ from .errors import (
     NoUnit,
     NotAssociative,
 )
-from .scalars import CycScalar, lcm, parse_scalar, root_of_unity
+from .scalars import CycScalar, lcm, parse_scalar, root_of_unity, signed_terms
 from .sparse import SparseElem, acc
 
 DEFAULT_NAKAYAMA_ORDER_BOUND = 64
@@ -428,49 +428,19 @@ class FrobAlg:
 
 
 def parse_alg_elem(F: FrobAlg, text: str) -> AlgElem:
-    """Parse "c1*label1 + c2*label2" (labels from F, scalar prefixes optional)."""
+    """Parse "c1*label1 + c2*label2" (labels from F, scalar prefixes
+    optional); a term with no label is a scalar multiple of the unit."""
     labels = sorted(F.basis_labels, key=len, reverse=True)
     out = F.zero_elem()
-    for sign, chunk in _signed_chunks(text):
-        chunk = chunk.strip()
-        coeff = F.scalar(sign)
-        label = None
-        for lbl in labels:
-            if chunk == lbl:
-                label = lbl
-                break
-            if chunk.endswith("*" + lbl):
-                coeff = coeff * parse_scalar(chunk[: -len(lbl) - 1], F.conductor)
-                label = lbl
-                break
-        if label is not None:
-            term = coeff * F.from_label(label)
+    for sign, term in signed_terms(text):
+        label = next((lbl for lbl in labels if term == lbl or term.endswith("*" + lbl)), None)
+        if label is None:
+            coeff, elem = parse_scalar(term, F.conductor), F.unit_elem()
         else:
-            term = (coeff * parse_scalar(chunk, F.conductor)) * F.unit_elem()
-        out = out + term
+            coeff = parse_scalar(term[: -len(label) - 1], F.conductor) if term != label else 1
+            elem = F.from_label(label)
+        out = out + F.scalar(sign * coeff) * elem
     return out
-
-
-def _signed_chunks(text: str):
-    depth = 0
-    start = 0
-    sign = 1
-    text = text.strip()
-    chunks = []
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in "+-" and i > start:
-            chunks.append((sign, text[start:i]))
-            sign = 1 if ch == "+" else -1
-            start = i + 1
-        elif depth == 0 and ch == "-" and i == start:
-            sign = -sign
-            start = i + 1
-    chunks.append((sign, text[start:]))
-    return chunks
 
 
 # -- builtin algebras ----------------------------------------------------------

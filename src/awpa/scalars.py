@@ -293,63 +293,77 @@ def root_of_unity(m: int, power: int = 1) -> CycScalar:
 
 
 _TERM_RE = re.compile(
-    r"""^\s*
-    (?P<num>[+-]?\d+)?              # optional integer part
+    r"""^(?P<num>\d+)?               # optional integer part
     (?:/(?P<den>\d+))?              # optional denominator
     (?P<star>\s*\*\s*)?             # optional '*'
     (?P<z>z(\^(?P<exp>\d+))?)?      # optional power of z
-    \s*$""",
+    $""",
     re.VERBOSE,
 )
+
+
+def split_top(text: str, seps: str) -> list[str]:
+    """Split on separators at bracket depth zero.  Each separator is kept as
+    its own item, so the pieces between separators sit at the even indices."""
+    parts = []
+    depth = 0
+    cur = []
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if depth == 0 and ch in seps:
+            parts.append("".join(cur))
+            parts.append(ch)
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return parts
+
+
+def signed_terms(text: str) -> list[tuple[int, str]]:
+    """The (sign, term) pairs of a sum "t1 + t2 - t3 ...", split at bracket
+    depth zero; a run of signs multiplies, so "1 - -2" is 1 + 2.  Every
+    text parser in the package reads its sums through this one function."""
+    pieces = split_top(text, "+-")
+    out = []
+    sign = 1
+    for i, piece in enumerate(pieces):
+        piece = piece.strip()
+        if i % 2:
+            sign = -sign if piece == "-" else sign
+        elif piece:
+            out.append((sign, piece))
+            sign = 1
+    if not out:
+        raise ParseError(f"empty sum {text!r}")
+    if not pieces[-1].strip():
+        raise ParseError(f"dangling sign at the end of {text!r}")
+    return out
 
 
 def parse_scalar(text: str, conductor: int = 1) -> CycScalar:
     """Parse the textual form produced by str(): "p/q", "p/q*z^k + ...".
 
-    ``z`` denotes zeta_conductor.
+    ``z`` denotes zeta_conductor; a term in parentheses is a sum itself.
     """
-    text = text.strip()
-    while text.startswith("(") and text.endswith(")"):
-        depth = 0
-        balanced = True
-        for i, ch in enumerate(text):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0 and i < len(text) - 1:
-                balanced = False
-                break
-        if not balanced:
-            break
-        text = text[1:-1].strip()
-    pieces = re.split(r"\s*([+-])\s*", "+" + text)
     total = CycScalar.zero(conductor)
-    sign = 1
-    saw_term = False
-    for piece in pieces:
-        if piece == "":
-            continue
-        if piece == "+":
-            continue
-        if piece == "-":
-            sign = -sign
+    for sign, piece in signed_terms(text):
+        if piece.startswith("(") and piece.endswith(")"):
+            total = total + sign * parse_scalar(piece[1:-1], conductor)
             continue
         mt = _TERM_RE.match(piece)
         if not mt or (mt.group("num") is None and mt.group("z") is None):
             raise ParseError(f"bad scalar term {piece!r} in {text!r}")
-        num = Fraction(int(mt.group("num") if mt.group("num") is not None else 1))
+        num = Fraction(int(mt.group("num") or 1))
         if mt.group("den"):
             if int(mt.group("den")) == 0:
                 raise ParseError(f"zero denominator in {text!r}")
             num /= int(mt.group("den"))
         term = CycScalar.from_rational(sign * num, conductor)
         if mt.group("z"):
-            exp = int(mt.group("exp") or 1)
-            term = term * root_of_unity(conductor, exp)
+            term = term * root_of_unity(conductor, int(mt.group("exp") or 1))
         total = total + term
-        sign = 1
-        saw_term = True
-    if not saw_term:
-        raise ParseError(f"empty scalar {text!r}")
-    if pieces[-1] == "":
-        raise ParseError(f"dangling sign at the end of {text!r}")
     return total

@@ -5,7 +5,8 @@ trivial pieces omitted: zero exponents, the all-units word, the identity
 permutation, and a coefficient of 1.  The permutation part also parses as
 "perm[...]".  The parser evaluates factors left to right with the engine
 product, so any product of generators in any order is accepted; printing
-always emits canonical normal-form terms, so round-tripping is exact.
+always emits canonical normal-form terms, so round-tripping is exact.  Sums
+are split by ``scalars.signed_terms``, the grammar of every text parser.
 """
 
 from __future__ import annotations
@@ -14,72 +15,24 @@ import re
 
 from .engine import AwpaAlgebra, AwpaElem
 from .errors import ParseError
-from .scalars import parse_scalar
+from .scalars import parse_scalar, signed_terms, split_top
 
 _X_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 _WORD_RE = re.compile(r"^b\((.*)\)$")
 _PERM_RE = re.compile(r"^(?:s|perm)\[(.*)\]$")
 
 
-def _split_top(text: str, seps: str):
-    """Split on separators at bracket depth zero."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in seps:
-            parts.append("".join(cur))
-            parts.append(ch)
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
 def parse_element(ctx: AwpaAlgebra, text: str) -> AwpaElem:
-    text = text.strip()
-    if not text:
-        raise ParseError("empty element")
-    if text == "0":
-        return ctx.zero()
-    pieces = _split_top(text, "+-")
-    if not pieces[-1].strip():
-        raise ParseError(f"dangling sign at the end of {text!r}")
     out = ctx.zero()
-    sign = 1
-    for piece in pieces:
-        piece = piece.strip()
-        if piece == "":
-            continue
-        if piece == "+":
-            continue
-        if piece == "-":
-            sign = -sign
-            continue
-        out = out + sign * _parse_term(ctx, piece)
-        sign = 1
+    for sign, term in signed_terms(text):
+        elem = ctx.one()
+        for f in split_top(term, "*")[::2]:
+            f = f.strip()
+            if not f:
+                raise ParseError(f"empty factor in {term!r}")
+            elem = ctx.mul(elem, _parse_factor(ctx, f))
+        out = out + sign * elem
     return out
-
-
-def _parse_term(ctx: AwpaAlgebra, text: str) -> AwpaElem:
-    factors = [f.strip() for f in _split_top(text, "*")]
-    factors = [f for f in factors if f and f != "*"]
-    # labels may contain '*' (e.g. Taft's y*g); re-join word factors split apart
-    merged = []
-    for f in factors:
-        if merged and merged[-1].count("(") > merged[-1].count(")"):
-            merged[-1] += "*" + f
-        else:
-            merged.append(f)
-    elem = ctx.one()
-    for f in merged:
-        elem = ctx.mul(elem, _parse_factor(ctx, f))
-    return elem
 
 
 def _parse_factor(ctx: AwpaAlgebra, f: str) -> AwpaElem:
@@ -92,8 +45,7 @@ def _parse_factor(ctx: AwpaAlgebra, f: str) -> AwpaElem:
         return ctx.x(i, e)
     m = _WORD_RE.match(f)
     if m:
-        labels = [s.strip() for s in _split_top(m.group(1), ",") if s.strip() != ","]
-        labels = [s for s in labels if s]
+        labels = [s.strip() for s in split_top(m.group(1), ",")[::2] if s.strip()]
         if len(labels) != ctx.n:
             raise ParseError(f"word needs {ctx.n} slots, got {len(labels)}")
         word = []

@@ -1,12 +1,16 @@
 """Command-line surface: subcommands, exit codes, determinism, --json."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import awpa
 from awpa import cyclotomic
@@ -133,16 +137,34 @@ def test_unknown_flag_rejected(capsys):
     assert exc.value.code == 2
 
 
-def test_math_failure_exit_1(capsys, tmp_path):
-    # a parse failure of a mathematical expression reports and exits 1
+def test_unreadable_element_exit_2(capsys):
+    # text that cannot be read is a usage error: one FAIL line, exit 2
     code, out, _ = run(capsys, "nf", "--algebra", "trivial", "--n", "2", "x9")
-    assert code == 1
-    assert "FAIL" in out
+    assert code == 2
+    assert out == "FAIL: no generator x9 for n=2\n"
 
 
-def test_missing_algebra_exit_1(capsys):
+def test_missing_algebra_exit_2(capsys):
     code, out, _ = run(capsys, "algebra", "verify", "/nonexistent/path.json")
-    assert code == 1
+    assert code == 2
+    assert out.startswith("FAIL: no builtin or file named")
+
+
+def test_math_failure_exit_1(capsys, tmp_path, monkeypatch):
+    # failed mathematical checks exit 1: an algebra that fails validation
+    # (BadSpec), a singular Gram matrix and a suite counterexample
+    data = dual_numbers_algebra().to_json_dict()
+    data["trace"] = ["0", "0"]
+    bad = tmp_path / "degenerate.json"
+    bad.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "algebra", "verify", str(bad))
+    assert code == 1 and out.startswith("FAIL: ")
+    monkeypatch.setattr(cyclotomic.CyclotomicAlgebra, "gram_matrix", lambda self: (None, False))
+    code, out, _ = run(capsys, "cyclotomic", "gram", "--params", str(dual_params(tmp_path)), "--n", "1")
+    assert code == 1 and out.endswith("FAIL: degenerate trace pairing\n")
+    monkeypatch.setattr("awpa.cli.run_suite", lambda *a, **k: ([("stub", 1)], ["stub failure"]))
+    code, out, _ = run(capsys, "suite", "--algebra", "trivial", "--n", "2")
+    assert code == 1 and out.endswith("FAIL: stub failure\n")
 
 
 def test_builtin_file_collision_warns(capsys, tmp_path, monkeypatch):
@@ -189,27 +211,37 @@ def test_builtin_table_covers_cli_names(capsys):
     assert code == 0 and "algebra: taft_3" in out
 
 
+CYCLO = {"e": [1], "c": [["z"]]}
+GRAM = ["cyclotomic", "gram", "--params", "PARAMS", "--n", "1"]
+
+
+def dual_params(directory, section=CYCLO):
+    """A params file: the dual numbers with the given cyclotomic section."""
+    data = dual_numbers_algebra().to_json_dict()
+    data["cyclotomic"] = section
+    path = directory / "dual_cyclo.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 MALFORMED = [
-    *(pytest.param(["algebra", "verify", spec], {}, id=spec)
+    *(pytest.param(["algebra", "verify", spec], {}, CYCLO, id=spec)
       for spec in ["cyclic_group:x", "taft:2:y", "trivial:1"]),
-    pytest.param(["jm", "--algebra", "trivial", "--n", "2", "--k", "5"], {}, id="jm-k-above-n"),
-    pytest.param(["suite", "--algebra", "clifford", "--n", "0"], {}, id="suite-n0"),
-    pytest.param(["mul", "--algebra", "trivial", "--n", "2", "x1", "1/0"], {}, id="zero-denominator"),
-    pytest.param(
-        ["cyclotomic", "gram", "--params", "PARAMS", "--n", "1"],
-        {"AWPA_MAX_DIM": "abc"},
-        id="max-dim-not-an-integer",
-    ),
+    pytest.param(["jm", "--algebra", "trivial", "--n", "2", "--k", "5"], {}, CYCLO, id="jm-k-above-n"),
+    pytest.param(["suite", "--algebra", "clifford", "--n", "0"], {}, CYCLO, id="suite-n0"),
+    pytest.param(["mul", "--algebra", "trivial", "--n", "2", "x1", "1/0"], {}, CYCLO, id="zero-denominator"),
+    pytest.param(GRAM, {"AWPA_MAX_DIM": "abc"}, CYCLO, id="max-dim-not-an-integer"),
+    pytest.param(GRAM, {}, {"c": [["z"]]}, id="cyclotomic-no-e"),
+    pytest.param(GRAM, {}, {"e": ["x"], "c": [["z"]]}, id="cyclotomic-e-not-an-integer"),
+    pytest.param(GRAM, {}, {"e": [1], "c": 5}, id="cyclotomic-c-not-a-list"),
+    pytest.param(GRAM, {}, [1], id="cyclotomic-section-a-list"),
 ]
 
 
-@pytest.mark.parametrize("argv,extra_env", MALFORMED)
-def test_malformed_builtin_params_fail_cleanly(argv, extra_env, tmp_path):
+@pytest.mark.parametrize("argv,extra_env,section", MALFORMED)
+def test_malformed_builtin_params_fail_cleanly(argv, extra_env, section, tmp_path):
     """Malformed input ends in one FAIL line, never in a traceback."""
-    data = dual_numbers_algebra().to_json_dict()
-    data["cyclotomic"] = {"e": [1], "c": [["z"]]}
-    params = tmp_path / "dual_cyclo.json"
-    params.write_text(json.dumps(data))
+    params = dual_params(tmp_path, section)
     argv = [str(params) if a == "PARAMS" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(awpa.__file__).resolve().parent.parent))
     proc = subprocess.run(
@@ -225,7 +257,7 @@ def test_malformed_builtin_params_fail_cleanly(argv, extra_env, tmp_path):
 
 def test_parse_failure_names_the_reason(capsys):
     code, out, _ = run(capsys, "mul", "--algebra", "trivial", "--n", "2", "x1", "1/0")
-    assert code == 1
+    assert code == 2
     assert out == "FAIL: cannot parse factor '1/0': zero denominator in '1/0'\n"
 
 
@@ -248,3 +280,62 @@ def test_cyclotomic_nakayama_prints_counterexample(capsys, tmp_path, monkeypatch
     a, b = cyclotomic.nakayama_counterexample(qalg, 50, 3)
     assert f"FAIL at a={a}, b={b}" in out
     assert cyclotomic.nakayama_check(qalg, 50, 3)[0] is False
+
+
+ALGEBRAS = ["trivial", "clifford", "dual_numbers", "taft:2", "no_such_algebra"]
+FACTORS = ["x1", "x3", "b(c,1)", "s[2,1]", "1/2", "1/0", "z", "(1/2 - z)", "()", "("]
+JOINS = [" + ", " - ", "*", " - -", "**", "", " "]
+
+
+@st.composite
+def elements(draw):
+    """Up to three factors of the element grammar, joined by signs,
+    products, runs of them or nothing."""
+    text = ""
+    for factor in draw(st.lists(st.sampled_from(FACTORS), max_size=3)):
+        text += (draw(st.sampled_from(JOINS)) if text else "") + factor
+    return text
+
+
+@st.composite
+def argvs(draw):
+    """A command line from a small grammar of subcommands, algebras, counts
+    (one below zero among them) and element strings; an argument is
+    sometimes dropped."""
+    elem = elements()
+    algebra = draw(st.sampled_from(ALGEBRAS))
+
+    def opts(*flags):
+        out = ["--algebra", algebra]
+        for flag, top in flags:
+            out += [flag, str(draw(st.integers(-1, top)))]
+        return out
+
+    commands = {
+        "algebra": lambda: ["algebra", "verify", algebra],
+        "mul": lambda: ["mul", *opts(("--n", 2)), draw(elem), draw(elem)],
+        "nf": lambda: ["nf", *opts(("--n", 2)), draw(elem)],
+        "grdim": lambda: ["grdim", *opts(("--n", 2), ("--cutoff", 4))],
+        "dual-basis": lambda: ["dual-basis", *opts()],
+        "nakayama": lambda: ["nakayama", *opts()],
+        "center": lambda: ["center", *opts(("--n", 2), ("--degree", 1))],
+        "jm": lambda: ["jm", *opts(("--n", 2), ("--k", 3))],
+        "suite": lambda: ["suite", *opts(("--n", 2), ("--instances", 4))],
+    }
+    argv = commands[draw(st.sampled_from(sorted(commands)))]()
+    if draw(st.integers(0, 4)) == 0:
+        argv.pop(draw(st.integers(0, len(argv) - 1)))
+    return (["--json"] if draw(st.booleans()) else []) + argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(argvs())
+def test_argv_fuzz_exit_codes(argv):
+    """Every command line ends in exit 0, 1 or 2 (argparse's SystemExit(2)
+    included); no other exception escapes ``main``."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)

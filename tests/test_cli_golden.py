@@ -4,10 +4,14 @@ and in ``--json`` mode, and its stdout must equal the file under
 program; a change that alters any of them is a change of output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import awpa
 from awpa.cli import main
 from awpa.frobenius import dual_numbers_algebra
 
@@ -62,3 +66,33 @@ def run_case(name: str, as_json: bool, capsys, directory: Path) -> str:
 def test_cli_output_matches_golden(name, as_json, capsys, tmp_path):
     expected = golden_path(name, as_json).read_text()
     assert run_case(name, as_json, capsys, tmp_path) == expected
+
+
+OPTIMIZED_RUN = """
+import io, json, sys
+from contextlib import redirect_stdout
+from awpa.cli import main
+out = {"__debug__": __debug__}
+for name, argv in json.loads(sys.argv[1]).items():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    out[name] = [code, buf.getvalue()]
+sys.stdout.write(json.dumps(out))
+"""
+
+
+def test_text_goldens_under_python_O(tmp_path):
+    """The text-mode cases in one ``python -O`` process, which strips every
+    ``assert``: the package's own checks must not depend on them.  (pytest
+    under -O would show nothing, as its asserts are stripped too.)"""
+    params = str(dual_numbers_params(tmp_path))
+    cases = {name: [params if a == "PARAMS" else a for a in argv] for name, argv in CASES.items()}
+    env = dict(os.environ, PYTHONPATH=str(Path(awpa.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RUN, json.dumps(cases)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    out = json.loads(proc.stdout)
+    assert out.pop("__debug__") is False
+    assert out == {name: [0, golden_path(name, False).read_text()] for name in CASES}
