@@ -21,7 +21,7 @@ from .cyclotomic import (
     nakayama_counterexample,
 )
 from .engine import AwpaAlgebra
-from .errors import AwpaError, ParseError
+from .errors import AwpaError, ParseError, TooLarge
 from .frobenius import FrobAlg
 from .textio import element_str, parse_element
 from .verify import run_suite
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except AwpaError as exc:
         print(f"FAIL: {exc}")
-        return 2 if isinstance(exc, ParseError) else 1
+        return 2 if isinstance(exc, (ParseError, TooLarge)) else 1
     except (OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -113,12 +113,12 @@ class CycloParams:
         from .frobenius import parse_alg_elem
 
         try:
-            e = [int(v) for v in data["e"]]
-            entries = {
-                k0 + 1: [parse_alg_elem(F, s) for s in strings]
-                for k0, strings in enumerate(data["c"])
-                if strings
-            }
+            e, c = data["e"], data["c"]
+            if not all(type(v) is int for v in e) or not all(
+                isinstance(s, list) and all(isinstance(t, str) for t in s) for s in c
+            ):
+                raise TypeError("e must list integers and c lists of element strings")
+            entries = {k0 + 1: [parse_alg_elem(F, t) for t in s] for k0, s in enumerate(c) if s}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed cyclotomic section: {exc}") from exc
         for k0, count in enumerate(e):

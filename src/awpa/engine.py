@@ -739,7 +739,7 @@ class AwpaAlgebra:
                 raise BadAutomorphismParams(f"{name} is not a Frobenius {what}: {verdict}")
             images = {
                 "x": lambda i: self.x(i),
-                "slot": lambda b, i: self.slot_elem(AlgElem(self.F, rows[b]), i),
+                "slot": lambda b, i: self.slot_elem(self.F.elem(rows[b]), i),
                 "s": lambda j: self.s(j),
             }
         elif kind == "trace_change":
@@ -764,7 +764,7 @@ class AwpaAlgebra:
                 name=self.F.name + "_tr'",
             )
             target = AwpaAlgebra(F2, n)
-            u2 = AlgElem(F2, u.coords)
+            u2 = AlgElem(F2, u.terms)
             images = {
                 "x": lambda i: target.mul(target.x(i), target.slot_elem(u2, i)),
                 "slot": lambda b, i: target.slot_elem(F2.basis_elem(b), i),

@@ -39,16 +39,17 @@ DEFAULT_NAKAYAMA_ORDER_BOUND = 64
 class AlgElem(SparseElem):
     """An element of a FrobAlg: sparse {basis index: CycScalar}.
 
-    The constructor takes a dense coordinate vector and ``coords`` returns
-    one.  Sums and products check the algebra; elements of different
-    algebras compare unequal."""
+    The constructor takes such terms and drops zeros.  Dense coordinates
+    exist only at the JSON and text boundary: ``FrobAlg.elem`` takes a
+    coordinate vector and ``coords`` returns one.  Sums and products check
+    the algebra; elements of different algebras compare unequal."""
 
     __slots__ = ("algebra",)
     _context = ("algebra",)
 
-    def __init__(self, algebra: FrobAlg, coords):
+    def __init__(self, algebra: FrobAlg, terms: dict):
         self.algebra = algebra
-        super().__init__(dict(enumerate(coords)))
+        super().__init__(terms)
 
     @property
     def coords(self) -> tuple:
@@ -94,13 +95,23 @@ class AlgElem(SparseElem):
     __repr__ = __str__
 
 
+def _combine(coeffs: dict, rows) -> dict:
+    """The row sum_m coeffs[m] rows[m] of rows indexed by the keys of coeffs."""
+    out = {}
+    for m, a in coeffs.items():
+        for k, c in rows[m].items():
+            acc(out, k, a * c)
+    return out
+
+
 class FrobAlg:
     """A graded Frobenius superalgebra given by structure constants.
 
-    Other layers read its data as rows {basis index: scalar} with no zero
-    value, the format of ``AlgElem.terms``: ``struct[i][j]`` (b_i b_j, given
-    as a dense list or as such a dict), ``psi_on_basis(i, k)``,
-    ``unit_elem().terms`` and ``dual_basis()[b].terms``.  ``unit``,
+    Its data are rows {basis index: scalar} with no zero value, the format
+    of ``AlgElem.terms``: ``struct[i][j]`` (b_i b_j, given as a dense list
+    or as such a dict), ``psi_on_basis(i, k)``, ``unit_elem().terms`` and
+    ``dual_basis()[b].terms``.  The construction checks and the derivation
+    of theta and the psi-eigenbasis work on these rows; ``unit``,
     ``trace_vec`` and the Gram, dual and Nakayama matrices stay dense."""
 
     def __init__(
@@ -132,16 +143,10 @@ class FrobAlg:
         self.trace_vec = [CycScalar._coerce(v, conductor) for v in trace_vec]
 
         self._validate_grading()
-        self._validate_unit()
-        self._validate_associativity()
+        self._validate_unit_and_associativity()
         self.delta = max(self.degrees)
         self._validate_trace_homogeneity()
         self._derive_frobenius_data()
-        one = CycScalar.one(self.conductor)
-        self._psi_rows = [
-            [{j: one} for j in range(self.dim)],
-            [self._row(r) for r in self.nakayama],
-        ]
         self._graded_piece_cache: dict = {}
 
     # -- construction-time checks -------------------------------------------
@@ -173,22 +178,17 @@ class FrobAlg:
                             " is not additive"
                         )
 
-    def _validate_unit(self):
-        for j in range(self.dim):
-            e_j = self.basis_elem(j)
-            if self.mul(self.unit_elem(), e_j) != e_j or self.mul(e_j, self.unit_elem()) != e_j:
+    def _validate_unit_and_associativity(self):
+        unit, one = self._row(self.unit), CycScalar.one(self.conductor)
+        columns = list(zip(*self.struct))  # columns[k][m] is the row of b_m b_k
+        for j, column in enumerate(columns):
+            if not _combine(unit, column) == _combine(unit, self.struct[j]) == {j: one}:
                 raise NoUnit("declared unit does not act as identity")
-
-    def _validate_associativity(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mul(self.basis_elem(i), self.basis_elem(j))
-                for k in range(self.dim):
-                    left = self.mul(ij, self.basis_elem(k))
-                    right = self.mul(
-                        self.basis_elem(i), self.mul(self.basis_elem(j), self.basis_elem(k))
-                    )
-                    if left != right:
+        for i, plane in enumerate(self.struct):
+            for j, ij in enumerate(plane):
+                for k, column in enumerate(columns):
+                    # (b_i b_j) b_k against b_i (b_j b_k)
+                    if _combine(ij, column) != _combine(self.struct[j][k], plane):
                         raise NotAssociative(
                             f"({self.basis_labels[i]}*{self.basis_labels[j]})"
                             f"*{self.basis_labels[k]} differs from the other bracketing"
@@ -202,10 +202,7 @@ class FrobAlg:
                 )
 
     def _derive_frobenius_data(self):
-        gram = [
-            [self.mul(self.basis_elem(i), self.basis_elem(j)).trace() for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+        gram = [[AlgElem(self, row).trace() for row in plane] for plane in self.struct]
         self.gram = gram
         dual = linalg.inverse(gram)
         if dual is None:
@@ -223,48 +220,44 @@ class FrobAlg:
         # (G^T)^-1 = (G^-1)^T
         self.nakayama = linalg.mat_mul(signed, linalg.transpose(dual))
 
-        power = self.nakayama
-        ident = linalg.eye(self.dim, self.conductor)
-        theta = 1
-        while power != ident:
-            power = linalg.mat_mul(power, self.nakayama)
-            theta += 1
-            if theta > DEFAULT_NAKAYAMA_ORDER_BOUND:
+        # rows[p][j] is psi^p(b_j); compose with psi until the identity returns
+        one = CycScalar.one(self.conductor)
+        ident = [{j: one} for j in range(self.dim)]
+        psi = [self._row(r) for r in self.nakayama]
+        rows = [ident, psi]
+        while rows[-1] != ident:
+            if len(rows) > DEFAULT_NAKAYAMA_ORDER_BOUND:
                 raise NakayamaInfiniteOrder(
                     f"Nakayama order exceeds bound {DEFAULT_NAKAYAMA_ORDER_BOUND}"
                 )
-        self.theta = theta
+            rows.append([_combine(row, psi) for row in rows[-1]])
+        self._psi_rows = rows[:-1]
+        self.theta = len(self._psi_rows)
 
-        if self.conductor % theta:
-            self._lift_field(lcm(self.conductor, theta))
+        if self.conductor % self.theta:
+            self._lift_field(lcm(self.conductor, self.theta))
 
         # eigen-decomposition: eigenvalues are theta-th roots of unity
-        eigen_pairs = []
-        total = 0
+        zero = CycScalar.zero(self.conductor)
+        N = self.nakayama
+        columns = [{r: row[c] for r, row in enumerate(N) if row[c]} for c in range(self.dim)]
+        self.psi_eigenvalues, self.psi_eigenbasis = [], []
         for j in range(self.theta):
             ev = root_of_unity(self.theta, j).lift(self.conductor)
             # row c: column c of N - ev, so the nullspace holds the v with vN = ev v
-            shifted = [
-                [
-                    self.nakayama[r][c] - (ev if r == c else CycScalar.zero())
-                    for r in range(self.dim)
-                ]
-                for c in range(self.dim)
-            ]
+            shifted = [{**col, c: col.get(c, zero) - ev} for c, col in enumerate(columns)]
             for vec in linalg.nullspace(shifted, range(self.dim)):
-                eigen_pairs.append((ev, vec))
-                total += 1
-        if total != self.dim:
+                self.psi_eigenvalues.append(ev)
+                self.psi_eigenbasis.append(vec)
+        if len(self.psi_eigenbasis) != self.dim:
             raise NakayamaNotDiagonalizable("psi eigenvectors do not span")
-        self.psi_eigenvalues = [p[0] for p in eigen_pairs]
-        self.psi_eigenbasis = [p[1] for p in eigen_pairs]
 
     def _lift_field(self, big: int):
         self.conductor = big
         lift = lambda s: s.lift(big)
-        self.struct = [
-            [{k: lift(v) for k, v in row.items()} for row in plane] for plane in self.struct
-        ]
+        lift_rows = lambda rows: [{k: lift(v) for k, v in row.items()} for row in rows]
+        self.struct = [lift_rows(plane) for plane in self.struct]
+        self._psi_rows = [lift_rows(rows) for rows in self._psi_rows]
         self.unit = [lift(v) for v in self.unit]
         self.trace_vec = [lift(v) for v in self.trace_vec]
         self.gram = [[lift(v) for v in row] for row in self.gram]
@@ -274,18 +267,17 @@ class FrobAlg:
     # -- elements -------------------------------------------------------------
 
     def zero_elem(self) -> AlgElem:
-        return AlgElem(self, [CycScalar.zero(self.conductor)] * self.dim)
+        return AlgElem(self, {})
 
     def unit_elem(self) -> AlgElem:
-        return AlgElem(self, self.unit)
+        return self.elem(self.unit)
 
     def basis_elem(self, i: int) -> AlgElem:
-        coords = [CycScalar.zero(self.conductor)] * self.dim
-        coords[i] = CycScalar.one(self.conductor)
-        return AlgElem(self, coords)
+        return AlgElem(self, {i: CycScalar.one(self.conductor)})
 
     def elem(self, coords) -> AlgElem:
-        return AlgElem(self, [CycScalar._coerce(c, self.conductor) for c in coords])
+        """The element with the dense coordinate vector coords."""
+        return AlgElem(self, {i: self.scalar(c) for i, c in enumerate(coords)})
 
     def from_label(self, label: str) -> AlgElem:
         return self.basis_elem(self.basis_labels.index(label))
@@ -294,43 +286,31 @@ class FrobAlg:
         return CycScalar._coerce(value, self.conductor)
 
     def mul(self, u: AlgElem, v: AlgElem) -> AlgElem:
-        out = {}
-        for i, a in u.terms.items():
-            for j, b in v.terms.items():
-                ab = a * b
-                for k, c in self.struct[i][j].items():
-                    acc(out, k, ab * c)
-        return u._like(out)
+        # u v = sum_i u_i (b_i v), and b_i v = sum_j v_j b_i b_j
+        return u._like(_combine(u.terms, {i: _combine(v.terms, self.struct[i]) for i in u.terms}))
 
     def dual_basis(self) -> list[AlgElem]:
         """Left dual basis: tr(b_i^vee b_j) = delta_ij."""
-        return [AlgElem(self, row) for row in self.dual_matrix]
+        return [self.elem(row) for row in self.dual_matrix]
 
     def dual_of_basis(self, rows) -> list[AlgElem]:
         """Left duals of an arbitrary basis given by coordinate rows."""
-        elems = [AlgElem(self, r) for r in rows]
+        elems = [self.elem(r) for r in rows]
         gram = [[self.mul(x, y).trace() for y in elems] for x in elems]
         inv = linalg.inverse(gram)
         if inv is None:
             raise DegenerateTrace("given rows are not a basis")
         coord_rows = linalg.mat_mul(inv, [list(r) for r in rows])
-        return [AlgElem(self, r) for r in coord_rows]
+        return [self.elem(r) for r in coord_rows]
 
     def psi(self, u: AlgElem, power: int = 1) -> AlgElem:
         if power % self.theta == 0:
             return u
-        out = {}
-        for i, a in u.terms.items():
-            for k, c in self.psi_on_basis(i, power).items():
-                acc(out, k, a * c)
-        return u._like(out)
+        return u._like(_combine(u.terms, self._psi_rows[power % self.theta]))
 
     def psi_on_basis(self, i: int, power: int = 1) -> dict:
         """psi^power(b_i) as a row {basis index: scalar}."""
-        rows = self._psi_rows  # rows[p][j] is psi^p(b_j), filled in order of p
-        while len(rows) <= power % self.theta:
-            rows.append([self.psi(self.zero_elem()._like(r)).terms for r in rows[-1]])
-        return rows[power % self.theta][i]
+        return self._psi_rows[power % self.theta][i]
 
     def is_invertible(self, u: AlgElem) -> bool:
         products = [self.mul(u, self.basis_elem(j)).terms for j in range(self.dim)]
@@ -560,7 +540,6 @@ def taft_algebra(q: int, y_degree: int = 2) -> FrobAlg:
                 labels.append(yk)
             else:
                 labels.append(f"{yk}*{gl}")
-    omega = root_of_unity(q)
 
     def rule(i, j):
         k1, l1 = divmod(i, q)
@@ -568,7 +547,7 @@ def taft_algebra(q: int, y_degree: int = 2) -> FrobAlg:
         if k1 + k2 >= q:
             return {}
         # (y^k1 g^l1)(y^k2 g^l2) = omega^{-l1 k2} y^{k1+k2} g^{l1+l2}
-        return {idx(k1 + k2, (l1 + l2) % q): omega ** (-l1 * k2)}
+        return {idx(k1 + k2, (l1 + l2) % q): root_of_unity(q, -l1 * k2)}
 
     degrees = [y_degree * k for k in range(q) for _ in range(q)]
     unit = [1 if i == 0 else 0 for i in range(dim)]
@@ -666,7 +645,7 @@ def check_frobenius_morphism(F: FrobAlg, G: FrobAlg, matrix, anti: bool = False)
         raise DimensionMismatch("morphism matrix has wrong shape")
     matrix = [[G.scalar(v) for v in row] for row in matrix]
     verdict = MorphismVerdict()
-    images = [AlgElem(G, row) for row in matrix]
+    images = [G.elem(row) for row in matrix]
 
     for i, img in enumerate(images):
         if img.is_zero():

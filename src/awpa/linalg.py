@@ -9,8 +9,10 @@ words or monomial keys), and integer columns pivot as in textbook
 elimination.  A dict row may hold zeros; they are dropped.  ``rref`` turns
 every row into a sparse dict at its one entry point and returns sparse
 rows; ``nullspace`` returns sparse vectors.  Dense matrices (lists of row
-lists) stay where the data is dense by nature: ``inverse``, ``solve``,
-``mat_mul``, ``mat_vec``, ``transpose`` and ``eye`` take and return them.
+lists) are taken and returned by ``inverse``, ``mat_mul`` and ``transpose``
+(F's Gram, dual and Nakayama matrices, morphism checks, induction
+transitions), by ``eye`` (the identity block of ``inverse``) and by
+``solve`` and ``mat_vec``, which only the tests call.
 
 ``rref`` runs Gauss-Jordan elimination on the sparse rows, so scaling or
 eliminating with a pivot row touches only the pivot row's nonzeros, only

@@ -235,6 +235,9 @@ MALFORMED = [
     pytest.param(GRAM, {}, {"e": ["x"], "c": [["z"]]}, id="cyclotomic-e-not-an-integer"),
     pytest.param(GRAM, {}, {"e": [1], "c": 5}, id="cyclotomic-c-not-a-list"),
     pytest.param(GRAM, {}, [1], id="cyclotomic-section-a-list"),
+    pytest.param(GRAM, {}, {"e": [2], "c": ["zz"]}, id="cyclotomic-c-entry-a-string"),
+    pytest.param(GRAM, {}, {"e": "2", "c": [["z", "z"]]}, id="cyclotomic-e-a-string"),
+    pytest.param(GRAM, {}, {"e": [True], "c": [["z"]]}, id="cyclotomic-e-a-bool"),
 ]
 
 
@@ -253,6 +256,15 @@ def test_malformed_builtin_params_fail_cleanly(argv, extra_env, section, tmp_pat
     assert proc.returncode in (1, 2)
     assert "Traceback" not in proc.stderr
     assert proc.stdout.startswith("FAIL: ")
+
+
+def test_size_refusal_exit_2(capsys, tmp_path, monkeypatch):
+    # a matrix above AWPA_MAX_DIM is refused as a usage error, not a counterexample
+    monkeypatch.setenv("AWPA_MAX_DIM", "10")
+    code, out, _ = run(capsys, *GRAM[:3], str(dual_params(tmp_path)), "--n", "2")
+    assert code == 2
+    assert out.startswith("FAIL: gram matrix would have 64 entries; bound is 10")
+    assert out.count("\n") == 1
 
 
 def test_parse_failure_names_the_reason(capsys):

@@ -7,10 +7,13 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awpa import linalg
 from awpa.engine import AwpaAlgebra
 from awpa.errors import (
+    AwpaError,
     BadParams,
     BadSpec,
     DegenerateTrace,
@@ -32,7 +35,7 @@ from awpa.frobenius import (
     taft_algebra,
     trivial_algebra,
 )
-from awpa.scalars import parse_scalar, root_of_unity
+from awpa.scalars import CycScalar, lcm, parse_scalar, root_of_unity
 from awpa.wreath import word_mul
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -202,24 +205,171 @@ def test_supercenter_taft():
     assert linalg.in_span(vecs, list(F.unit_elem().coords))
 
 
+# -- the dense reference for construction --------------------------------------
+#
+# The construction as it was before F was built on its rows: unit and
+# associativity checked on dense coordinate vectors, theta found by powers of
+# the dense Nakayama matrix, and the psi-eigenbasis as the nullspace of the
+# dense shifted matrix.
+
+
+def _dense_mul(cube, u, v):
+    """u v for dense coordinate vectors u and v."""
+    out = [0 * x for x in u]
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b:
+                out = [o + a * b * c for o, c in zip(out, cube[i][j])]
+    return out
+
+
+def reference_unit_and_associativity(cube, unit, m=1):
+    """Raise NoUnit or NotAssociative as the element-based checks did."""
+    cube = [[[CycScalar._coerce(c, m) for c in row] for row in plane] for plane in cube]
+    unit = [CycScalar._coerce(c, m) for c in unit]
+    dim = len(unit)
+    basis = [[CycScalar.from_rational(int(i == j), m) for j in range(dim)] for i in range(dim)]
+    for e in basis:
+        if _dense_mul(cube, unit, e) != e or _dense_mul(cube, e, unit) != e:
+            raise NoUnit("declared unit does not act as identity")
+    for i, j, k in product(range(dim), repeat=3):
+        left = _dense_mul(cube, _dense_mul(cube, basis[i], basis[j]), basis[k])
+        right = _dense_mul(cube, basis[i], _dense_mul(cube, basis[j], basis[k]))
+        if left != right:
+            raise NotAssociative(f"({i}*{j})*{k} differs from the other bracketing")
+
+
+def reference_frobenius_data(F):
+    """theta, the dual and Nakayama matrices and the psi-eigenpairs of F,
+    derived densely from the cube, unit and trace of F's JSON form."""
+    data = F.to_json_dict()
+    m, dim = data["conductor"], F.dim
+    parse = lambda v: parse_scalar(v, m)
+    cube = [[[parse(v) for v in row] for row in plane] for plane in data["mult"]]
+    trace = [parse(v) for v in data["trace"]]
+    # tr(b_i b_j) is the trace of the row of structure constants c[i][j]
+    gram = [[sum((c * t for c, t in zip(row, trace)), CycScalar.zero(m)) for row in plane]
+            for plane in cube]
+    dual = linalg.inverse(gram)
+    signed = [[-x if F.parities[i] and F.parities[j] else x for j, x in enumerate(row)]
+              for i, row in enumerate(gram)]
+    nakayama = linalg.mat_mul(signed, linalg.transpose(dual))
+    power, ident, theta = nakayama, linalg.eye(dim, m), 1
+    while power != ident:
+        power = linalg.mat_mul(power, nakayama)
+        theta += 1
+        assert theta <= 64
+    big = lcm(m, theta)
+    nakayama = [[x.lift(big) for x in row] for row in nakayama]
+    eigenvalues, eigenbasis = [], []
+    for j in range(theta):
+        ev = root_of_unity(theta, j).lift(big)
+        shifted = [
+            [nakayama[r][c] - (ev if r == c else CycScalar.zero()) for r in range(dim)]
+            for c in range(dim)
+        ]
+        for vec in linalg.nullspace(shifted, range(dim)):
+            eigenvalues.append(ev)
+            eigenbasis.append(vec)
+    return {
+        "theta": theta,
+        "dual_matrix": dual,
+        "nakayama": nakayama,
+        "psi_eigenvalues": eigenvalues,
+        "psi_eigenbasis": eigenbasis,
+    }
+
+
+BUILTIN_SPECS = [
+    "trivial", "clifford", "dual_numbers", "cyclic_group:3", "s3", "taft:2", "taft:3", "taft:4"
+]
+
+
+def _builtin(spec):
+    name, *params = spec.split(":")
+    return builtin(name, params)
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["F", "op"])
+@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+def test_derived_data_matches_dense_reference(spec, op):
+    F = _builtin(spec)
+    if op:
+        F = opposite_algebra(F)
+    ref = reference_frobenius_data(F)
+    assert len(F.psi_eigenbasis) == F.dim
+    for name, value in ref.items():
+        assert getattr(F, name) == value, name
+
+
+def test_taft4_build_cost(monkeypatch):
+    """A return to building F through dense elements shows as more scalar
+    operations; the counts pin the row path, not its time."""
+    counts = {"__bool__": 0, "__mul__": 0}
+    for name in counts:
+
+        def counting(*args, real=getattr(CycScalar, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(CycScalar, name, counting)
+    taft_algebra(4)
+    assert counts["__bool__"] < 10_000 and counts["__mul__"] < 5_000, counts
+
+
+def _outcome(build):
+    """NoUnit or NotAssociative if build raises it, else None."""
+    try:
+        build()
+    except (NoUnit, NotAssociative) as exc:
+        return type(exc)
+    except AwpaError:
+        pass
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_checks_agree_with_reference(data):
+    """One changed structure constant, kept inside the grading, raises the
+    same NoUnit or NotAssociative (or neither) on both paths."""
+    # Taft(3) and up take 0.2 s and more per example on the dense reference
+    F = _builtin(data.draw(st.sampled_from(BUILTIN_SPECS[:-2])))
+    cube = [[[F.scalar(row.get(k, 0)) for k in range(F.dim)] for row in plane]
+            for plane in F.struct]
+    graded = [
+        (i, j, k)
+        for i, j, k in product(range(F.dim), repeat=3)
+        if F.degrees[k] == F.degrees[i] + F.degrees[j]
+        and F.parities[k] == (F.parities[i] + F.parities[j]) % 2
+    ]
+    i, j, k = data.draw(st.sampled_from(graded))
+    cube[i][j][k] = F.scalar(data.draw(st.integers(-2, 2)))
+    rows = _outcome(lambda: FrobAlg(F.basis_labels, F.degrees, F.parities, cube, F.unit,
+                                    F.trace_vec, conductor=F.conductor))
+    assert rows == _outcome(lambda: reference_unit_and_associativity(cube, F.unit, F.conductor))
+
+
 def test_build_errors():
-    # non-associative: a*a = b, a*b = 1, b*a = 0 has (aa)a = 0 != 1 = a(aa)
-    with pytest.raises(NotAssociative):
-        FrobAlg(
-            ["1", "a", "b"],
-            [0, 0, 0],
-            [0, 0, 0],
-            [
-                [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
-                [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-            ],
-            [1, 0, 0],
-            [1, 0, 0],
-        )
-    # wrong unit
-    with pytest.raises(NoUnit):
-        FrobAlg(["1"], [0], [0], [[[2]]], [1], [1])
+    # non-associative: a*a = b, a*b = 1, b*a = 0 has (aa)a = 0 != 1 = a(aa);
+    # wrong unit; a unit that is a left identity only: a*1 = 0
+    nonassociative = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    ]
+    one_sided = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]
+    for error, labels, cube in [
+        (NotAssociative, ["1", "a", "b"], nonassociative),
+        (NoUnit, ["1"], [[[2]]]),
+        (NoUnit, ["1", "a"], one_sided),
+    ]:
+        dim = len(labels)
+        unit = [int(i == 0) for i in range(dim)]
+        with pytest.raises(error):
+            FrobAlg(labels, [0] * dim, [0] * dim, cube, unit, unit)
+        with pytest.raises(error):
+            reference_unit_and_associativity(cube, unit)
     # grading violation: z * z = 1 with |z| = 2
     with pytest.raises(GradingViolation):
         FrobAlg(

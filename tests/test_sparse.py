@@ -56,8 +56,7 @@ def build(name, kind, terms):
     if kind == "tensor":
         return TensorElem(ctx.F, N, terms)
     if kind == "alg":
-        zero = CycScalar.zero(ctx.F.conductor)
-        return AlgElem(ctx.F, [terms.get(i, zero) for i in range(ctx.F.dim)])
+        return AlgElem(ctx.F, terms)
     return WreathElem(ctx.F, N, terms)
 
 
