@@ -233,9 +233,8 @@ class CyclotomicAlgebra:
         self._factors = factors
         self._chi_cache: dict = {}
         self._rewrite_cache: dict = {}
-        self._basis_index = None
+        self._basis_keys = None
         self._gram = None
-        self._chi1 = None
 
     # -- chi and the rewrite elements ---------------------------------------------
 
@@ -329,28 +328,14 @@ class CyclotomicAlgebra:
     def basis_keys(self):
         from itertools import product
 
-        if self._basis_index is None:
-            keys = [
+        if self._basis_keys is None:
+            self._basis_keys = sorted(
                 (alpha, w, p)
                 for alpha in product(range(self.d), repeat=self.n)
                 for w in product(range(self.F.dim), repeat=self.n)
                 for p in perms.all_permutations(self.n)
-            ]
-            keys.sort()
-            self._basis_index = (keys, {k: i for i, k in enumerate(keys)})
-        return self._basis_index[0]
-
-    def key_index(self) -> dict:
-        self.basis_keys()
-        return self._basis_index[1]
-
-    def coords(self, z: CycloElem):
-        zero = CycScalar.zero(self.F.conductor)
-        vec = [zero] * len(self.basis_keys())
-        index = self.key_index()
-        for k, c in z.terms.items():
-            vec[index[k]] = c
-        return vec
+            )
+        return self._basis_keys
 
     # -- trace and Frobenius structure ------------------------------------------------
 
@@ -467,8 +452,9 @@ class InductionStructure:
         return CycloElem(self.big, self.big.ctx._elem(out))
 
     def _transition(self):
-        """The inverse of the matrix whose row i holds the coordinates of
-        u_{j,a,b} * embed(small basis monomial sk), and (j, a, b, sk) per row."""
+        """The inverse of the rows u_{j,a,b} * embed(small basis monomial sk),
+        and (j, a, b, sk) per row: inv[key] is the {row index: scalar}
+        combination of the rows that equals the monomial key."""
         if self._matrix_inv is not None:
             return self._matrix_inv, self._slots
         dim_big = self.big.dim()
@@ -483,7 +469,7 @@ class InductionStructure:
             for sk in small_keys:
                 y = self.embed(CycloElem(self.small, self.small.ctx.monomial(*sk)))
                 prod = self.big.reduce(self.big.ctx.mul(u.elem, y.elem))
-                rows.append(self.big.coords(prod))
+                rows.append(prod.terms)
                 slots.append((j, a, b, sk))
         if len(rows) != dim_big:
             raise InternalInconsistency("right-module basis count mismatch")
@@ -514,14 +500,13 @@ class InductionStructure:
         if z.qalg is not self.big:
             raise ParamsMismatch("partial trace takes elements of the bigger quotient")
         inv, slots = self._transition()
-        index = self.big.key_index()
         trace_vec = self.params.F.trace_vec
         out: dict = {}
         # the coordinates of z on the basis are sum_k z_k inv[k]
         for key, c in z.terms.items():
-            for i, y in enumerate(inv[index[key]]):
+            for i, y in inv[key].items():
                 j, a, b, sk = slots[i]
-                if y and j == self.n + 1 and a == self.big.d - 1 and trace_vec[b]:
+                if j == self.n + 1 and a == self.big.d - 1 and trace_vec[b]:
                     acc(out, sk, c * y * trace_vec[b])
         return CycloElem(self.small, self.small.ctx._elem(out))
 

@@ -104,6 +104,15 @@ def _combine(coeffs: dict, rows) -> dict:
     return out
 
 
+def _columns(rows, size: int) -> list:
+    """The columns {r: rows[r][c]} of rows over the indices 0..size-1."""
+    out = [{} for _ in range(size)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
+
+
 class FrobAlg:
     """A graded Frobenius superalgebra given by structure constants.
 
@@ -111,8 +120,9 @@ class FrobAlg:
     of ``AlgElem.terms``: ``struct[i][j]`` (b_i b_j, given as a dense list
     or as such a dict), ``psi_on_basis(i, k)``, ``unit_elem().terms`` and
     ``dual_basis()[b].terms``.  The construction checks and the derivation
-    of theta and the psi-eigenbasis work on these rows; ``unit``,
-    ``trace_vec`` and the Gram, dual and Nakayama matrices stay dense."""
+    of the duals (``linalg.inverse`` of the Gram rows), psi, theta and the
+    psi-eigenbasis work on these rows; only ``unit`` and ``trace_vec`` stay
+    dense."""
 
     def __init__(
         self,
@@ -202,28 +212,27 @@ class FrobAlg:
                 )
 
     def _derive_frobenius_data(self):
-        gram = [[AlgElem(self, row).trace() for row in plane] for plane in self.struct]
-        self.gram = gram
-        dual = linalg.inverse(gram)
-        if dual is None:
-            raise DegenerateTrace("trace pairing is degenerate")
-        self.dual_matrix = dual  # row i = coordinates of basis_labels[i]^vee
-
-        # tr(fg) = (-1)^{|f||g|} tr(g psi(f)): solve N * gram^T = V
-        signed = [
-            [
-                -gram[i][j] if self.parities[i] and self.parities[j] else gram[i][j]
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
+        gram = [
+            {j: t for j, row in enumerate(plane) if (t := AlgElem(self, row).trace())}
+            for plane in self.struct
         ]
-        # (G^T)^-1 = (G^-1)^T
-        self.nakayama = linalg.mat_mul(signed, linalg.transpose(dual))
+        inv = linalg.inverse(gram)
+        if inv is None:
+            raise DegenerateTrace("trace pairing is degenerate")
+        # b_i^vee = sum_r inv[i][r] b_r, since tr(b_i^vee b_j) = delta_ij
+        self._dual_rows = [inv[i] for i in range(self.dim)]
+
+        # tr(fg) = (-1)^{|f||g|} tr(g psi(f)) with g = b_c^vee gives
+        # psi(b_i) = (-1)^{|b_i|} sum_c tr(b_i b_c^vee) b_c
+        dual_columns = _columns(self._dual_rows, self.dim)
+        psi = []
+        for i, row in enumerate(gram):
+            traces = _combine(row, dual_columns)
+            psi.append({c: -x for c, x in traces.items()} if self.parities[i] else traces)
 
         # rows[p][j] is psi^p(b_j); compose with psi until the identity returns
         one = CycScalar.one(self.conductor)
         ident = [{j: one} for j in range(self.dim)]
-        psi = [self._row(r) for r in self.nakayama]
         rows = [ident, psi]
         while rows[-1] != ident:
             if len(rows) > DEFAULT_NAKAYAMA_ORDER_BOUND:
@@ -239,12 +248,11 @@ class FrobAlg:
 
         # eigen-decomposition: eigenvalues are theta-th roots of unity
         zero = CycScalar.zero(self.conductor)
-        N = self.nakayama
-        columns = [{r: row[c] for r, row in enumerate(N) if row[c]} for c in range(self.dim)]
+        columns = _columns(self._psi_rows[1 % self.theta], self.dim)
         self.psi_eigenvalues, self.psi_eigenbasis = [], []
         for j in range(self.theta):
             ev = root_of_unity(self.theta, j).lift(self.conductor)
-            # row c: column c of N - ev, so the nullspace holds the v with vN = ev v
+            # row c: column c of psi - ev, so the nullspace holds the v with v psi = ev v
             shifted = [{**col, c: col.get(c, zero) - ev} for c, col in enumerate(columns)]
             for vec in linalg.nullspace(shifted, range(self.dim)):
                 self.psi_eigenvalues.append(ev)
@@ -258,11 +266,9 @@ class FrobAlg:
         lift_rows = lambda rows: [{k: lift(v) for k, v in row.items()} for row in rows]
         self.struct = [lift_rows(plane) for plane in self.struct]
         self._psi_rows = [lift_rows(rows) for rows in self._psi_rows]
+        self._dual_rows = lift_rows(self._dual_rows)
         self.unit = [lift(v) for v in self.unit]
         self.trace_vec = [lift(v) for v in self.trace_vec]
-        self.gram = [[lift(v) for v in row] for row in self.gram]
-        self.dual_matrix = [[lift(v) for v in row] for row in self.dual_matrix]
-        self.nakayama = [[lift(v) for v in row] for row in self.nakayama]
 
     # -- elements -------------------------------------------------------------
 
@@ -277,6 +283,8 @@ class FrobAlg:
 
     def elem(self, coords) -> AlgElem:
         """The element with the dense coordinate vector coords."""
+        if len(coords) != self.dim:
+            raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(coords)}")
         return AlgElem(self, {i: self.scalar(c) for i, c in enumerate(coords)})
 
     def from_label(self, label: str) -> AlgElem:
@@ -291,17 +299,17 @@ class FrobAlg:
 
     def dual_basis(self) -> list[AlgElem]:
         """Left dual basis: tr(b_i^vee b_j) = delta_ij."""
-        return [self.elem(row) for row in self.dual_matrix]
+        return [AlgElem(self, row) for row in self._dual_rows]
 
-    def dual_of_basis(self, rows) -> list[AlgElem]:
-        """Left duals of an arbitrary basis given by coordinate rows."""
-        elems = [self.elem(r) for r in rows]
+    def dual_of_basis(self, elems) -> list[AlgElem]:
+        """Left duals e_i^vee of a basis e_i given as elements:
+        tr(e_i^vee e_j) = delta_ij."""
         gram = [[self.mul(x, y).trace() for y in elems] for x in elems]
         inv = linalg.inverse(gram)
-        if inv is None:
-            raise DegenerateTrace("given rows are not a basis")
-        coord_rows = linalg.mat_mul(inv, [list(r) for r in rows])
-        return [self.elem(r) for r in coord_rows]
+        if inv is None or len(elems) != self.dim:
+            raise DegenerateTrace("given elements are not a basis")
+        terms = [e.terms for e in elems]
+        return [self.zero_elem()._like(_combine(inv[i], terms)) for i in range(self.dim)]
 
     def psi(self, u: AlgElem, power: int = 1) -> AlgElem:
         if power % self.theta == 0:
@@ -643,9 +651,10 @@ def check_frobenius_morphism(F: FrobAlg, G: FrobAlg, matrix, anti: bool = False)
     """
     if len(matrix) != F.dim or any(len(row) != G.dim for row in matrix):
         raise DimensionMismatch("morphism matrix has wrong shape")
-    matrix = [[G.scalar(v) for v in row] for row in matrix]
     verdict = MorphismVerdict()
     images = [G.elem(row) for row in matrix]
+    image_rows = [img.terms for img in images]
+    tau = lambda terms: G.zero_elem()._like(_combine(terms, image_rows))
 
     for i, img in enumerate(images):
         if img.is_zero():
@@ -654,17 +663,12 @@ def check_frobenius_morphism(F: FrobAlg, G: FrobAlg, matrix, anti: bool = False)
         if deg != F.degrees[i] or par != F.parities[i]:
             verdict.fail(f"image of {F.basis_labels[i]} is not homogeneous of the same type")
 
-    unit_image = G.zero_elem()
-    for k, c in F.unit_elem().terms.items():
-        unit_image = unit_image + c * images[k]
-    if unit_image != G.unit_elem():
+    if tau(F.unit_elem().terms) != G.unit_elem():
         verdict.fail("unit is not preserved")
 
     for i in range(F.dim):
         for j in range(F.dim):
-            target = G.zero_elem()
-            for k, c in F.struct[i][j].items():
-                target = target + c * images[k]
+            target = tau(F.struct[i][j])
             if anti:
                 got = G.mul(images[j], images[i])
                 if F.parities[i] and F.parities[j]:
@@ -687,16 +691,13 @@ def check_frobenius_morphism(F: FrobAlg, G: FrobAlg, matrix, anti: bool = False)
             break
 
     if verdict and anti:
-        # tau psi = psi^{-1} tau, as matrices acting on coordinate rows
-        left = linalg.mat_mul(F.nakayama, matrix)
-        right = linalg.mat_mul(matrix, linalg.inverse(G.nakayama))
-        if left != right:
-            raise InternalInconsistency(
-                "tau psi != psi^{-1} tau for a valid anti-isomorphism"
-            )
+        for i, img in enumerate(images):
+            if tau(F.psi_on_basis(i)) != G.psi(img, -1):
+                raise InternalInconsistency(
+                    "tau psi != psi^{-1} tau for a valid anti-isomorphism"
+                )
         # duals of the basis {tau(b^vee)} are (-1)^{|b|} tau(b)
-        tau_dual_rows = linalg.mat_mul(F.dual_matrix, matrix)
-        duals = G.dual_of_basis(tau_dual_rows)
+        duals = G.dual_of_basis([tau(d.terms) for d in F.dual_basis()])
         for i, d in enumerate(duals):
             expected = images[i] if F.parities[i] == 0 else -images[i]
             if d != expected:

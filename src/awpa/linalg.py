@@ -8,11 +8,11 @@ order, so a dict row may be an element's ``terms`` as it is (basis indices,
 words or monomial keys), and integer columns pivot as in textbook
 elimination.  A dict row may hold zeros; they are dropped.  ``rref`` turns
 every row into a sparse dict at its one entry point and returns sparse
-rows; ``nullspace`` returns sparse vectors.  Dense matrices (lists of row
-lists) are taken and returned by ``inverse``, ``mat_mul`` and ``transpose``
-(F's Gram, dual and Nakayama matrices, morphism checks, induction
-transitions), by ``eye`` (the identity block of ``inverse``) and by
-``solve`` and ``mat_vec``, which only the tests call.
+rows; ``nullspace`` returns sparse vectors.  ``inverse`` (F's dual basis,
+duals of a given basis, induction transitions) takes such rows too and
+returns, for each column, the sparse combination of the rows that gives
+the unit vector on it.  Only ``mat_mul``, ``mat_vec`` and ``solve`` take
+and return dense matrices; no module of the package calls them.
 
 ``rref`` runs Gauss-Jordan elimination on the sparse rows, so scaling or
 eliminating with a pivot row touches only the pivot row's nonzeros, only
@@ -50,11 +50,6 @@ def _conductor(*mats) -> int:
     return m
 
 
-def eye(n: int, m: int = 1):
-    zero, one = CycScalar.zero(m), CycScalar.one(m)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
     zero = CycScalar.zero(_conductor(a, b))
@@ -80,10 +75,6 @@ def mat_vec(a, v):
                 total = total + x * y
         out.append(total)
     return out
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def rref(mat):
@@ -131,14 +122,16 @@ def is_invertible(mat) -> bool:
 
 
 def inverse(mat):
-    """Inverse of a dense square matrix as dense rows, or None if singular."""
-    n = len(mat)
-    m = _conductor(mat)
-    red, pivots = rref([list(row) + e for row, e in zip(mat, eye(n, m))])
-    if pivots != list(range(n)):
+    """The inverse of n rows over n distinct columns: {c: {r: scalar}}, the
+    combination of rows r that is the unit vector on column c.  None if the
+    matrix is singular or not square."""
+    one = CycScalar.one(_conductor(mat))
+    # row r gains a marker column (1, r), sorted after every column (0, c)
+    aug = [{**{(0, c): x for c, x in _entries(row)}, (1, r): one} for r, row in enumerate(mat)]
+    red, pivots = rref(aug)
+    if len({c for row in aug for c in row}) != 2 * len(mat) or any(tag for tag, _ in pivots):
         return None
-    zero = CycScalar.zero(m)
-    return [[row.get(j, zero) for j in range(n, 2 * n)] for row in red]
+    return {c: {r: x for (tag, r), x in row.items() if tag} for row, (_, c) in zip(red, pivots)}
 
 
 def nullspace(rows, columns):

@@ -232,7 +232,7 @@ def check_t_basis_independence(ctx, rng):
         if linalg.is_invertible(rows):
             break
     basis = [ctx.F.elem(row) for row in rows]
-    duals = F.dual_of_basis([list(b.coords) for b in basis])
+    duals = F.dual_of_basis(basis)
     i, j = rng.sample(range(1, ctx.n + 1), 2)
     t_alt = ctx.zero()
     for b, bv in zip(basis, duals):

@@ -287,7 +287,7 @@ def test_criterion_7_cyclotomic_basis():
                 u = CycloElem(Q, Q.ctx.monomial(*ku))
                 for kv in shuffled_v:
                     v = CycloElem(Q, Q.ctx.monomial(*kv))
-                    yield Q.coords(Q.mul(u, v))
+                    yield Q.mul(u, v).terms
 
         rows = []
         rank_now = 0

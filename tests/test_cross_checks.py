@@ -91,8 +91,8 @@ def test_antihom_nakayama_compatibility(monkeypatch):
     F = cyclic_group_algebra(3)  # commutative: the identity is an anti-automorphism
     tau = _identity_tau(F)
     assert check_frobenius_morphism(F, F, tau, anti=True)
-    cycle = [[F.scalar(1 if j == (i + 1) % 3 else 0) for j in range(3)] for i in range(3)]
-    monkeypatch.setattr(F, "nakayama", cycle)
+    cycle = [{(i + 1) % 3: F.scalar(1)} for i in range(3)]
+    monkeypatch.setattr(F, "_psi_rows", [cycle])  # theta stays 1: psi reads cycle, psi^-1 the identity
     with pytest.raises(InternalInconsistency, match="psi"):
         check_frobenius_morphism(F, F, tau, anti=True)
 
@@ -101,7 +101,7 @@ def test_antihom_dual_basis_identity(monkeypatch):
     F = cyclic_group_algebra(3)
     tau = _identity_tau(F)
     real = F.dual_of_basis
-    monkeypatch.setattr(F, "dual_of_basis", lambda rows: [-d for d in real(rows)])
+    monkeypatch.setattr(F, "dual_of_basis", lambda elems: [-d for d in real(elems)])
     with pytest.raises(InternalInconsistency, match="dual-basis"):
         check_frobenius_morphism(F, F, tau, anti=True)
 

@@ -17,6 +17,7 @@ from awpa.errors import (
     BadParams,
     BadSpec,
     DegenerateTrace,
+    DimensionMismatch,
     GradingViolation,
     NoUnit,
     NotAssociative,
@@ -56,6 +57,13 @@ def test_trivial():
     F = trivial_algebra()
     assert (F.dim, F.theta, F.delta) == (1, 1, 0)
     assert F.dual_basis()[0] == F.unit_elem()
+
+
+def test_elem_checks_the_coordinate_count():
+    F = clifford_algebra()
+    for coords in ([1, 2, 3], [5]):  # too long, too short
+        with pytest.raises(DimensionMismatch):
+            F.elem(coords)
 
 
 def test_clifford():
@@ -133,7 +141,10 @@ def test_double_dual_identity(make):
     """(b^vee)^vee = (-1)^{|b|} psi^{-1}(b)."""
     F = make()
     duals = F.dual_basis()
-    double_duals = F.dual_of_basis([list(d.coords) for d in duals])
+    double_duals = F.dual_of_basis(duals)
+    for not_a_basis in ([F.zero_elem()] + duals[1:], duals[:-1]):
+        with pytest.raises(DegenerateTrace):
+            F.dual_of_basis(not_a_basis)
     for i in range(F.dim):
         expected = F.psi(F.basis_elem(i), power=F.theta - 1)
         if F.parities[i]:
@@ -160,10 +171,9 @@ def test_opposite_algebra_nakayama(make):
     F = make()
     op = opposite_algebra(F)
     assert op.theta == F.theta
-    inv = linalg.inverse(F.nakayama)
-    assert op.nakayama == [[v.lift(op.conductor) for v in row] for row in inv] or (
-        op.nakayama == inv
-    )
+    # inv[c] is the combination of the rows psi(b_r) that gives b_c
+    inv = linalg.inverse([F.psi_on_basis(r) for r in range(F.dim)])
+    assert [op.psi_on_basis(c) for c in range(op.dim)] == [inv[c] for c in range(F.dim)]
 
 
 def test_graded_pieces_clifford():
@@ -250,11 +260,14 @@ def reference_frobenius_data(F):
     # tr(b_i b_j) is the trace of the row of structure constants c[i][j]
     gram = [[sum((c * t for c, t in zip(row, trace)), CycScalar.zero(m)) for row in plane]
             for plane in cube]
-    dual = linalg.inverse(gram)
+    zero, one = CycScalar.zero(m), CycScalar.one(m)
+    inv = linalg.inverse(gram)
+    dual = [[inv[i].get(r, zero) for r in range(dim)] for i in range(dim)]
     signed = [[-x if F.parities[i] and F.parities[j] else x for j, x in enumerate(row)]
               for i, row in enumerate(gram)]
-    nakayama = linalg.mat_mul(signed, linalg.transpose(dual))
-    power, ident, theta = nakayama, linalg.eye(dim, m), 1
+    nakayama = linalg.mat_mul(signed, [list(col) for col in zip(*dual)])
+    ident = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    power, theta = nakayama, 1
     while power != ident:
         power = linalg.mat_mul(power, nakayama)
         theta += 1
@@ -298,8 +311,16 @@ def test_derived_data_matches_dense_reference(spec, op):
         F = opposite_algebra(F)
     ref = reference_frobenius_data(F)
     assert len(F.psi_eigenbasis) == F.dim
+    # F's dual and psi rows, densified to the reference's matrices
+    got = {
+        "theta": F.theta,
+        "dual_matrix": [list(d.coords) for d in F.dual_basis()],
+        "nakayama": [list(F.psi(F.basis_elem(i)).coords) for i in range(F.dim)],
+        "psi_eigenvalues": F.psi_eigenvalues,
+        "psi_eigenbasis": F.psi_eigenbasis,
+    }
     for name, value in ref.items():
-        assert getattr(F, name) == value, name
+        assert got[name] == value, name
 
 
 def test_taft4_build_cost(monkeypatch):

@@ -8,6 +8,8 @@ function local counts as used if it is read anywhere in the function.  An
 Sums, differences and negation of elements live in ``sparse.SparseElem``
 (and of scalars in ``scalars.CycScalar``); no other class defines them, and
 ``sparse.acc`` is the one place that deletes a zero coefficient from a dict.
+No module but ``linalg.py`` names a dense-matrix helper, so the package
+solves on sparse rows only.
 """
 
 import ast
@@ -177,3 +179,52 @@ def test_scan_finds_additive_methods():
         "    def __sub__(self, o): pass\n"
     )
     assert additive_methods(source) == ["A.__add__", "B.__sub__"]
+
+
+DENSE_HELPERS = {"mat_mul", "mat_vec", "solve", "eye", "transpose"}
+
+
+def dense_helper_names(source: str) -> list[str]:
+    """line: name for each name, attribute, import or definition that names
+    a dense-matrix helper."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name.split(".")[-1], node.asname]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        found |= {(node.lineno, name) for name in names if name in DENSE_HELPERS}
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py"), ids=lambda p: p.name
+)
+def test_no_dense_helpers_outside_linalg(path):
+    assert dense_helper_names(path.read_text()) == []
+
+
+def test_scan_finds_dense_helpers():
+    source = (
+        "from .linalg import solve\n"
+        "import awpa.linalg as la\n"
+        "x = la.mat_mul(a, b)\n"
+        "def transpose(m):\n"
+        "    return eye\n"
+        "# mat_vec in a comment\n"
+        "y = 'mat_vec'\n"
+        "from .linalg import inverse as mat_vec\n"
+    )
+    assert dense_helper_names(source) == [
+        "line 1: solve",
+        "line 3: mat_mul",
+        "line 4: transpose",
+        "line 5: eye",
+        "line 8: mat_vec",
+    ]

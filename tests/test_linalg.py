@@ -11,6 +11,7 @@ from awpa.cyclotomic import CyclotomicAlgebra, make_params
 from awpa.engine import AwpaAlgebra
 from awpa.frobenius import clifford_algebra, taft_algebra
 from awpa.scalars import CycScalar, root_of_unity
+from awpa.sparse import acc
 
 
 def dense_rref(mat):
@@ -189,7 +190,7 @@ def test_rref_empty_matrix():
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0
     assert linalg.nullspace([], []) == []
-    assert linalg.inverse([]) == []
+    assert linalg.inverse([]) == {}
     assert linalg.is_invertible([])
 
 
@@ -208,14 +209,13 @@ def test_rref_does_not_modify_input():
 
 def test_entries_carry_the_operands_conductor():
     z = root_of_unity(3)
-    assert all(x.m == 3 for row in linalg.eye(3, 3) for x in row)
-    assert linalg.eye(2) == q_matrix([[1, 0], [0, 1]])
+    assert linalg.inverse(q_matrix([[1, 0], [0, 1]])) == {0: {0: 1}, 1: {1: 1}}
     # a rational zero of conductor 1 mixed into a Q(zeta_3) matrix
     mat = [[z, CycScalar.zero(), scalar(1, m=3)], [scalar(0, m=3)] * 3]
     red, _ = linalg.rref(mat)
     assert all(x.m == 3 for row in red for x in row.values())
     square = [[z, scalar(1, m=3)], [scalar(0, m=3), z]]
-    assert all(x.m == 3 for row in linalg.inverse(square) for x in row)
+    assert all(x.m == 3 for row in linalg.inverse(square).values() for x in row.values())
     assert all(x.m == 3 for row in linalg.mat_mul(square, square) for x in row)
     assert all(x.m == 3 for x in linalg.mat_vec(square, [z, z]))
     for vec in linalg.nullspace(mat, range(3)):
@@ -240,13 +240,29 @@ def test_nullspace_vectors_are_killed(mat):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(sparse_matrices(1, square=True), sparse_matrices(3, square=True)))
 def test_inverse_and_is_invertible(mat):
-    inv = linalg.inverse(mat)
-    assert linalg.is_invertible(mat) == (inv is not None)
-    if inv is not None:
-        n = len(mat)
-        m = mat[0][0].m
-        assert linalg.mat_mul(inv, mat) == linalg.eye(n, m)
-        assert linalg.mat_mul(mat, inv) == linalg.eye(n, m)
+    # the columns relabelled to tuple keys, as monomial keys are; rows keep zeros
+    rows = [{("c", j): x for j, x in enumerate(row)} for row in mat]
+    inv = linalg.inverse(rows)
+    assert linalg.is_invertible(mat) == linalg.is_invertible(rows) == (inv is not None)
+    # one more distinct column than rows: not square
+    wide = [{**rows[0], ("d", 0): CycScalar.one()}] + rows[1:]
+    assert linalg.inverse(wide) is None
+    if inv is None:
+        assert linalg.inverse(mat) is None
+        return
+    assert linalg.inverse(mat) == {j: inv[("c", j)] for j in range(len(mat))}
+    for c, combo in inv.items():  # sum_r inv[c][r] rows[r] = e_c
+        total = {}
+        for r, y in combo.items():
+            for k, x in rows[r].items():
+                acc(total, k, y * x)
+        assert total == {c: 1}
+    for r, row in enumerate(rows):  # and the inverse on the other side
+        total = {}
+        for c, x in row.items():
+            for r2, y in inv[c].items():
+                acc(total, r2, x * y)
+        assert total == {r: 1}
 
 
 def test_is_invertible_rejects_non_square():
@@ -265,7 +281,7 @@ def test_solve_in_span_same_span(mat, data):
     assert y is not None
     assert linalg.mat_vec(mat, y) == rhs
     # the columns of mat span rhs; a vector outside the column span does not
-    cols_as_rows = linalg.transpose(mat)
+    cols_as_rows = [list(col) for col in zip(*mat)]
     assert linalg.in_span(cols_as_rows, rhs)
     red, pivots = linalg.rref(cols_as_rows)
     outside = [scalar(0, m=m) for _ in range(len(mat))]
