@@ -398,7 +398,8 @@ class AwpaAlgebra:
 
     # -- multiplication ----------------------------------------------------------
 
-    def _mono_mul(self, k1, k2) -> dict:
+    def _mono_mul(self, k1, k2, keep: bool = True) -> dict:
+        """The product of two monomials; kept in ``_mono_cache`` if ``keep``."""
         ckey = (k1, k2)
         cached = self._mono_cache.get(ckey)
         if cached is not None:
@@ -410,17 +411,20 @@ class AwpaAlgebra:
             tail = perms.mul(tau, p2)
             for (alpha, w), c2 in self._pd_mono_mul(a1, w1, g, d):
                 acc(out, (alpha, w, tail), c * c2)
-        if len(self._mono_cache) < 200_000:
+        if keep and len(self._mono_cache) < 200_000:
             self._mono_cache[ckey] = out
         return out
 
     def mul(self, a: AwpaElem, b: AwpaElem) -> AwpaElem:
         a._check(b)
         out: dict = {}
+        # a product of two monomials (a Gram entry, say) is rarely asked for
+        # again, so only products inside a longer sum are kept
+        keep = len(a.terms) > 1 or len(b.terms) > 1
         for k1, c1 in a.terms.items():
             for k2, c2 in b.terms.items():
                 c12 = c1 * c2
-                for k, c in self._mono_mul(k1, k2).items():
+                for k, c in self._mono_mul(k1, k2, keep).items():
                     acc(out, k, c12 * c)
         return self._elem(out)
 

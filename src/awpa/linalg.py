@@ -116,9 +116,10 @@ def rank(mat) -> int:
 
 
 def is_invertible(mat) -> bool:
-    """Whether the dense mat is square with rank equal to its size."""
+    """Whether the rows (dicts or dense lists) are n rows over n distinct
+    columns, counted as ``inverse`` counts them, with rank n."""
     n = len(mat)
-    return all(len(row) == n for row in mat) and rank(mat) == n
+    return len({c for row in mat for c, _ in _entries(row)}) == n and rank(mat) == n
 
 
 def inverse(mat):

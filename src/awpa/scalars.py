@@ -1,16 +1,20 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-A scalar is stored as a coordinate vector of rationals in the power basis
-1, z, ..., z^(phi(m)-1) of Q(zeta_m).  All arithmetic is exact; there is no
-floating point anywhere.
+A scalar is stored as integer numerators ``nums`` over one positive
+denominator ``den``: its coordinates in the power basis 1, z, ...,
+z^(phi(m)-1) of Q(zeta_m) are ``nums[k] / den``, kept in lowest terms
+(gcd(den, *nums) == 1), so the form is unique.  Every operation runs on
+Python ints and takes one gcd on its result; ``Fraction`` appears only at
+the boundary (the constructor, ``coeffs``, ``rational_part``, rational
+operands and parsing).  There is no floating point anywhere.
 
 One table per conductor carries the field: ``_zeta_powers(m)`` holds z^k
 reduced modulo the m-th cyclotomic polynomial Phi_m for k < m, and its
-width is phi(m).  ``_reduce`` folds a coefficient list of any length
-through it; products, embeddings, rationals and roots of unity all go
-through that one step.  The inverse is the Galois norm: with sigma_k the
-automorphism z -> z^k (gcd(k, m) = 1), 1/a = prod_{k != 1} sigma_k(a) / N(a),
-where N(a) = a * prod_{k != 1} sigma_k(a) is rational.
+width is phi(m).  ``_reduce`` folds an integer coefficient list of any
+length through it; products and embeddings go through that one step.  The
+inverse is the Galois norm: with sigma_k the automorphism z -> z^k
+(gcd(k, m) = 1), 1/a = prod_{k != 1} sigma_k(a) / N(a), where
+N(a) = a * prod_{k != 1} sigma_k(a) is rational.
 
 Scalars of different conductors compare and combine by embedding both into
 Q(zeta_lcm) via zeta_m = zeta_lcm^(lcm/m).
@@ -25,15 +29,7 @@ from math import gcd, lcm
 
 from .errors import InternalInconsistency, ParseError
 
-_ZERO = Fraction(0)
-
-
-def euler_phi(m: int) -> int:
-    count = 0
-    for k in range(1, m + 1):
-        if gcd(k, m) == 1:
-            count += 1
-    return count
+_RATIONAL = (int, Fraction)
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -73,11 +69,12 @@ def _zeta_powers(m: int) -> list[tuple[int, ...]]:
     return [tuple(_poly_divmod([0] * k + [1], cyc)[1]) for k in range(m)]
 
 
-def _reduce(m: int, coeffs) -> list[Fraction]:
-    """Coordinates of sum_k coeffs[k] z^k in Q(zeta_m), for any len(coeffs)."""
+def _reduce(m: int, coeffs) -> list[int]:
+    """Integer coordinates of sum_k coeffs[k] z^k in Q(zeta_m), for any
+    len(coeffs)."""
     powers = _zeta_powers(m)
     phi = len(powers[0])
-    vec = list(coeffs[:phi]) + [_ZERO] * (phi - len(coeffs))
+    vec = list(coeffs[:phi]) + [0] * (phi - len(coeffs))
     for k in range(phi, len(coeffs)):
         c = coeffs[k]
         if c:
@@ -87,30 +84,64 @@ def _reduce(m: int, coeffs) -> list[Fraction]:
     return vec
 
 
-class CycScalar:
-    """An element of Q(zeta_m), held in canonical reduced form."""
+def _canonical(m: int, nums, den: int) -> CycScalar:
+    """The scalar nums / den (den > 0) of Q(zeta_m), in lowest terms: the
+    one gcd every operation takes."""
+    g = gcd(den, *nums) if den != 1 else 1
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    out = object.__new__(CycScalar)
+    out.m = m
+    out.nums = tuple(nums)
+    out.den = den
+    return out
 
-    __slots__ = ("m", "coeffs")
+
+@cache
+def _constant(m: int, value: int) -> CycScalar:
+    """The rational ``value`` of Q(zeta_m), one object per (m, value)."""
+    return CycScalar.from_rational(value, m)
+
+
+class CycScalar:
+    """An element of Q(zeta_m): integer numerators ``nums`` (phi(m) of them)
+    over one denominator ``den > 0`` with gcd(den, *nums) == 1.  Every
+    operation brings its result to this form with one gcd (``_canonical``).
+    Scalars are immutable; ``coeffs`` gives the coordinates as Fractions."""
+
+    __slots__ = ("m", "nums", "den")
 
     def __init__(self, m: int, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != len(_zeta_powers(m)[0]):
+            raise ValueError(f"Q(zeta_{m}) needs phi({m}) coordinates, got {len(coeffs)}")
+        den = lcm(*(c.denominator for c in coeffs))  # leaves gcd(den, *nums) == 1
         self.m = m
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != len(_zeta_powers(m)[0]):
-            raise ValueError(f"Q(zeta_{m}) needs phi({m}) coordinates, got {len(self.coeffs)}")
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(value, m: int = 1) -> CycScalar:
-        return CycScalar(m, _reduce(m, [Fraction(value)]))
+        if not isinstance(value, int):
+            value = Fraction(value)
+        phi = len(_zeta_powers(m)[0])
+        return _canonical(m, (value.numerator,) + (0,) * (phi - 1), value.denominator)
 
     @staticmethod
     def zero(m: int = 1) -> CycScalar:
-        return CycScalar.from_rational(0, m)
+        return _constant(m, 0)
 
     @staticmethod
     def one(m: int = 1) -> CycScalar:
-        return CycScalar.from_rational(1, m)
+        return _constant(m, 1)
 
     # -- conductor handling ------------------------------------------------
 
@@ -124,9 +155,9 @@ class CycScalar:
 
     def _substitute(self, big: int, step: int) -> CycScalar:
         """The image under z -> zeta_big^step, reduced in Q(zeta_big)."""
-        spread = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        spread[::step] = self.coeffs
-        return CycScalar(big, _reduce(big, spread))
+        spread = [0] * ((len(self.nums) - 1) * step + 1)
+        spread[::step] = self.nums
+        return _canonical(big, _reduce(big, spread), self.den)
 
     @staticmethod
     def _unify(a: CycScalar, b: CycScalar) -> tuple[CycScalar, CycScalar]:
@@ -139,7 +170,7 @@ class CycScalar:
     def _coerce(value, m: int = 1) -> CycScalar:
         if isinstance(value, CycScalar):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, _RATIONAL):
             return CycScalar.from_rational(value, m)
         raise TypeError(f"cannot interpret {value!r} as a scalar")
 
@@ -147,24 +178,24 @@ class CycScalar:
     def _try_coerce(value):
         if isinstance(value, CycScalar):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, _RATIONAL):
             return CycScalar.from_rational(value, 1)
         return None
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_part(self) -> Fraction:
         """The value as a Fraction; only meaningful if is_rational()."""
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -172,13 +203,16 @@ class CycScalar:
         other = CycScalar._try_coerce(other)
         if other is None:
             return NotImplemented
-        a, b = CycScalar._unify(self, other)
-        return CycScalar(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        a, b = (self, other) if self.m == other.m else CycScalar._unify(self, other)
+        da, db = a.den, b.den
+        if da == db:
+            return _canonical(a.m, [x + y for x, y in zip(a.nums, b.nums)], da)
+        return _canonical(a.m, [x * db + y * da for x, y in zip(a.nums, b.nums)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycScalar:
-        return CycScalar(self.m, tuple(-x for x in self.coeffs))
+        return _canonical(self.m, [-x for x in self.nums], self.den)
 
     def __sub__(self, other) -> CycScalar:
         other = CycScalar._try_coerce(other)
@@ -196,18 +230,24 @@ class CycScalar:
         other = CycScalar._try_coerce(other)
         if other is None:
             return NotImplemented
-        a, b = CycScalar._unify(self, other)
-        phi = len(a.coeffs)
-        if phi == 1:
-            return CycScalar(a.m, (a.coeffs[0] * b.coeffs[0],))
+        a, b = (self, other) if self.m == other.m else CycScalar._unify(self, other)
+        an, bn = a.nums, b.nums
+        den = a.den * b.den
+        # a rational operand (every one when phi(m) = 1) scales the other
+        if not any(an[1:]):
+            x = an[0]
+            return _canonical(a.m, [x * y for y in bn], den)
+        if not any(bn[1:]):
+            y = bn[0]
+            return _canonical(a.m, [x * y for x in an], den)
         # convolve, then fold exponents >= phi back down via the power table
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
+        conv = [0] * (2 * len(an) - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(bn):
                     if y:
                         conv[i + j] += x * y
-        return CycScalar(a.m, _reduce(a.m, conv))
+        return _canonical(a.m, _reduce(a.m, conv), den)
 
     __rmul__ = __mul__
 
@@ -223,7 +263,11 @@ class CycScalar:
         norm = self * conj
         if not norm.is_rational():
             raise InternalInconsistency(f"norm of {self} in Q(zeta_{m}) is not rational: {norm}")
-        return CycScalar(m, [c / norm.coeffs[0] for c in conj.coeffs])
+        # conj / (p / q) = (q * conj.nums) / (p * conj.den), with the sign on top
+        p, q = norm.nums[0], norm.den
+        if p < 0:
+            p, q = -p, -q
+        return _canonical(m, [q * x for x in conj.nums], p * conj.den)
 
     def __truediv__(self, other) -> CycScalar:
         other = CycScalar._try_coerce(other)
@@ -250,12 +294,12 @@ class CycScalar:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+        if isinstance(other, _RATIONAL):
+            return self.is_rational() and self.nums[0] == other * self.den
         if not isinstance(other, CycScalar):
             return NotImplemented
         a, b = CycScalar._unify(self, other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     __hash__ = None  # equality crosses conductors; do not use as dict keys
 
@@ -289,7 +333,7 @@ class CycScalar:
 
 def root_of_unity(m: int, power: int = 1) -> CycScalar:
     """zeta_m^power as an element of Q(zeta_m)."""
-    return CycScalar(m, map(Fraction, _zeta_powers(m)[power % m]))
+    return _canonical(m, _zeta_powers(m)[power % m], 1)
 
 
 _TERM_RE = re.compile(

@@ -245,6 +245,18 @@ def test_gram_examples():
     assert inv3 and len(gram3) == 4
 
 
+def test_gram_keeps_no_one_shot_products():
+    # k, d = 2, n = 2: each Gram entry multiplies two basis monomials, a
+    # product asked for once; only reduce's substitution products are kept
+    F = trivial_algebra()
+    params = make_params(F, {1: [F.zero_elem(), F.scalar(Fraction(1, 2)) * F.unit_elem()]})
+    Q = CyclotomicAlgebra(params, 2)
+    gram, inv = Q.gram_matrix()
+    assert inv and len(gram) == Q.dim() == 8
+    assert len(Q.ctx._mono_cache) < Q.dim() ** 2
+    assert CyclotomicAlgebra(params, 2).gram_matrix() == (gram, inv)
+
+
 def test_gram_too_large(monkeypatch):
     monkeypatch.setenv("AWPA_MAX_DIM", "10")
     Cl = clifford_algebra()

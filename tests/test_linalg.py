@@ -240,6 +240,11 @@ def test_nullspace_vectors_are_killed(mat):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(sparse_matrices(1, square=True), sparse_matrices(3, square=True)))
 def test_inverse_and_is_invertible(mat):
+    one = CycScalar.one()
+    # zero-free dict rows: the keyed identity, and two proportional rows
+    assert linalg.is_invertible([{0: one}, {1: one}])
+    assert linalg.inverse([{0: one}, {1: one}]) is not None
+    assert not linalg.is_invertible([{0: one, 1: one}, {0: one + one, 1: one + one}])
     # the columns relabelled to tuple keys, as monomial keys are; rows keep zeros
     rows = [{("c", j): x for j, x in enumerate(row)} for row in mat]
     inv = linalg.inverse(rows)

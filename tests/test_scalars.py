@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,14 @@ from awpa.errors import InternalInconsistency, ParseError
 from awpa.scalars import (
     CycScalar,
     cyclotomic_polynomial,
-    euler_phi,
     parse_scalar,
     root_of_unity,
 )
+
+
+def euler_phi(m: int) -> int:
+    """phi(m) by counting, independent of the power table's width."""
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
 def test_rational_arithmetic():
@@ -67,9 +72,20 @@ def random_scalar(rng, m):
     )
 
 
+def assert_canonical(x):
+    """x is in lowest terms over a positive denominator, and rebuilding it
+    from its Fraction coordinates gives the same integers."""
+    assert len(x.nums) == euler_phi(x.m)
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    again = CycScalar(x.m, x.coeffs)
+    assert (again.nums, again.den) == (x.nums, x.den)
+
+
 @pytest.mark.parametrize("m", [1, 3, 4, 5, 12])
 def test_field_axioms(m):
     rng = random.Random(m)
+    assert CycScalar.one(m) is CycScalar.one(m)
+    assert CycScalar.zero(m) is CycScalar.zero(m)
     for _ in range(25):
         a, b, c = (random_scalar(rng, m) for _ in range(3))
         assert (a + b) + c == a + (b + c)
@@ -77,9 +93,13 @@ def test_field_axioms(m):
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+        results = [a + b, a - b, a - a, a * b, a * 0, a.lift(2 * m), root_of_unity(m) * a]
         if not a.is_zero():
             assert a * a.inverse() == 1
             assert (b / a) * a == b
+            results.append(a.inverse())
+        for x in results:
+            assert_canonical(x)
 
 
 @pytest.mark.parametrize("m,k", [(2, 3), (3, 2), (4, 3), (1, 12)])
@@ -198,10 +218,13 @@ def test_cyclotomic_polynomial_matches_sympy(sp, m):
 @ORACLE
 @given(data=st.data())
 def test_mul_matches_sympy(sp, data):
+    """``*``, ``+`` and ``-`` against sympy's polynomial arithmetic."""
     m = data.draw(st.integers(1, 15))
     a, b = data.draw(field_scalars(m)), data.draw(field_scalars(m))
-    expected = (to_poly(sp, a) * to_poly(sp, b)).rem(phi_poly(sp, m))
-    assert (a * b).coeffs == poly_coords(expected, m)
+    pa, pb = to_poly(sp, a), to_poly(sp, b)
+    assert (a * b).coeffs == poly_coords((pa * pb).rem(phi_poly(sp, m)), m)
+    assert (a + b).coeffs == poly_coords(pa + pb, m)
+    assert (a - b).coeffs == poly_coords(pa - pb, m)
 
 
 @ORACLE
