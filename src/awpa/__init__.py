@@ -9,10 +9,12 @@ cyclotomic number fields Q(zeta_m); nothing is approximated.
 Sharing: operations never change their operands, and an element's
 ``terms`` dict is read-only by convention (nothing stops a caller from
 mutating it, and doing so corrupts the element).  Algebra contexts are not
-immutable: they fill memo caches (products, t-elements, twists) as they
-compute.  Each cache entry is a pure function of its key, so filling is
-idempotent, but the package does no locking; share a context across threads
-only if the caller serializes its use.
+immutable: they fill memo caches (products, t-elements, twists, word
+products on F, Delta_i(x^alpha)) as they compute, and hand out the stored
+dicts, read-only in the same way.  Memos live on F and the contexts, never
+at module level, so they die with them.  Each cache entry is a pure function
+of its key, so filling is idempotent, but the package does no locking; share
+a context across threads only if the caller serializes its use.
 """
 
 from .cyclotomic import (

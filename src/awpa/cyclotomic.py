@@ -271,19 +271,6 @@ class CyclotomicAlgebra:
             self._rewrite_cache[i] = r
         return self._rewrite_cache[i]
 
-    def x1_pow_d_expansion(self):
-        """x_1^d = sum_i f_(i) x_1^i modulo the ideal: the list f_(0..d-1) as
-        TensorElems (only for slot-1 parameters)."""
-        r = self._rewrite_elem(1)
-        out = [TensorElem(self.F, self.n, {}) for _ in range(self.d)]
-        for (alpha, word, pi), c in r.terms.items():
-            if pi != self.ctx.identity_perm or any(alpha[1:]):
-                raise InternalInconsistency(
-                    "x_1^d - chi has a term outside F^(x)n[x_1]"
-                )
-            out[alpha[0]] = out[alpha[0]] + TensorElem(self.F, self.n, {word: c})
-        return out
-
     # -- reduction ---------------------------------------------------------------
 
     def reduce(self, a: AwpaElem) -> CycloElem:
@@ -509,10 +496,6 @@ class InductionStructure:
                 if j == self.n + 1 and a == self.big.d - 1 and trace_vec[b]:
                     acc(out, sk, c * y * trace_vec[b])
         return CycloElem(self.small, self.small.ctx._elem(out))
-
-    def full_trace_factors(self, z: CycloElem) -> bool:
-        """tr_C^{n+1} = tr_C^n o tr^C_{n+1}."""
-        return self.big.trace(z) == self.small.trace(self.partial_trace(z))
 
 
 def induction_basis(params: CycloParams, n: int):

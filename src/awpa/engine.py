@@ -35,7 +35,7 @@ from .errors import (
 )
 from .frobenius import AlgElem, FrobAlg, check_frobenius_morphism
 from .scalars import CycScalar
-from .sparse import SparseElem, acc
+from .sparse import MEMO_CAP, SparseElem, acc
 from .wreath import (
     TensorElem,
     WreathElem,
@@ -170,6 +170,7 @@ class AwpaAlgebra:
         self._unit_words = dict(TensorElem.unit(F, n).terms)
         self._t_cache: dict = {}
         self._smono_cache: dict = {}
+        self._delta_cache: dict = {}
         self._twist_cache: dict = {}
         self._jm_cache: dict = {}
         self._mono_cache: dict = {}
@@ -296,12 +297,12 @@ class AwpaAlgebra:
             {(a, w, self.identity_perm): c for (a, w), c in self.t_pd(k, i, j).items()},
         )
 
-    def _delta_mono(self, i: int, alpha, word) -> dict:
-        """Delta_i of the P_n(F) monomial x^alpha * word: {(alpha, word): scalar}."""
-        p = alpha[i - 1]
-        q = alpha[i]
-        if p == 0 and q == 0:
-            return {}
+    def _delta_x(self, i: int, alpha) -> dict:
+        """Delta_i(x^alpha) as {(alpha, word): scalar}, kept per (i, alpha)."""
+        cached = self._delta_cache.get((i, alpha))
+        if cached is not None:
+            return cached
+        p, q = alpha[i - 1], alpha[i]
         rest = tuple(0 if t in (i - 1, i) else a for t, a in enumerate(alpha))
         # Delta_i(x_i^p x_{i+1}^q) = t^(p)_{i,i+1} x_{i+1}^q - x_{i+1}^p t^(q)_{i+1,i}
         middle: dict = {}
@@ -317,12 +318,20 @@ class AwpaAlgebra:
             xp = tuple(p if t == i else 0 for t in range(self.n))
             for (a, w), c in self.t_pd(q, i + 1, i).items():
                 acc(middle, (tuple(x + y for x, y in zip(a, xp)), w), -c)
-        # x^rest on the left is a plain exponent shift; then multiply the word in
+        # x^rest on the left is a plain exponent shift
+        out = {(tuple(x + y for x, y in zip(rest, a)), w): c for (a, w), c in middle.items()}
+        self._delta_cache[(i, alpha)] = out
+        return out
+
+    def _delta_mono(self, i: int, alpha, word) -> dict:
+        """Delta_i of the P_n(F) monomial x^alpha * word: {(alpha, word): scalar}.
+        Delta_i kills F^(x)n, so this is Delta_i(x^alpha) times the word."""
+        if alpha[i - 1] == 0 and alpha[i] == 0:
+            return {}
         out: dict = {}
-        for (a, w), c in middle.items():
-            shifted = tuple(x + y for x, y in zip(rest, a))
+        for (a, w), c in self._delta_x(i, alpha).items():
             for w2, c2 in word_mul(self.F, w, word).items():
-                acc(out, (shifted, w2), c * c2)
+                acc(out, (a, w2), c * c2)
         return out
 
     def divided_difference(self, i: int, a: AwpaElem) -> AwpaElem:
@@ -411,7 +420,7 @@ class AwpaAlgebra:
             tail = perms.mul(tau, p2)
             for (alpha, w), c2 in self._pd_mono_mul(a1, w1, g, d):
                 acc(out, (alpha, w, tail), c * c2)
-        if keep and len(self._mono_cache) < 200_000:
+        if keep and len(self._mono_cache) < MEMO_CAP:
             self._mono_cache[ckey] = out
         return out
 

@@ -158,6 +158,7 @@ class FrobAlg:
         self._validate_trace_homogeneity()
         self._derive_frobenius_data()
         self._graded_piece_cache: dict = {}
+        self._word_cache: dict = {}  # wreath.word_mul's memo, {(w1, w2): {word: scalar}}
 
     # -- construction-time checks -------------------------------------------
 
@@ -359,9 +360,6 @@ class FrobAlg:
         result = [zero._like(v) for v in vectors]
         self._graded_piece_cache[key] = result
         return result
-
-    def supercenter(self) -> list[AlgElem]:
-        return self.graded_piece(0)
 
     # -- serialization ----------------------------------------------------------
 

@@ -15,10 +15,12 @@ product and printing):
   hands out its structure constants and psi-powers as such zero-free rows.
 
 ``terms`` is a plain dict, read-only by convention: operations build new
-elements and never change an operand.
+elements and never change an operand, nor a dict a memo hands out.
 """
 
 from __future__ import annotations
+
+MEMO_CAP = 200_000  # entries a product memo keeps; later products are not stored
 
 
 def acc(d: dict, key, value):

@@ -59,13 +59,6 @@ def test_rewrite_degree():
         Q._rewrite_elem(1)
 
 
-def test_x1_pow_d_expansion_shape():
-    Q = _dual_quotient(2)
-    Q._rewrite_cache[1] = Q.ctx.s(1)
-    with pytest.raises(InternalInconsistency):
-        Q.x1_pow_d_expansion()
-
-
 def test_right_module_basis_count(monkeypatch):
     F = dual_numbers_algebra()
     ind = InductionStructure(make_params(F, {1: [F.zero_elem()]}), 1)

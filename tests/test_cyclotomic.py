@@ -18,7 +18,15 @@ from awpa.cyclotomic import (
     make_params,
 )
 from awpa.engine import AwpaAlgebra, AwpaElem
-from awpa.errors import NotPsiFixed, OddParity, LevelZero, ParseError, TooLarge, WrongDegree
+from awpa.errors import (
+    InternalInconsistency,
+    LevelZero,
+    NotPsiFixed,
+    OddParity,
+    ParseError,
+    TooLarge,
+    WrongDegree,
+)
 from awpa.frobenius import (
     clifford_algebra,
     cyclic_group_algebra,
@@ -27,7 +35,7 @@ from awpa.frobenius import (
     trivial_algebra,
 )
 from awpa.verify import random_element
-from awpa.wreath import word_parity
+from awpa.wreath import TensorElem, word_parity
 
 
 def level_one(F):
@@ -168,6 +176,25 @@ def test_reduce_chi_is_zero():
         assert Q.reduce(Q.ctx.mul(Q.ctx.mul(u, Q.chi(1)), v)).is_zero()
 
 
+def x1_pow_d_expansion(Q):
+    """x_1^d = sum_i f_(i) x_1^i modulo the ideal: the list f_(0..d-1) as
+    TensorElems, read off R_1 = x_1^d - chi_1 (only for slot-1 parameters)."""
+    out = [TensorElem(Q.F, Q.n, {}) for _ in range(Q.d)]
+    for (alpha, word, pi), c in Q._rewrite_elem(1).terms.items():
+        if pi != Q.ctx.identity_perm or any(alpha[1:]):
+            raise InternalInconsistency("x_1^d - chi has a term outside F^(x)n[x_1]")
+        out[alpha[0]] = out[alpha[0]] + TensorElem(Q.F, Q.n, {word: c})
+    return out
+
+
+def test_x1_pow_d_expansion_shape():
+    F = dual_numbers_algebra()
+    Q = CyclotomicAlgebra(make_params(F, {1: [F.from_label("z")]}), 2)
+    Q._rewrite_cache[1] = Q.ctx.s(1)
+    with pytest.raises(InternalInconsistency):
+        x1_pow_d_expansion(Q)
+
+
 def test_reduce_x1_pow_d():
     Cl = clifford_algebra()
     lam = Cl.scalar(Fraction(5, 3)) * Cl.unit_elem()
@@ -176,7 +203,7 @@ def test_reduce_x1_pow_d():
     red = Q.reduce(Q.ctx.x(1, 2))
     assert red == CycloElem(Q, Q.ctx.scalar_elem(Fraction(5, 3)))
     # x1^d expansion: f_(0) = 5/3, f_(1) = 0
-    exp = Q.x1_pow_d_expansion()
+    exp = x1_pow_d_expansion(Q)
     assert exp[0].terms == {(0,): Q.F.scalar(Fraction(5, 3))}
     assert exp[1].is_zero()
 
@@ -366,7 +393,8 @@ def test_partial_trace_bimodule_and_composition():
         lhs = ind.partial_trace(ind.big.mul(ind.big.mul(ind.embed(a), z), ind.embed(b)))
         rhs = ind.small.mul(ind.small.mul(a, ind.partial_trace(z)), b)
         assert lhs == rhs
-        assert ind.full_trace_factors(z)
+        # tr_C^{n+1} = tr_C^n o tr^C_{n+1}
+        assert ind.big.trace(z) == ind.small.trace(ind.partial_trace(z))
 
 
 def test_shift_compatibility_level_one():

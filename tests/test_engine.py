@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from awpa import linalg
 from awpa import permutations as perms
+from awpa.cyclotomic import CyclotomicAlgebra, make_params
 from awpa.engine import AwpaAlgebra, AwpaElem
 from awpa.errors import NotPolynomial, ZeroElement
 from awpa.frobenius import (
@@ -18,8 +20,9 @@ from awpa.frobenius import (
     trivial_algebra,
 )
 from awpa.scalars import CycScalar
-from awpa.verify import random_element
-from awpa.wreath import TensorElem, WreathElem, word_parity
+from awpa.sparse import acc
+from awpa.verify import random_element, run_suite
+from awpa.wreath import TensorElem, WreathElem, word_mul, word_parity
 
 
 @pytest.fixture(scope="module")
@@ -488,3 +491,87 @@ def test_n_zero_and_one():
     assert ctx1.mul(c, ctx1.x(1)) == -ctx1.mul(ctx1.x(1), c)
     with pytest.raises(IndexError):
         ctx1.s(1)
+
+
+def reference_delta_mono(ctx, i, alpha, word):
+    """Delta_i(x^alpha word) built afresh on every call, with no memo of
+    Delta_i(x^alpha): the reference for ``AwpaAlgebra._delta_mono``."""
+    p = alpha[i - 1]
+    q = alpha[i]
+    if p == 0 and q == 0:
+        return {}
+    rest = tuple(0 if t in (i - 1, i) else a for t, a in enumerate(alpha))
+    # Delta_i(x_i^p x_{i+1}^q) = t^(p)_{i,i+1} x_{i+1}^q - x_{i+1}^p t^(q)_{i+1,i}
+    middle = {}
+    if p:
+        xq = tuple(q if t == i else 0 for t in range(ctx.n))
+        for (a, w), c in ctx.t_pd(p, i, i + 1).items():
+            shifted = tuple(x + y for x, y in zip(a, xq))
+            for w2, c2 in ctx._word_psi_twist(w, xq).items():
+                acc(middle, (shifted, w2), c * c2)
+    if q:
+        xp = tuple(p if t == i else 0 for t in range(ctx.n))
+        for (a, w), c in ctx.t_pd(q, i + 1, i).items():
+            acc(middle, (tuple(x + y for x, y in zip(a, xp)), w), -c)
+    out = {}
+    for (a, w), c in middle.items():
+        shifted = tuple(x + y for x, y in zip(rest, a))
+        for w2, c2 in word_mul(ctx.F, w, word).items():
+            acc(out, (shifted, w2), c * c2)
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [clifford_algebra, lambda: taft_algebra(3), lambda: symmetric_group_algebra(3)],
+    ids=["clifford", "taft3", "s3"],
+)
+def test_delta_memo_matches_reference(make):
+    """The memoized Delta_i(x^alpha) times the word equals Delta_i(x^alpha word)
+    built afresh, for every i, every alpha with entries <= theta + 1 and 20
+    seeded words at n = 3; each key is asked twice, so hits are checked too."""
+    F = make()
+    ctx = AwpaAlgebra(F, 3)
+    rng = random.Random(17)
+    words = [tuple(rng.randrange(F.dim) for _ in range(3)) for _ in range(20)]
+    alphas = list(product(range(F.theta + 2), repeat=3))
+    for _ in range(2):
+        for i in (1, 2):
+            for alpha in alphas:
+                for word in words:
+                    expected = reference_delta_mono(ctx, i, alpha, word)
+                    assert ctx._delta_mono(i, alpha, word) == expected
+    assert len(ctx._delta_cache) == 2 * len(alphas) - 2 * (F.theta + 2)
+
+
+def test_memo_entries_match_fresh_values(monkeypatch):
+    """After a relation suite on Taft(3) and a Cl Gram matrix, every word-memo
+    and Delta-memo entry equals its value recomputed on a fresh F and
+    context, so no caller has changed a dict the memos share."""
+    contexts = []
+    init = AwpaAlgebra.__init__
+
+    def recording_init(self, F, n):
+        init(self, F, n)
+        contexts.append(self)
+
+    monkeypatch.setattr(AwpaAlgebra, "__init__", recording_init)
+    _, failures = run_suite(taft_algebra(3), 3, instances=23)
+    assert failures == []
+    Cl = clifford_algebra()
+    params = make_params(Cl, {2: [Cl.scalar(Fraction(1, 2)) * Cl.unit_elem()]})
+    assert CyclotomicAlgebra(params, 2).gram_matrix()[1]
+    monkeypatch.setattr(AwpaAlgebra, "__init__", init)
+    fresh = {"taft_3": lambda: taft_algebra(3), "clifford": clifford_algebra}
+    checked_words = checked_deltas = 0
+    for F in {id(ctx.F): ctx.F for ctx in contexts}.values():
+        G = fresh[F.name]()
+        for (w1, w2), terms in F._word_cache.items():
+            assert terms == word_mul(G, w1, w2)
+            checked_words += 1
+    for ctx in contexts:
+        again = AwpaAlgebra(fresh[ctx.F.name](), ctx.n)
+        for (i, alpha), terms in ctx._delta_cache.items():
+            assert terms == again._delta_x(i, alpha)
+            checked_deltas += 1
+    assert checked_words > 500 and checked_deltas > 20

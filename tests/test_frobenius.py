@@ -536,7 +536,8 @@ def test_dict_rows_are_accepted_and_checked():
 )
 def test_word_mul_matches_dense_cube(make):
     """word_mul against the slotwise product read from the dense JSON cube,
-    with the Koszul sign sum_{i > j} |a_i||c_j| counted pair by pair."""
+    with the Koszul sign sum_{i > j} |a_i||c_j| counted pair by pair; each
+    pair is asked twice, so the memo's hit path is checked too."""
     F = make()
     data = F.to_json_dict()
     cube = [
@@ -557,6 +558,7 @@ def test_word_mul_matches_dense_cube(make):
                 c = c * cube[w1[s]][w2[s]][k]
             if c:
                 expected[word] = c
+        assert word_mul(F, w1, w2) == expected
         assert word_mul(F, w1, w2) == expected
 
 

@@ -9,7 +9,9 @@ Sums, differences and negation of elements live in ``sparse.SparseElem``
 (and of scalars in ``scalars.CycScalar``); no other class defines them, and
 ``sparse.acc`` is the one place that deletes a zero coefficient from a dict.
 No module but ``linalg.py`` names a dense-matrix helper, so the package
-solves on sparse rows only.
+solves on sparse rows only.  Memos live on objects (F, a context): no
+module or class body binds a mutable container beyond a short list of
+tables, and ``functools.cache`` wraps only the int-keyed scalar tables.
 """
 
 import ast
@@ -228,3 +230,100 @@ def test_scan_finds_dense_helpers():
         "line 5: eye",
         "line 8: mat_vec",
     ]
+
+
+MODULE_CONTAINERS = {"__all__", "BUILTINS", "ALL_CHECKS", "_SHIFT_PARAM_ERRORS"}
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "Counter", "OrderedDict", "deque"}
+MEMO_DECORATORS = {"cache", "lru_cache"}
+SCALAR_TABLES = {"cyclotomic_polynomial", "_zeta_powers", "_constant"}
+
+
+def _is_mutable_container(node) -> bool:
+    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in MUTABLE_CALLS
+    return False
+
+
+def module_containers(source: str) -> list[str]:
+    """line: name for each mutable container a module or class body binds."""
+    found = []
+    bodies = [ast.parse(source).body]
+    bodies += [node.body for body in bodies for node in body if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if _is_mutable_container(value):
+                found += [f"line {node.lineno}: {ast.unparse(t)}" for t in targets]
+    return found
+
+
+def _memo_name(node) -> bool:
+    node = node.func if isinstance(node, ast.Call) else node
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in MEMO_DECORATORS
+
+
+def memo_uses(source: str) -> list[str]:
+    """The functions decorated with functools.cache or lru_cache, and
+    "line N" for each such wrapper called outside a decorator."""
+    tree, out, decorators = ast.parse(source), [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            decorators.update(map(id, node.decorator_list))
+            out += [node.name for dec in node.decorator_list if _memo_name(dec)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in decorators and _memo_name(node):
+            out.append(f"line {node.lineno}")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_memos_live_on_objects(path):
+    """Module-level state outlives every context, so a memo there would be
+    shared by all of them: only the listed tables may be module-level."""
+    source = path.read_text()
+    names = {line.split(": ", 1)[1] for line in module_containers(source)}
+    assert names <= MODULE_CONTAINERS, module_containers(source)
+    allowed = SCALAR_TABLES if path.name == "scalars.py" else set()
+    assert set(memo_uses(source)) <= allowed
+
+
+def test_scan_finds_module_state():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "_MEMO = {}\n"
+        "TABLE: dict = dict()\n"
+        "NAMES = [k for k in 'ab']\n"
+        "BOUND = 10\n"
+        "PAIR = (1, 2)\n"
+        "class A:\n"
+        "    _seen = set()\n"
+        "    __slots__ = ('x',)\n"
+        "    def f(self):\n"
+        "        local = {}\n"
+        "        return local\n"
+        "@cache\n"
+        "def g(m): pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def h(m): pass\n"
+        "@staticmethod\n"
+        "def k(m): pass\n"
+        "k2 = functools.cache(k)\n"
+    )
+    assert module_containers(source) == [
+        "line 3: _MEMO",
+        "line 4: TABLE",
+        "line 5: NAMES",
+        "line 9: _seen",
+    ]
+    assert memo_uses(source) == ["g", "h", "line 20"]
