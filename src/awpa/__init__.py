@@ -22,8 +22,6 @@ from .cyclotomic import (
     CycloParams,
     CyclotomicAlgebra,
     InductionStructure,
-    induction_basis,
-    level_one_matches_wreath,
     make_params,
     nakayama_check,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "dual_numbers_algebra",
     "element_str",
     "group_algebra",
-    "induction_basis",
-    "level_one_matches_wreath",
     "make_params",
     "nakayama_check",
     "opposite_algebra",

@@ -41,7 +41,7 @@ from .errors import (
 from .frobenius import AlgElem, FrobAlg
 from .scalars import CycScalar
 from .sparse import SparseElem, acc
-from .wreath import TensorElem, WreathElem, word_parity
+from .wreath import TensorElem, word_parity
 
 DEFAULT_GRAM_BOUND = 20_000
 
@@ -55,6 +55,16 @@ def gram_entry_bound() -> int:
     if bound < 1:
         raise ParseError(f"AWPA_MAX_DIM must be a positive integer, got {value!r}")
     return bound
+
+
+def _check_matrix_size(what: str, dim: int):
+    """Refuse a dim x dim matrix with more entries than the configured bound."""
+    bound = gram_entry_bound()
+    if dim * dim > bound:
+        raise TooLarge(
+            f"{what} would have {dim * dim} entries; "
+            f"bound is {bound} (set AWPA_MAX_DIM to override)"
+        )
 
 
 class CycloParams:
@@ -353,12 +363,7 @@ class CyclotomicAlgebra:
         verdict.  Guarded by the configured size bound."""
         if self._gram is not None:
             return self._gram
-        dim = self.dim()
-        if dim * dim > gram_entry_bound():
-            raise TooLarge(
-                f"gram matrix would have {dim * dim} entries; "
-                f"bound is {gram_entry_bound()} (set AWPA_MAX_DIM to override)"
-            )
+        _check_matrix_size("gram matrix", self.dim())
         keys = self.basis_keys()
         rows = []
         for ku in keys:
@@ -445,10 +450,7 @@ class InductionStructure:
         if self._matrix_inv is not None:
             return self._matrix_inv, self._slots
         dim_big = self.big.dim()
-        if dim_big * dim_big > gram_entry_bound():
-            raise TooLarge(
-                f"induction transition matrix would have {dim_big * dim_big} entries"
-            )
+        _check_matrix_size("induction transition matrix", dim_big)
         small_keys = self.small.basis_keys()
         rows = []
         slots = []
@@ -498,17 +500,6 @@ class InductionStructure:
         return CycloElem(self.small, self.small.ctx._elem(out))
 
 
-def induction_basis(params: CycloParams, n: int):
-    """The free right-module basis of A_{n+1}^C(F) over A_n^C(F), with the
-    exact-rank freeness check and the cyclotomic Mackey dimension identity."""
-    ind = InductionStructure(params, n)
-    ind.verify_free_basis()
-    lhs, rhs = ind.mackey_dimensions()
-    if lhs != rhs:
-        raise ParamsMismatch(f"cyclotomic Mackey dimensions differ: {lhs} != {rhs}")
-    return [elem for _, elem in ind.right_module_basis()]
-
-
 def nakayama_counterexample(qalg: CyclotomicAlgebra, pairs: int = 50, seed: int = 0):
     """Test tr_C(ab) = (-1)^{|a||b|} tr_C(b nu(a)) on random parity-homogeneous
     pairs drawn from the seed; returns the first failing pair (a, b), or
@@ -543,27 +534,3 @@ def nakayama_check(qalg: CyclotomicAlgebra, pairs: int = 50, seed: int = 0):
     for j in range(1, qalg.n):
         images.append((f"s{j}", qalg.nakayama(CycloElem(qalg, qalg.ctx.s(j)))))
     return ok, qalg.is_symmetric(), images
-
-
-def level_one_matches_wreath(qalg: CyclotomicAlgebra) -> bool:
-    """At level one with chi = x_1, the quotient is the wreath product:
-    compare all structure constants against wreath multiplication.  The
-    quotient basis keys (0, word, pi) match the wreath keys (word, pi)."""
-    if qalg.d != 1:
-        raise ParamsMismatch("level-one comparison needs d = 1")
-    keys = qalg.basis_keys()
-    for ku in keys:
-        u = CycloElem(qalg, qalg.ctx.monomial(*ku))
-        wu = WreathElem(qalg.F, qalg.n, {(ku[1], ku[2]): CycScalar.one(qalg.F.conductor)})
-        for kv in keys:
-            v = CycloElem(qalg, qalg.ctx.monomial(*kv))
-            wv = WreathElem(
-                qalg.F, qalg.n, {(kv[1], kv[2]): CycScalar.one(qalg.F.conductor)}
-            )
-            quot = qalg.mul(u, v).terms
-            wreath = {
-                (qalg.ctx.zero_alpha, w, p): c for (w, p), c in (wu * wv).terms.items()
-            }
-            if quot != wreath:
-                return False
-    return True

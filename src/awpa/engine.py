@@ -14,8 +14,8 @@ Corrections strictly drop polynomial degree, so the rewriting terminates.
 The module also hosts everything built on that arithmetic: t-elements,
 Jucys-Murphy elements and the evaluation map onto the wreath product,
 the polynomial-module action used as an independent multiplication oracle,
-center and centralizer computations, intertwiners, automorphisms, graded
-dimensions, and Mackey dimension bookkeeping.
+center and centralizer computations, intertwiners, automorphisms and graded
+dimensions.
 """
 
 from __future__ import annotations
@@ -138,25 +138,6 @@ class IsCentralResult:
         return f"not central ({self.failed_generator or self.structural_reason})"
 
 
-class MackeyReport:
-    def __init__(self, mu, nu, cutoff, lhs, terms, phi_checked):
-        self.mu = mu
-        self.nu = nu
-        self.cutoff = cutoff
-        self.lhs = lhs
-        self.terms = terms  # list of (pi, mu cap pi nu, pi^-1 mu cap nu, dim)
-        self.rhs = sum(t[3] for t in terms)
-        self.equal = self.lhs == self.rhs
-        self.phi_checked = phi_checked
-
-    def __repr__(self):
-        status = "ok" if self.equal and self.phi_checked else "MISMATCH"
-        return (
-            f"Mackey mu={self.mu} nu={self.nu} cutoff={self.cutoff}: "
-            f"{self.lhs} = {self.rhs} over {len(self.terms)} cosets [{status}]"
-        )
-
-
 class AwpaAlgebra:
     """Context for A_n(F): caches and normal-form arithmetic."""
 
@@ -203,7 +184,17 @@ class AwpaAlgebra:
         return self.x_monomial(power if j == i - 1 else 0 for j in range(self.n))
 
     def x_monomial(self, alpha) -> AwpaElem:
-        return AwpaElem(self, self._keyed(tuple(alpha), self._unit_words, self.identity_perm))
+        alpha = self._exponents(alpha)
+        return AwpaElem(self, self._keyed(alpha, self._unit_words, self.identity_perm))
+
+    def _exponents(self, alpha) -> tuple:
+        """alpha as a tuple of n nonnegative exponents."""
+        alpha = tuple(alpha)
+        if len(alpha) != self.n:
+            raise SizeMismatch(f"exponent vector {alpha} needs n={self.n} entries")
+        if any(e < 0 for e in alpha):
+            raise ValueError(f"negative exponent in {alpha}")
+        return alpha
 
     def slot_elem(self, f, i: int) -> AwpaElem:
         """f_i = 1 (x) ... (x) f (x) ... (x) 1 as an element of A_n(F)."""
@@ -225,7 +216,8 @@ class AwpaAlgebra:
         return AwpaElem(self, {(self.zero_alpha, word, p): c for (word, p), c in w.terms.items()})
 
     def monomial(self, alpha, word, pi, coeff=1) -> AwpaElem:
-        return AwpaElem(self, {(tuple(alpha), tuple(word), tuple(pi)): self.F.scalar(coeff)})
+        key = (self._exponents(alpha), tuple(word), tuple(pi))
+        return AwpaElem(self, {key: self.F.scalar(coeff)})
 
     def module_one(self) -> PolyModElem:
         terms = self._keyed(self.zero_alpha, self._unit_words, self.identity_perm)
@@ -541,16 +533,14 @@ class AwpaAlgebra:
 
     # -- center / centralizer ---------------------------------------------------------
 
-    def generators(self, include_perms: bool = True) -> list:
-        """Homogeneous generators: x_i, the basis slots, and (optionally) the
-        simple reflections."""
+    def generators(self) -> list:
+        """Homogeneous generators: x_i, the basis slots and the simple
+        reflections."""
         gens = [self.x(i) for i in range(1, self.n + 1)]
         for b in range(self.F.dim):
             for i in range(1, self.n + 1):
                 gens.append(self.slot_elem(self.F.basis_elem(b), i))
-        if include_perms:
-            gens += [self.s(j) for j in range(1, self.n)]
-        return gens
+        return gens + [self.s(j) for j in range(1, self.n)]
 
     def _supercommutes_with_generators(self, z: AwpaElem):
         """z supercommutes with x_1, every basis slot, and every s_j?
@@ -679,17 +669,6 @@ class AwpaAlgebra:
 
     def center_up_to_degree(self, poly_degree_bound: int) -> list:
         return self.centralizer_up_to_degree(self.generators(), poly_degree_bound)
-
-    def expected_pnf_centralizer(self, poly_degree_bound: int) -> list:
-        """(+)_alpha x^alpha F_psi^(-alpha), truncated: the centralizer of
-        P_n(F)."""
-        out = []
-        for alpha in product(range(poly_degree_bound + 1), repeat=self.n):
-            if sum(alpha) > poly_degree_bound:
-                continue
-            for wdict in self._tensor_subspace_basis([-e for e in alpha]):
-                out.append(AwpaElem(self, self._keyed(alpha, wdict, self.identity_perm)))
-        return out
 
     # -- automorphisms -----------------------------------------------------------------
 
@@ -871,57 +850,6 @@ class AwpaAlgebra:
         for _ in range(self.n):
             out = _poly_mul_trunc(out, base, cutoff)
         return [factorial(self.n) * c for c in out]
-
-    # -- Mackey dimension bookkeeping ---------------------------------------------------
-
-    def mackey_dimension_report(self, mu, nu, poly_cutoff: int) -> MackeyReport:
-        """Dimension identity for Res_mu Ind_nu of the (truncated) regular
-        module, summed over minimal double-coset representatives, plus a
-        generator-level check that conjugation by pi^-1 is an algebra map."""
-        mu = perms.check_composition(mu, self.n)
-        nu = perms.check_composition(nu, self.n)
-        F = self.F
-        n_alpha = comb(self.n + poly_cutoff, self.n)  # #{alpha : |alpha| <= cutoff}
-        layer = (F.dim ** self.n) * n_alpha
-        s_nu_order = 1
-        for part in nu:
-            s_nu_order *= factorial(part)
-        lhs = factorial(self.n) * layer
-        terms = []
-        phi_ok = True
-        for pi, left_comp, right_comp in perms.min_double_cosets(mu, nu, self.n):
-            s_int_order = 1
-            for part in left_comp:
-                s_int_order *= factorial(part)
-            s_mu_order = 1
-            for part in mu:
-                s_mu_order *= factorial(part)
-            dim = (s_mu_order // s_int_order) * s_nu_order * layer
-            terms.append((pi, left_comp, right_comp, dim))
-            if not self._phi_is_algebra_map(pi, left_comp):
-                phi_ok = False
-        return MackeyReport(mu, nu, poly_cutoff, lhs, terms, phi_ok)
-
-    def _phi_is_algebra_map(self, pi, left_comp) -> bool:
-        """phi_{pi^-1}: sigma -> pi^-1 sigma pi, x_i -> x_{pi^-1 i},
-        f_i -> f_{pi^-1 i} respects the defining relations on the generators
-        of the parabolic subalgebra for the composition."""
-        pinv = perms.inverse(pi)
-        for i in perms.young_subgroup_simples(left_comp, self.n):
-            ii = pinv[i - 1]
-            if pinv[i] != ii + 1:
-                return False
-            lhs = self.mul(self.s(ii), self.x(ii))
-            rhs = self.mul(self.x(ii + 1), self.s(ii)) - self.t_element(ii, ii + 1)
-            if lhs != rhs:
-                return False
-            for b in range(self.F.dim):
-                fb = self.slot_elem(self.F.basis_elem(b), ii)
-                image = self.slot_elem(self.F.basis_elem(b), ii + 1)
-                if self.mul(self.s(ii), self.mul(fb, self.s(ii))) != image:
-                    return False
-        return True
-
 
 _SHIFT_PARAM_ERRORS = {
     "parity": "shift parameter must be even",

@@ -49,10 +49,6 @@ class DimensionMismatch(AwpaError):
     pass
 
 
-class BadComposition(AwpaError):
-    pass
-
-
 class NotPolynomial(AwpaError):
     """Element has a nontrivial permutation part where one is not allowed."""
 

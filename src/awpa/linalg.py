@@ -1,18 +1,19 @@
 """Exact linear algebra over CycScalar.
 
-Rows.  The elimination functions (``rref``, ``rank``, ``nullspace``,
-``in_span`` and ``same_span``) take a matrix as a list of rows, and a row is
-either a ``{column: scalar}`` dict or a dense list, read as
-``{index: entry}``.  Columns are any sortable keys and are taken in sorted
-order, so a dict row may be an element's ``terms`` as it is (basis indices,
-words or monomial keys), and integer columns pivot as in textbook
-elimination.  A dict row may hold zeros; they are dropped.  ``rref`` turns
-every row into a sparse dict at its one entry point and returns sparse
-rows; ``nullspace`` returns sparse vectors.  ``inverse`` (F's dual basis,
-duals of a given basis, induction transitions) takes such rows too and
-returns, for each column, the sparse combination of the rows that gives
-the unit vector on it.  Only ``mat_mul``, ``mat_vec`` and ``solve`` take
-and return dense matrices; no module of the package calls them.
+Rows.  The elimination functions (``rref``, ``rank``, ``nullspace`` and
+``in_span``) take a matrix as a list of rows, and a row is either a
+``{column: scalar}`` dict or a dense list, read as ``{index: entry}``.
+Columns are any sortable keys and are taken in sorted order, so a dict row
+may be an element's ``terms`` as it is (basis indices, words or monomial
+keys), and integer columns pivot as in textbook elimination.  A dict row
+may hold zeros; they are dropped.  ``rref`` turns every row into a sparse
+dict at its one entry point and returns sparse rows; ``nullspace`` returns
+sparse vectors.  ``inverse`` (F's dual basis, duals of a given basis,
+induction transitions) takes such rows too and returns, for each column,
+the sparse combination of the rows that gives the unit vector on it.  Only
+``mat_mul``, ``mat_vec`` and ``solve`` take and return dense matrices; no
+module of the package calls them, and the benchmark's tracer wraps them by
+name.
 
 ``rref`` runs Gauss-Jordan elimination on the sparse rows, so scaling or
 eliminating with a pivot row touches only the pivot row's nonzeros, only
@@ -180,8 +181,3 @@ def in_span(basis, vec) -> bool:
             for j, y in row.items():
                 acc(v, j, -(f * y))
     return not v
-
-
-def same_span(basis_a, basis_b) -> bool:
-    ra = rank(basis_a)
-    return ra == rank(basis_b) and rank(list(basis_a) + list(basis_b)) == ra

@@ -261,10 +261,12 @@ def test_malformed_builtin_params_fail_cleanly(argv, extra_env, section, tmp_pat
 def test_size_refusal_exit_2(capsys, tmp_path, monkeypatch):
     # a matrix above AWPA_MAX_DIM is refused as a usage error, not a counterexample
     monkeypatch.setenv("AWPA_MAX_DIM", "10")
-    code, out, _ = run(capsys, *GRAM[:3], str(dual_params(tmp_path)), "--n", "2")
-    assert code == 2
-    assert out.startswith("FAIL: gram matrix would have 64 entries; bound is 10")
-    assert out.count("\n") == 1
+    params = str(dual_params(tmp_path))
+    for action, matrix in [("gram", "gram matrix"), ("basis", "induction transition matrix")]:
+        code, out, _ = run(capsys, "cyclotomic", action, "--params", params, "--n", "2")
+        assert code == 2
+        assert out.startswith(f"FAIL: {matrix} would have 64 entries; bound is 10")
+        assert out.count("\n") == 1
 
 
 def test_parse_failure_names_the_reason(capsys):

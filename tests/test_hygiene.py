@@ -12,6 +12,9 @@ No module but ``linalg.py`` names a dense-matrix helper, so the package
 solves on sparse rows only.  Memos live on objects (F, a context): no
 module or class body binds a mutable container beyond a short list of
 tables, and ``functools.cache`` wraps only the int-keyed scalar tables.
+Every function, class and method of the package is reached from the CLI,
+the benchmark or the public names; code that only tests run lives in
+``tests/oracles.py``.
 """
 
 import ast
@@ -327,3 +330,123 @@ def test_scan_finds_module_state():
         "line 9: _seen",
     ]
     assert memo_uses(source) == ["g", "h", "line 20"]
+
+
+BENCH = SRC.parent.parent / "bench"
+# Definitions that no root reaches but that stay in the package, with the reason.
+UNREACHED_ALLOWED = {
+    "linalg.mat_mul": "bench/tracing.py patches it by name",
+    "linalg.mat_vec": "bench/tracing.py patches it by name",
+    "linalg.solve": "bench/tracing.py patches it by name",
+    "cyclotomic.InductionStructure.partial_trace": (
+        "the Frobenius-extension trace of the induction, checked by acceptance criterion 9"
+    ),
+}
+
+
+def _reads(nodes) -> set[str]:
+    """Every name and attribute read under the nodes."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for node in nodes
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreached(package: dict[str, str], entry: list[str]) -> list[str]:
+    """The functions, classes and methods of ``package`` ({module: source})
+    that no root reaches, as ``module.name`` or ``module.Class.method``.
+
+    The roots are the names read anywhere in the ``entry`` sources, the
+    strings of each module's ``__all__`` and the names read in its
+    module-level statements.  A reached definition reaches every name read
+    in its body.  A class reaches its bases, decorators, class-level
+    statements and dunders; its other methods are reached by their name once
+    the class is.  Names are matched without scopes, so a name read anywhere
+    reached keeps every definition of that name."""
+    seen = _reads(ast.parse(source) for source in entry)
+    defs = []  # (qualified name, name, owning class or None, nodes it reaches)
+    for module, source in package.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((f"{module}.{stmt.name}", stmt.name, None, [stmt]))
+            elif isinstance(stmt, ast.ClassDef):
+                qual, own = f"{module}.{stmt.name}", [*stmt.bases, *stmt.decorator_list]
+                for item in stmt.body:
+                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                        defs.append((f"{qual}.{item.name}", item.name, qual, [item]))
+                    else:
+                        own.append(item)
+                defs.append((qual, stmt.name, None, own))
+            else:
+                seen |= _reads([stmt])
+                targets = [ast.unparse(t) for t in getattr(stmt, "targets", ())]
+                if targets == ["__all__"]:
+                    seen |= {elt.value for elt in stmt.value.elts}
+    reached: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for qual, name, owner, nodes in defs:
+            if qual not in reached and name in seen and (owner is None or owner in reached):
+                reached.add(qual)
+                seen |= _reads(nodes)
+                grew = True
+    return sorted(qual for qual, *_ in defs if qual not in reached)
+
+
+def _package_unreached() -> list[str]:
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    entry = [package["cli"]] + [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    return unreached(package, entry)
+
+
+def test_src_definitions_are_reached():
+    """Code that only tests run lives under tests/ (``tests/oracles.py``)."""
+    assert sorted(set(_package_unreached()) - set(UNREACHED_ALLOWED)) == []
+
+
+def test_reach_allow_list_is_current():
+    """Each allowed name is defined in the package and reached by no root, so
+    an entry fails here once a root uses it or its definition is gone."""
+    assert sorted(set(UNREACHED_ALLOWED) - set(_package_unreached())) == []
+
+
+def test_scan_finds_unreachable():
+    package = {
+        "m": (
+            "__all__ = ['exported']\n"
+            "TABLE = {'key': tabled}\n"
+            "def exported():\n"
+            "    return helper()\n"
+            "def helper(): pass\n"
+            "def tabled(): pass\n"
+            "def dead():\n"
+            "    return only_from_dead()\n"
+            "def only_from_dead(): pass\n"
+            "class C:\n"
+            "    size = measure()\n"
+            "    def __init__(self):\n"
+            "        self.setup()\n"
+            "    def setup(self): pass\n"
+            "    def unused(self): pass\n"
+            "def measure(): pass\n"
+            "class Dead:\n"
+            "    def __repr__(self):\n"
+            "        return shown()\n"
+            "def shown(): pass\n"
+        ),
+    }
+    entry = ["from m import C\nC()\n"]
+    assert unreached(package, entry) == [
+        "m.C.unused",
+        "m.Dead",
+        "m.dead",
+        "m.only_from_dead",
+        "m.shown",
+    ]
