@@ -246,20 +246,17 @@ def cmd_cyclotomic(args) -> int:
             f"dim A_n^C = n!(d dim F)^n = {dim}",
         ]
         payload = {"level": qalg.d, "dim": dim}
-        if not params.general and args.n >= 1:
-            ind = InductionStructure(params, args.n - 1) if args.n > 1 else None
-            if ind is not None:
-                ind.verify_free_basis()
-                lhs, rhs = ind.mackey_dimensions()
-                lines.append(
-                    f"free right-module basis over A_{args.n - 1}^C: PASS"
-                )
-                lines.append(f"cyclotomic Mackey dimensions: {lhs} = {rhs}")
-                payload["mackey"] = [lhs, rhs]
-                if lhs != rhs:
-                    lines.append("FAIL")
-                    _emit(args, payload, lines)
-                    return 1
+        if args.n > 1:
+            ind = InductionStructure(params, args.n - 1)
+            ind.verify_free_basis()
+            lhs, rhs = ind.mackey_dimensions()
+            lines.append(f"free right-module basis over A_{args.n - 1}^C: PASS")
+            lines.append(f"cyclotomic Mackey dimensions: {lhs} = {rhs}")
+            payload["mackey"] = [lhs, rhs]
+            if lhs != rhs:
+                lines.append("FAIL")
+                _emit(args, payload, lines)
+                return 1
         lines.append("PASS")
         _emit(args, payload, lines)
         return 0

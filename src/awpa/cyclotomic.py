@@ -23,6 +23,7 @@ automorphism fixes the x_i and permutations and twists F^(x)n by psi^d.
 from __future__ import annotations
 
 import os
+from itertools import product
 from math import factorial
 
 from . import linalg
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .frobenius import AlgElem, FrobAlg
 from .scalars import CycScalar
-from .sparse import SparseElem, acc
+from .sparse import SparseElem, acc, memoized
 from .wreath import TensorElem, word_parity
 
 DEFAULT_GRAM_BOUND = 20_000
@@ -158,7 +159,7 @@ def make_params(F: FrobAlg, entries: dict, general_entries=None, n_fixed=None) -
                     raise WrongDegree(
                         f"parameter at k={k} must have degree {k * F.delta}"
                     )
-                basis = F.graded_piece(k, fixed_only=True)
+                basis = F.graded_piece(k)
                 if not linalg.in_span([b.terms for b in basis], c.terms):
                     raise NotPsiFixed(f"parameter at k={k} is not in F_psi^({k})")
             out.append(c)
@@ -243,43 +244,38 @@ class CyclotomicAlgebra:
         self._factors = factors
         self._chi_cache: dict = {}
         self._rewrite_cache: dict = {}
-        self._basis_keys = None
-        self._gram = None
+        self._basis_keys_cache: dict = {}
+        self._gram_cache: dict = {}
 
     # -- chi and the rewrite elements ---------------------------------------------
 
-    def chi(self, i: int = 1) -> AwpaElem:
+    @memoized("_chi_cache")
+    def chi(self, i: int) -> AwpaElem:
         """chi_i = s_{i-1} ... s_1 chi s_1 ... s_{i-1}, leading term x_i^d."""
         if not 1 <= i <= self.n:
             raise IndexError(f"chi_{i} needs 1 <= i <= n={self.n}")
-        if i in self._chi_cache:
-            return self._chi_cache[i]
-        if i == 1:
-            out = self.ctx.one()
-            for f in self._factors:
-                out = self.ctx.mul(out, f)
-            if len(self._factors) > 1:
-                rev = self.ctx.one()
-                for f in reversed(self._factors):
-                    rev = self.ctx.mul(rev, f)
-                if rev != out:
-                    raise InternalInconsistency("chi depends on the factor order")
-        else:
-            prev = self.chi(i - 1)
+        if i > 1:
             s = self.ctx.s(i - 1)
-            out = self.ctx.mul(self.ctx.mul(s, prev), s)
-        self._chi_cache[i] = out
+            return self.ctx.mul(self.ctx.mul(s, self.chi(i - 1)), s)
+        out = self.ctx.one()
+        for f in self._factors:
+            out = self.ctx.mul(out, f)
+        if len(self._factors) > 1:
+            rev = self.ctx.one()
+            for f in reversed(self._factors):
+                rev = self.ctx.mul(rev, f)
+            if rev != out:
+                raise InternalInconsistency("chi depends on the factor order")
         return out
 
+    @memoized("_rewrite_cache")
     def _rewrite_elem(self, i: int) -> AwpaElem:
         """R_i = x_i^d - chi_i, congruent to x_i^d mod the ideal, of
         polynomial degree < d."""
-        if i not in self._rewrite_cache:
-            r = self.ctx.x(i, self.d) - self.chi(i)
-            if r.poly_degree() >= self.d:
-                raise InternalInconsistency("chi_i does not have leading term x_i^d")
-            self._rewrite_cache[i] = r
-        return self._rewrite_cache[i]
+        r = self.ctx.x(i, self.d) - self.chi(i)
+        if r.poly_degree() >= self.d:
+            raise InternalInconsistency("chi_i does not have leading term x_i^d")
+        return r
 
     # -- reduction ---------------------------------------------------------------
 
@@ -322,17 +318,14 @@ class CyclotomicAlgebra:
     def dim(self) -> int:
         return factorial(self.n) * (self.d * self.F.dim) ** self.n
 
+    @memoized("_basis_keys_cache")
     def basis_keys(self):
-        from itertools import product
-
-        if self._basis_keys is None:
-            self._basis_keys = sorted(
-                (alpha, w, p)
-                for alpha in product(range(self.d), repeat=self.n)
-                for w in product(range(self.F.dim), repeat=self.n)
-                for p in perms.all_permutations(self.n)
-            )
-        return self._basis_keys
+        return sorted(
+            (alpha, w, p)
+            for alpha in product(range(self.d), repeat=self.n)
+            for w in product(range(self.F.dim), repeat=self.n)
+            for p in perms.all_permutations(self.n)
+        )
 
     # -- trace and Frobenius structure ------------------------------------------------
 
@@ -358,11 +351,10 @@ class CyclotomicAlgebra:
         """The quotient trace is symmetric iff theta | d."""
         return self.d % self.F.theta == 0
 
+    @memoized("_gram_cache")
     def gram_matrix(self):
         """G[u][v] = tr_C(u v) over the reduced basis, with the exact rank
         verdict.  Guarded by the configured size bound."""
-        if self._gram is not None:
-            return self._gram
         _check_matrix_size("gram matrix", self.dim())
         keys = self.basis_keys()
         rows = []
@@ -373,9 +365,7 @@ class CyclotomicAlgebra:
                 v = CycloElem(self, self.ctx.monomial(*kv))
                 row.append(self.trace(self.mul(u, v)))
             rows.append(row)
-        invertible = linalg.is_invertible(rows)
-        self._gram = (rows, invertible)
-        return self._gram
+        return rows, linalg.is_invertible(rows)
 
     def nakayama_identity_holds(self, a: CycloElem, b: CycloElem) -> bool:
         """tr_C(a b) = (-1)^{|a||b|} tr_C(b nu(a)) for homogeneous-parity a, b."""
@@ -408,8 +398,7 @@ class InductionStructure:
         self.n = n
         self.big = CyclotomicAlgebra(params, n + 1)
         self.small = CyclotomicAlgebra(params, n)
-        self._matrix_inv = None
-        self._slots = None
+        self._transition_cache: dict = {}
 
     def right_module_basis(self) -> list:
         """The elements x_j^a b_j s_j ... s_n of A_{n+1}^C(F)."""
@@ -443,12 +432,11 @@ class InductionStructure:
                 acc(out, (alpha + (0,), word + (k,), pi + (self.n + 1,)), c * u)
         return CycloElem(self.big, self.big.ctx._elem(out))
 
+    @memoized("_transition_cache")
     def _transition(self):
         """The inverse of the rows u_{j,a,b} * embed(small basis monomial sk),
         and (j, a, b, sk) per row: inv[key] is the {row index: scalar}
         combination of the rows that equals the monomial key."""
-        if self._matrix_inv is not None:
-            return self._matrix_inv, self._slots
         dim_big = self.big.dim()
         _check_matrix_size("induction transition matrix", dim_big)
         small_keys = self.small.basis_keys()
@@ -465,8 +453,6 @@ class InductionStructure:
         inv = linalg.inverse(rows)
         if inv is None:
             raise InternalInconsistency("right-module basis is not free")
-        self._matrix_inv = inv
-        self._slots = slots
         return inv, slots
 
     def verify_free_basis(self) -> bool:

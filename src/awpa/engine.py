@@ -35,7 +35,7 @@ from .errors import (
 )
 from .frobenius import AlgElem, FrobAlg, check_frobenius_morphism
 from .scalars import CycScalar
-from .sparse import MEMO_CAP, SparseElem, acc
+from .sparse import MEMO_CAP, SparseElem, acc, memoized
 from .wreath import (
     TensorElem,
     WreathElem,
@@ -187,11 +187,16 @@ class AwpaAlgebra:
         alpha = self._exponents(alpha)
         return AwpaElem(self, self._keyed(alpha, self._unit_words, self.identity_perm))
 
+    def _sized(self, seq, what: str) -> tuple:
+        """seq as a tuple of n entries."""
+        seq = tuple(seq)
+        if len(seq) != self.n:
+            raise SizeMismatch(f"{what} {seq} needs n={self.n} entries")
+        return seq
+
     def _exponents(self, alpha) -> tuple:
         """alpha as a tuple of n nonnegative exponents."""
-        alpha = tuple(alpha)
-        if len(alpha) != self.n:
-            raise SizeMismatch(f"exponent vector {alpha} needs n={self.n} entries")
+        alpha = self._sized(alpha, "exponent vector")
         if any(e < 0 for e in alpha):
             raise ValueError(f"negative exponent in {alpha}")
         return alpha
@@ -205,7 +210,8 @@ class AwpaAlgebra:
         return AwpaElem(self, self._keyed(self.zero_alpha, t.terms, self.identity_perm))
 
     def perm_elem(self, pi) -> AwpaElem:
-        return AwpaElem(self, self._keyed(self.zero_alpha, self._unit_words, tuple(pi)))
+        pi = self._sized(pi, "permutation")
+        return AwpaElem(self, self._keyed(self.zero_alpha, self._unit_words, pi))
 
     def s(self, i: int) -> AwpaElem:
         return self.perm_elem(perms.simple(self.n, i))
@@ -216,7 +222,7 @@ class AwpaAlgebra:
         return AwpaElem(self, {(self.zero_alpha, word, p): c for (word, p), c in w.terms.items()})
 
     def monomial(self, alpha, word, pi, coeff=1) -> AwpaElem:
-        key = (self._exponents(alpha), tuple(word), tuple(pi))
+        key = (self._exponents(alpha), self._sized(word, "word"), self._sized(pi, "permutation"))
         return AwpaElem(self, {key: self.F.scalar(coeff)})
 
     def module_one(self) -> PolyModElem:
@@ -234,13 +240,12 @@ class AwpaAlgebra:
         gkey = tuple(g % F.theta for g in gamma)
         if not any(gkey):
             return {word: CycScalar.one(F.conductor)}
-        ckey = (word, gkey)
-        cached = self._twist_cache.get(ckey)
-        if cached is not None:
-            return cached
-        terms = tensor_of_vectors(F, [F.psi_on_basis(b, g) for b, g in zip(word, gkey)])
-        self._twist_cache[ckey] = terms
-        return terms
+        return self._twist(word, gkey)
+
+    @memoized("_twist_cache")
+    def _twist(self, word, gkey) -> dict:
+        """psi^gkey slotwise on a word, for exponents already reduced mod theta."""
+        return tensor_of_vectors(self.F, [self.F.psi_on_basis(b, g) for b, g in zip(word, gkey)])
 
     def _pd_mono_mul(self, a1, w1, a2, w2):
         """(x^a1 w1)(x^a2 w2) in P_n(F) as ((alpha, word), scalar) pairs.  A
@@ -250,6 +255,7 @@ class AwpaAlgebra:
             for w, c2 in word_mul(self.F, tw, w2).items():
                 yield (alpha, w), c1 * c2
 
+    @memoized("_t_cache")
     def t_pd(self, k: int, i: int, j: int) -> dict:
         """t^(k)_{i,j} = sum_b sum_{l<k} b_i x_i^(k-1-l) x_j^l (b^vee)_j
         as a P_n(F) dict {(alpha, word): scalar}, from its closed form
@@ -260,10 +266,6 @@ class AwpaAlgebra:
         factor (b^vee)_j moves left past psi^(k-1-l)(b)_i to reach its slot,
         with sign (-1)^|b| (|b^vee| = |b|); the other slots hold the unit."""
         F = self.F
-        key = (k, i, j)
-        cached = self._t_cache.get(key)
-        if cached is not None:
-            return cached
         if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
             raise IndexError(f"t_{{{i},{j}}} needs distinct slots in 1..{self.n}")
         minus_one = -CycScalar.one(F.conductor)
@@ -279,7 +281,6 @@ class AwpaAlgebra:
                 sign = minus_one if i > j and F.parities[b] else None
                 for w, c in tensor_of_vectors(F, vectors, sign).items():
                     acc(out, (alpha, w), c)
-        self._t_cache[key] = out
         return out
 
     def t_element(self, i: int, j: int, k: int = 1) -> AwpaElem:
@@ -289,11 +290,9 @@ class AwpaAlgebra:
             {(a, w, self.identity_perm): c for (a, w), c in self.t_pd(k, i, j).items()},
         )
 
+    @memoized("_delta_cache")
     def _delta_x(self, i: int, alpha) -> dict:
         """Delta_i(x^alpha) as {(alpha, word): scalar}, kept per (i, alpha)."""
-        cached = self._delta_cache.get((i, alpha))
-        if cached is not None:
-            return cached
         p, q = alpha[i - 1], alpha[i]
         rest = tuple(0 if t in (i - 1, i) else a for t, a in enumerate(alpha))
         # Delta_i(x_i^p x_{i+1}^q) = t^(p)_{i,i+1} x_{i+1}^q - x_{i+1}^p t^(q)_{i+1,i}
@@ -311,9 +310,7 @@ class AwpaAlgebra:
             for (a, w), c in self.t_pd(q, i + 1, i).items():
                 acc(middle, (tuple(x + y for x, y in zip(a, xp)), w), -c)
         # x^rest on the left is a plain exponent shift
-        out = {(tuple(x + y for x, y in zip(rest, a)), w): c for (a, w), c in middle.items()}
-        self._delta_cache[(i, alpha)] = out
-        return out
+        return {(tuple(x + y for x, y in zip(rest, a)), w): c for (a, w), c in middle.items()}
 
     def _delta_mono(self, i: int, alpha, word) -> dict:
         """Delta_i of the P_n(F) monomial x^alpha * word: {(alpha, word): scalar}.
@@ -368,20 +365,16 @@ class AwpaAlgebra:
                 acc(out, (alpha, w2, pi), c * c2)
         return self._elem(out)
 
+    @memoized("_smono_cache")
     def _s_times_mono(self, i: int, alpha, word) -> dict:
         """s_i * (x^alpha word) = (s_i . x^alpha word) s_i - Delta_i(x^alpha word),
         as {(alpha, word, perm): scalar} with perm in {s_i, id}."""
-        key = (i, alpha, word)
-        cached = self._smono_cache.get(key)
-        if cached is not None:
-            return cached
         si = perms.simple(self.n, i)
         a2, w2, sgn = self.superpermute_pnf(si, alpha, word)
         one = CycScalar.one(self.F.conductor)
         out = {(a2, w2, si): -one if sgn else one}
         for (da, dw), dc in self._delta_mono(i, alpha, word).items():
             acc(out, (da, dw, self.identity_perm), -dc)
-        self._smono_cache[key] = out
         return out
 
     def _perm_times_pnf(self, pi, alpha, word) -> dict:
@@ -492,12 +485,11 @@ class AwpaAlgebra:
 
     # -- Jucys-Murphy / evaluation ---------------------------------------------------
 
+    @memoized("_jm_cache")
     def jucys_murphy(self, k: int) -> WreathElem:
         """J_1 = 0 and J_k = sum_{i<k} t_{i,k} s_{i,k} in F^(x)n x| S_n."""
         if not 1 <= k <= self.n:
             raise IndexError(f"J_{k} needs 1 <= k <= n={self.n}")
-        if k in self._jm_cache:
-            return self._jm_cache[k]
         out = WreathElem(self.F, self.n, {})
         for i in range(1, k):
             sik = perms.transposition(self.n, i, k)
@@ -505,7 +497,6 @@ class AwpaAlgebra:
             for (_, w), c in self.t_pd(1, i, k).items():
                 terms[(w, sik)] = c
             out = out + WreathElem(self.F, self.n, terms)
-        self._jm_cache[k] = out
         return out
 
     def evaluation_hom(self, a: AwpaElem) -> WreathElem:
@@ -591,7 +582,7 @@ class AwpaAlgebra:
 
     def _tensor_subspace_basis(self, ks) -> list:
         """Words basis of F_psi^(k_1) (x) ... (x) F_psi^(k_n) as word dicts."""
-        slot_bases = [self.F.graded_piece(k, fixed_only=True) for k in ks]
+        slot_bases = [self.F.graded_piece(k) for k in ks]
         return [
             tensor_of_vectors(self.F, [el.terms for el in choice])
             for choice in product(*slot_bases)
@@ -878,29 +869,26 @@ class AwpaMorphism:
         self.target = target
         self.images = images
         self.anti = anti
-        self._factor_cache: dict = {}
+        self._image_cache: dict = {}
 
     def __call__(self, a: AwpaElem) -> AwpaElem:
         if a.ctx is not self.source:
             raise AlgebraMismatch("element is not from the morphism's source")
         out = self.target.zero()
         for key, coeff in a.terms.items():
-            term = self._factor_cache.get(key)
-            if term is None:
-                factors, parities = self.source._monomial_factor_images(key, self.images)
-                sign = 0
-                if self.anti:
-                    sign = sum(
-                        parities[i] * parities[j]
-                        for i in range(len(parities))
-                        for j in range(i + 1, len(parities))
-                    )
-                    factors = list(reversed(factors))
-                term = self.target.one()
-                for f in factors:
-                    term = self.target.mul(term, f)
-                if sign % 2:
-                    term = -term
-                self._factor_cache[key] = term
-            out = out + coeff * term
+            out = out + coeff * self._image(key)
         return out
+
+    @memoized("_image_cache")
+    def _image(self, key) -> AwpaElem:
+        """The image of one monomial key: the product of its generator images,
+        reversed and with the super sign for an anti-homomorphism."""
+        factors, parities = self.source._monomial_factor_images(key, self.images)
+        odd_pairs = 0
+        if self.anti:
+            factors = factors[::-1]
+            odd_pairs = sum(p * q for i, p in enumerate(parities) for q in parities[i + 1 :])
+        term = self.target.one()
+        for f in factors:
+            term = self.target.mul(term, f)
+        return -term if odd_pairs % 2 else term

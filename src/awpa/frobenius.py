@@ -31,7 +31,7 @@ from .errors import (
     NotAssociative,
 )
 from .scalars import CycScalar, lcm, parse_scalar, root_of_unity, signed_terms
-from .sparse import SparseElem, acc
+from .sparse import SparseElem, acc, memoized
 
 DEFAULT_NAKAYAMA_ORDER_BOUND = 64
 
@@ -327,12 +327,13 @@ class FrobAlg:
 
     # -- distinguished subspaces ----------------------------------------------
 
-    def graded_piece(self, k: int, fixed_only: bool = False) -> list[AlgElem]:
-        """Basis of F^(k) = {f : g f = (-1)^{|f||g|} f psi^k(g) for all g},
-        intersected with the psi-fixed subspace when fixed_only is set."""
-        key = (k % self.theta, fixed_only)
-        if key in self._graded_piece_cache:
-            return self._graded_piece_cache[key]
+    def graded_piece(self, k: int) -> list[AlgElem]:
+        """Basis of F_psi^(k): the psi-fixed f with g f = (-1)^{|f||g|} f psi^k(g)
+        for all g.  It depends on k mod theta only."""
+        return self._graded_piece(k % self.theta)
+
+    @memoized("_graded_piece_cache")
+    def _graded_piece(self, k: int) -> list[AlgElem]:
         vectors = []
         minus_one = -CycScalar.one(self.conductor)
         for target_parity in (0, 1):
@@ -350,16 +351,13 @@ class FrobAlg:
                     for h, c in self.psi_on_basis(g, k).items():
                         for out, d in self.struct[i][h].items():
                             acc(rows.setdefault((g, out), {}), i, c * d if odd else -(c * d))
-                if fixed_only:
-                    # row (-1, out) is the coefficient of b_out in psi(f) - f
-                    for out, c in self.psi_on_basis(i, 1).items():
-                        acc(rows.setdefault((-1, out), {}), i, c)
-                    acc(rows.setdefault((-1, i), {}), i, minus_one)
+                # row (-1, out) is the coefficient of b_out in psi(f) - f
+                for out, c in self.psi_on_basis(i, 1).items():
+                    acc(rows.setdefault((-1, out), {}), i, c)
+                acc(rows.setdefault((-1, i), {}), i, minus_one)
             vectors.extend(linalg.nullspace(list(rows.values()), idxs))
         zero = self.zero_elem()
-        result = [zero._like(v) for v in vectors]
-        self._graded_piece_cache[key] = result
-        return result
+        return [zero._like(v) for v in vectors]
 
     # -- serialization ----------------------------------------------------------
 

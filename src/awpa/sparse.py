@@ -16,11 +16,36 @@ product and printing):
 
 ``terms`` is a plain dict, read-only by convention: operations build new
 elements and never change an operand, nor a dict a memo hands out.
+``memoized`` is the one memo of the package: it keeps results in a dict on
+their owner and stops storing at ``MEMO_CAP`` entries.
 """
 
 from __future__ import annotations
 
-MEMO_CAP = 200_000  # entries a product memo keeps; later products are not stored
+from functools import wraps
+
+MEMO_CAP = 200_000  # entries a memo keeps; later results are not stored
+
+
+def memoized(attr: str):
+    """Keep the results of a method, or of a function of its first argument
+    (the owner), in the dict ``owner.<attr>`` keyed by the other positional
+    arguments, storing while that dict holds fewer than MEMO_CAP entries."""
+
+    def decorate(fn):
+        @wraps(fn)
+        def memo(owner, *args):
+            cache = getattr(owner, attr)
+            out = cache.get(args)
+            if out is None:
+                out = fn(owner, *args)
+                if len(cache) < MEMO_CAP:
+                    cache[args] = out
+            return out
+
+        return memo
+
+    return decorate
 
 
 def acc(d: dict, key, value):

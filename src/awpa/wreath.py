@@ -19,7 +19,7 @@ from . import permutations as perms
 from .errors import AlgebraMismatch, SizeMismatch
 from .frobenius import FrobAlg
 from .scalars import CycScalar
-from .sparse import MEMO_CAP, SparseElem, acc
+from .sparse import SparseElem, acc, memoized
 
 
 def permute_word(F: FrobAlg, pi, word):
@@ -70,18 +70,13 @@ def tensor_of_vectors(F: FrobAlg, vectors, coeff=None) -> dict:
     return terms
 
 
+@memoized("_word_cache")
 def word_mul(F: FrobAlg, w1, w2) -> dict:
     """Product of two basis words as {word: scalar}: the Koszul sign times
     the slotwise product of the rows F.struct[b1][b2], memoized on F."""
-    cached = F._word_cache.get((w1, w2))
-    if cached is not None:
-        return cached
     one = CycScalar.one(F.conductor)
     sign = -one if koszul_mul_sign(F, w1, w2) else one
-    out = tensor_of_vectors(F, [F.struct[b1][b2] for b1, b2 in zip(w1, w2)], sign)
-    if len(F._word_cache) < MEMO_CAP:
-        F._word_cache[(w1, w2)] = out
-    return out
+    return tensor_of_vectors(F, [F.struct[b1][b2] for b1, b2 in zip(w1, w2)], sign)
 
 
 class TensorElem(SparseElem):

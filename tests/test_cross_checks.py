@@ -55,7 +55,7 @@ def test_chi_factor_order(monkeypatch):
 
 def test_rewrite_degree():
     Q = _dual_quotient(1)
-    Q._chi_cache[1] = Q.ctx.x(1, Q.d + 1)
+    Q._chi_cache[(1,)] = Q.ctx.x(1, Q.d + 1)
     with pytest.raises(InternalInconsistency, match="leading term"):
         Q._rewrite_elem(1)
 

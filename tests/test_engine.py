@@ -6,9 +6,9 @@ from itertools import product
 
 import pytest
 
-from awpa import linalg
+from awpa import engine, linalg, sparse
 from awpa import permutations as perms
-from awpa.cyclotomic import CyclotomicAlgebra, make_params
+from awpa.cyclotomic import CyclotomicAlgebra, InductionStructure, make_params, nakayama_check
 from awpa.engine import AwpaAlgebra, AwpaElem
 from awpa.errors import NotPolynomial, SizeMismatch, ZeroElement
 from awpa.frobenius import (
@@ -507,6 +507,27 @@ def test_exponents_are_checked(ctx_k2):
     assert ctx_k2.monomial((1, 0), (0, 0), (1, 2)) == ctx_k2.x(1)
 
 
+def test_monomial_word_and_perm_lengths_are_checked(ctx_k2):
+    """A word or permutation whose length is not n is refused; before, on
+    A_2(k), monomial((0, 0), (0,), (1, 2)) printed as b(1)."""
+    for word in [(0,), (0, 0, 0)]:
+        with pytest.raises(SizeMismatch, match="word"):
+            ctx_k2.monomial((0, 0), word, (1, 2))
+    for pi in [(1,), (1, 2, 3)]:
+        with pytest.raises(SizeMismatch, match="permutation"):
+            ctx_k2.monomial((0, 0), (0, 0), pi)
+    assert ctx_k2.monomial((0, 0), [0, 0], [2, 1]) == ctx_k2.s(1)
+
+
+def test_perm_elem_length_is_checked(ctx_k2):
+    """perm_elem refuses a permutation of another length; before,
+    perm_elem((1, 2, 3)) printed as s[1,2,3] and multiplied like the unit."""
+    for pi in [(1,), (1, 2, 3)]:
+        with pytest.raises(SizeMismatch, match="permutation"):
+            ctx_k2.perm_elem(pi)
+    assert ctx_k2.perm_elem([2, 1]) == ctx_k2.s(1)
+
+
 def test_n_zero_and_one():
     # A_0(F) = k by convention; A_1 has no s generators
     F = clifford_algebra()
@@ -601,3 +622,73 @@ def test_memo_entries_match_fresh_values(monkeypatch):
             assert terms == again._delta_x(i, alpha)
             checked_deltas += 1
     assert checked_words > 500 and checked_deltas > 20
+
+
+MEMOS = {
+    "_word_cache", "_graded_piece_cache", "_t_cache", "_smono_cache", "_delta_cache",
+    "_twist_cache", "_jm_cache", "_mono_cache", "_image_cache", "_chi_cache",
+    "_rewrite_cache", "_basis_keys_cache", "_gram_cache", "_transition_cache",
+}
+
+
+def _memo_workout(contexts):
+    """A Taft(3) n=2 suite, a Cl Gram with its Nakayama check, a reverse
+    automorphism and an induction transition: their results as plain data,
+    and every object of the run that owns memos."""
+    suite = run_suite(taft_algebra(3), 2, seed=4, instances=30)
+    Cl = clifford_algebra()
+    params = make_params(Cl, {2: [Cl.scalar(Fraction(1, 2)) * Cl.unit_elem()]})
+    Q = CyclotomicAlgebra(params, 2)
+    ok, symmetric, images = nakayama_check(Q, pairs=10, seed=2)
+    ctx = AwpaAlgebra(Cl, 3)
+    rev = ctx.automorphism("reverse")
+    rng = random.Random(8)
+    ind = InductionStructure(params, 1)
+    results = {
+        "suite": suite,
+        "gram": Q.gram_matrix(),
+        "nakayama": (ok, symmetric, [(name, z.terms) for name, z in images]),
+        "reverse": [rev(random_element(ctx, rng, terms=3)).terms for _ in range(6)],
+        "transition": ind._transition(),
+    }
+    owners = [Q, rev, ind, ind.big, ind.small, *contexts, *(c.F for c in contexts)]
+    return results, owners
+
+
+def _memo_sizes(owners) -> dict:
+    """{memo name: largest size} over the memo dicts of the owners."""
+    sizes: dict = {}
+    for owner in owners:
+        for name, memo in vars(owner).items():
+            if name.endswith("_cache"):
+                sizes[name] = max(sizes.get(name, 0), len(memo))
+    return sizes
+
+
+def test_memo_cap_holds(monkeypatch):
+    """With MEMO_CAP at 3, every memo holds at most 3 entries and every result
+    equals the uncapped run's."""
+    contexts = []
+    init = AwpaAlgebra.__init__
+
+    def recording_init(self, F, n):
+        init(self, F, n)
+        contexts.append(self)
+
+    monkeypatch.setattr(AwpaAlgebra, "__init__", recording_init)
+    expected, owners = _memo_workout(contexts)
+    uncapped = _memo_sizes(owners)
+    contexts.clear()
+    monkeypatch.setattr(sparse, "MEMO_CAP", 3)
+    monkeypatch.setattr(engine, "MEMO_CAP", 3)
+    results, owners = _memo_workout(contexts)
+    capped = _memo_sizes(owners)
+    assert set(capped) == set(uncapped) == MEMOS
+    assert max(capped.values()) <= 3
+    # the cap bites on the memos that fill up
+    assert {name for name, size in uncapped.items() if size > 3} >= {
+        "_word_cache", "_t_cache", "_smono_cache", "_delta_cache", "_twist_cache",
+        "_mono_cache", "_image_cache",
+    }
+    assert results == expected
+    assert results["suite"][1] == [] and results["gram"][1]

@@ -178,17 +178,17 @@ def test_opposite_algebra_nakayama(make):
 
 def test_graded_pieces_clifford():
     F = clifford_algebra()
-    even = F.graded_piece(0, fixed_only=True)
-    odd = F.graded_piece(1, fixed_only=True)
+    even = F.graded_piece(0)
+    odd = F.graded_piece(1)
     assert len(even) == 1 and even[0] == F.unit_elem()
     assert odd == []
-    assert len(F.graded_piece(2, fixed_only=True)) == 1
+    assert len(F.graded_piece(2)) == 1
 
 
 def test_graded_pieces_trivial():
     F = trivial_algebra()
     for k in (-2, -1, 0, 1, 2):
-        piece = F.graded_piece(k, fixed_only=True)
+        piece = F.graded_piece(k)
         assert len(piece) == 1
 
 
@@ -200,15 +200,15 @@ def test_graded_pieces_taft():
     y2 = F.mul(y, y)
     for m in (2, 3):
         k = 1 - m
-        piece = F.graded_piece(k, fixed_only=True)
+        piece = F.graded_piece(k)
         vecs = [list(b.coords) for b in piece]
         target = [y, y2][m - 2]
         assert linalg.in_span(vecs, list(target.coords))
 
 
 def test_supercenter_taft():
-    # the supercenter F^(0) of the Taft algebra is spanned by 1 and y-powers
-    # times nothing: g-components break centrality; just check 1 is there
+    # F_psi^(0), the psi-fixed part of the supercenter of the Taft algebra:
+    # g-components break centrality; just check 1 is there
     F = taft_algebra(2)
     piece = F.graded_piece(0)
     vecs = [list(b.coords) for b in piece]

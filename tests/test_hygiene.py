@@ -12,6 +12,9 @@ No module but ``linalg.py`` names a dense-matrix helper, so the package
 solves on sparse rows only.  Memos live on objects (F, a context): no
 module or class body binds a mutable container beyond a short list of
 tables, and ``functools.cache`` wraps only the int-keyed scalar tables.
+Every memo but ``AwpaAlgebra._mono_mul`` goes through ``sparse.memoized``:
+no other code looks up or stores in a ``*_cache`` dict, or reads
+``MEMO_CAP``.
 Every function, class and method of the package is reached from the CLI,
 the benchmark or the public names; code that only tests run lives in
 ``tests/oracles.py``.
@@ -330,6 +333,86 @@ def test_scan_finds_module_state():
         "line 9: _seen",
     ]
     assert memo_uses(source) == ["g", "h", "line 20"]
+
+
+# The one memo written by hand: it stores a product only when asked to.
+HAND_MEMOS = {"AwpaAlgebra._mono_mul"}
+
+
+def _is_cache(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr.endswith("_cache")
+
+
+def hand_memo_lines(source: str) -> list[str]:
+    """line: what for each lookup or store on a ``*_cache`` attribute (a
+    ``.get``, a subscript or an ``in``) and each read of ``MEMO_CAP``, outside
+    the methods in HAND_MEMOS."""
+    tree, skipped = ast.parse(source), set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for item in cls.body:
+                if f"{cls.name}.{getattr(item, 'name', '')}" in HAND_MEMOS:
+                    skipped |= set(map(id, ast.walk(item)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "get" and _is_cache(node.func.value):
+                found.append((node.lineno, "get"))
+        elif isinstance(node, ast.Subscript) and _is_cache(node.value):
+            found.append((node.lineno, "subscript"))
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.In, ast.NotIn)) and _is_cache(right)
+            for op, right in zip(node.ops, node.comparators)
+        ):
+            found.append((node.lineno, "in"))
+        elif isinstance(getattr(node, "ctx", None), ast.Load) and "MEMO_CAP" in (
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+        ):
+            found.append((node.lineno, "MEMO_CAP"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "sparse.py"), ids=lambda p: p.name
+)
+def test_memos_use_the_decorator(path):
+    """Every memo but ``_mono_mul`` goes through ``sparse.memoized``, which
+    applies the cap, so no other code looks up, stores or caps by hand."""
+    assert hand_memo_lines(path.read_text()) == []
+
+
+def test_scan_finds_hand_memos():
+    source = (
+        "from .sparse import MEMO_CAP, memoized\n"
+        "import sparse\n"
+        "class AwpaAlgebra:\n"
+        "    def __init__(self):\n"
+        "        self._t_cache = {}\n"
+        "    def _mono_mul(self, k):\n"
+        "        if k in self._mono_cache and len(self._mono_cache) < MEMO_CAP:\n"
+        "            return self._mono_cache.get(k)\n"
+        "    def t(self, k):\n"
+        "        out = self._t_cache.get(k)\n"
+        "        if k not in self._t_cache:\n"
+        "            self._t_cache[k] = out\n"
+        "        return len(self._t_cache), self.size[k], k in self.seen\n"
+        "    @memoized('_u_cache')\n"
+        "    def u(self, k):\n"
+        "        return 0 < k in self._u_cache\n"
+        "def word_mul(F, w):\n"
+        "    return F._word_cache[w] if len(F._word_cache) < sparse.MEMO_CAP else None\n"
+    )
+    assert hand_memo_lines(source) == [
+        "line 10: get",
+        "line 11: in",
+        "line 12: subscript",
+        "line 16: in",
+        "line 18: MEMO_CAP",
+        "line 18: subscript",
+    ]
 
 
 BENCH = SRC.parent.parent / "bench"
