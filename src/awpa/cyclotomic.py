@@ -32,8 +32,6 @@ from .engine import AwpaAlgebra, AwpaElem
 from .errors import (
     InternalInconsistency,
     LevelZero,
-    NotPsiFixed,
-    OddParity,
     ParamsMismatch,
     ParseError,
     TooLarge,
@@ -71,43 +69,43 @@ def _check_matrix_size(what: str, dim: int):
 class CycloParams:
     """Validated cyclotomic parameters.
 
-    ``entries`` maps k (1 <= k <= theta) to the list of parameters c^(k,j).
-    Under the standing slot-1 restriction these are elements of F lying in
-    F_psi^(k); the quotient is then defined uniformly in n and carries the
-    induction/restriction structure.  General tensor parameters (elements
-    of F_1^(k) inside F^(x)n for one fixed n) are accepted behind
-    ``general=True``; they disable partial traces and induction bases.
+    ``entries`` maps k (1 <= k <= theta) to the list of parameters c^(k,j),
+    each an AlgElem of F or a TensorElem of F^(x)n.  An AlgElem is a slot-1
+    parameter in F_psi^(k), the standing restriction: the quotient is then
+    defined uniformly in n and carries the induction/restriction structure.
+    A TensorElem is a general parameter in F_1^(k) for its own n; the
+    tensors fix ``n_fixed``, the one n the quotient can be built for, and
+    such parameters neither serialize nor induce.
     """
 
-    def __init__(self, F: FrobAlg, entries: dict, general_entries=None, n_fixed=None):
+    def __init__(self, F: FrobAlg, entries: dict):
         self.F = F
         self.entries = entries
-        self.general_entries = general_entries or {}
-        self.n_fixed = n_fixed
-        self.level = sum(
-            k * len(v) for d in (entries, self.general_entries) for k, v in d.items()
-        )
+        self.level = sum(k * len(v) for k, v in entries.items())
         if self.level < 1:
             raise LevelZero("cyclotomic level must be at least 1")
+        ns = {c.n for v in entries.values() for c in v if isinstance(c, TensorElem)}
+        if len(ns) > 1:
+            raise ParamsMismatch(f"tensor parameters of different n: {sorted(ns)}")
+        self.n_fixed = ns.pop() if ns else None
 
     @property
     def general(self) -> bool:
-        return bool(self.general_entries)
+        return self.n_fixed is not None
 
     def factor_list(self, n: int):
         """The chi factors (x_1^k - c) as AwpaElems over a fresh context,
         in canonical (k, j) order."""
-        if self.general and self.n_fixed not in (None, n):
+        if self.n_fixed not in (None, n):
             raise ParamsMismatch(f"general parameters were validated for n={self.n_fixed}")
         ctx = AwpaAlgebra(self.F, n)
         if n == 0:
             # A_0^C(F) = k by convention; nothing to quotient
             return ctx, []
         factors = []
-        for k in sorted(set(self.entries) | set(self.general_entries)):
-            for c in self.entries.get(k, ()):
-                factors.append(ctx.x(1, k) - ctx.slot_elem(c, 1))
-            for t in self.general_entries.get(k, ()):
+        for k in sorted(self.entries):
+            for c in self.entries[k]:
+                t = c if isinstance(c, TensorElem) else TensorElem.slot(self.F, n, c, 1)
                 factors.append(ctx.x(1, k) - ctx.from_tensor(t))
         return ctx, factors
 
@@ -138,64 +136,25 @@ class CycloParams:
         return make_params(F, entries)
 
 
-def make_params(F: FrobAlg, entries: dict, general_entries=None, n_fixed=None) -> CycloParams:
+def make_params(F: FrobAlg, entries: dict) -> CycloParams:
     """Validate and build cyclotomic parameters.
 
-    entries: {k: [c^(k,1), ...]} with each c an AlgElem of F, even of degree
-    k*delta, and psi-fixed with x_1^k-commutation (c in F_psi^(k)).
+    entries: {k: [c^(k,1), ...]} with each c an AlgElem of F or its dense
+    coordinates, lying in F_psi^(k) (slot-1 parameters), or a TensorElem
+    lying in F_1^(k) (general parameters, all with the same n).  A slot-1
+    parameter is checked as the one-slot tensor, where F_1^(k) is F_psi^(k).
     """
     checked: dict = {}
-    for k, clist in entries.items():
+    for k, values in entries.items():
         if not 1 <= k <= F.theta:
             raise WrongDegree(f"parameter index k={k} outside 1..theta={F.theta}")
-        out = []
-        for c in clist:
-            if not isinstance(c, AlgElem):
-                c = F.elem(c)
-            if not c.is_zero():
-                if c.parity() != 0:
-                    raise OddParity(f"parameter at k={k} must be even")
-                if c.degree() != k * F.delta:
-                    raise WrongDegree(
-                        f"parameter at k={k} must have degree {k * F.delta}"
-                    )
-                basis = F.graded_piece(k)
-                if not linalg.in_span([b.terms for b in basis], c.terms):
-                    raise NotPsiFixed(f"parameter at k={k} is not in F_psi^({k})")
-            out.append(c)
+        out = [c if isinstance(c, (AlgElem, TensorElem)) else F.elem(c) for c in values]
+        for c in out:
+            t = c if isinstance(c, TensorElem) else TensorElem.slot(F, 1, c, 1)
+            AwpaAlgebra(F, t.n)._check_f1(t, k)
         if out:
             checked[k] = out
-
-    checked_general: dict = {}
-    if general_entries:
-        if n_fixed is None:
-            raise ParamsMismatch("general tensor parameters require n_fixed")
-        probe = AwpaAlgebra(F, n_fixed)
-        for k, tlist in general_entries.items():
-            out = []
-            for t in tlist:
-                if not isinstance(t, TensorElem):
-                    raise ParamsMismatch("general parameters must be TensorElems")
-                _validate_general_param(probe, k, t)
-                out.append(t)
-            if out:
-                checked_general[k] = out
-    params = CycloParams(F, checked, checked_general, n_fixed)
-    return params
-
-
-def _validate_general_param(ctx: AwpaAlgebra, k: int, t: TensorElem):
-    """t must lie in F_1^(k): slot 1 in F_psi^(k), other slots in F_psi^(0),
-    invariant under superpermutations fixing slot 1, even of degree k*delta."""
-    reason = ctx._f1_violation(t, k)
-    if reason == "parity":
-        raise OddParity(f"general parameter at k={k} must be even")
-    if reason == "degree":
-        raise WrongDegree(f"general parameter at k={k} must have degree {k * ctx.F.delta}")
-    if reason == "span":
-        raise NotPsiFixed(f"general parameter at k={k} is not slotwise psi-fixed")
-    if reason == "symmetry":
-        raise NotPsiFixed(f"general parameter at k={k} is not invariant under S_n^1")
+    return CycloParams(F, checked)
 
 
 class CycloElem(SparseElem):
@@ -356,15 +315,8 @@ class CyclotomicAlgebra:
         """G[u][v] = tr_C(u v) over the reduced basis, with the exact rank
         verdict.  Guarded by the configured size bound."""
         _check_matrix_size("gram matrix", self.dim())
-        keys = self.basis_keys()
-        rows = []
-        for ku in keys:
-            u = CycloElem(self, self.ctx.monomial(*ku))
-            row = []
-            for kv in keys:
-                v = CycloElem(self, self.ctx.monomial(*kv))
-                row.append(self.trace(self.mul(u, v)))
-            rows.append(row)
+        elems = [CycloElem(self, self.ctx.monomial(*key)) for key in self.basis_keys()]
+        rows = [[self.trace(self.mul(u, v)) for v in elems] for u in elems]
         return rows, linalg.is_invertible(rows)
 
     def nakayama_identity_holds(self, a: CycloElem, b: CycloElem) -> bool:

@@ -28,9 +28,13 @@ from . import permutations as perms
 from .errors import (
     AlgebraMismatch,
     BadAutomorphismParams,
+    BadParams,
     InternalInconsistency,
     NotPolynomial,
+    NotPsiFixed,
+    OddParity,
     SizeMismatch,
+    WrongDegree,
     ZeroElement,
 )
 from .frobenius import AlgElem, FrobAlg, check_frobenius_morphism
@@ -201,6 +205,20 @@ class AwpaAlgebra:
             raise ValueError(f"negative exponent in {alpha}")
         return alpha
 
+    def _word(self, word) -> tuple:
+        """word as a tuple of n basis indices of F."""
+        word = self._sized(word, "word")
+        if not all(b in range(self.F.dim) for b in word):
+            raise ValueError(f"word {word} has a letter outside 0..{self.F.dim - 1}")
+        return word
+
+    def _perm(self, pi) -> tuple:
+        """pi as a permutation of 1..n in one-line notation."""
+        pi = self._sized(pi, "permutation")
+        if sorted(pi) != list(range(1, self.n + 1)):
+            raise ValueError(f"{pi} is not a permutation of 1..{self.n}")
+        return pi
+
     def slot_elem(self, f, i: int) -> AwpaElem:
         """f_i = 1 (x) ... (x) f (x) ... (x) 1 as an element of A_n(F)."""
         t = TensorElem.slot(self.F, self.n, f, i)
@@ -210,8 +228,7 @@ class AwpaAlgebra:
         return AwpaElem(self, self._keyed(self.zero_alpha, t.terms, self.identity_perm))
 
     def perm_elem(self, pi) -> AwpaElem:
-        pi = self._sized(pi, "permutation")
-        return AwpaElem(self, self._keyed(self.zero_alpha, self._unit_words, pi))
+        return AwpaElem(self, self._keyed(self.zero_alpha, self._unit_words, self._perm(pi)))
 
     def s(self, i: int) -> AwpaElem:
         return self.perm_elem(perms.simple(self.n, i))
@@ -222,7 +239,7 @@ class AwpaAlgebra:
         return AwpaElem(self, {(self.zero_alpha, word, p): c for (word, p), c in w.terms.items()})
 
     def monomial(self, alpha, word, pi, coeff=1) -> AwpaElem:
-        key = (self._exponents(alpha), self._sized(word, "word"), self._sized(pi, "permutation"))
+        key = (self._exponents(alpha), self._word(word), self._perm(pi))
         return AwpaElem(self, {key: self.F.scalar(coeff)})
 
     def module_one(self) -> PolyModElem:
@@ -663,26 +680,6 @@ class AwpaAlgebra:
 
     # -- automorphisms -----------------------------------------------------------------
 
-    def _monomial_factor_images(self, key, images):
-        """Multiply out the generator images for one monomial key.
-
-        ``images`` provides: x(i) -> AwpaElem, slot(b, i) -> AwpaElem,
-        s(j) -> AwpaElem, all in the target context."""
-        alpha, word, pi = key
-        factors = []
-        parities = []
-        for i, e in enumerate(alpha):
-            for _ in range(e):
-                factors.append(images["x"](i + 1))
-                parities.append(0)
-        for slot, b in enumerate(word):
-            factors.append(images["slot"](b, slot + 1))
-            parities.append(self.F.parities[b])
-        for j in perms.reduced_word(pi):
-            factors.append(images["s"](j))
-            parities.append(0)
-        return factors, parities
-
     def automorphism(self, kind: str, **params) -> AwpaMorphism:
         """Build one of the structural (anti)automorphisms as a reusable map.
 
@@ -759,9 +756,10 @@ class AwpaAlgebra:
                 c = TensorElem.slot(self.F, n, c, 1) if n else None
             if not isinstance(c, TensorElem):
                 raise BadAutomorphismParams("shift needs c as a TensorElem or AlgElem")
-            reason = self._f1_violation(c, 1)
-            if reason:
-                raise BadAutomorphismParams(_SHIFT_PARAM_ERRORS[reason])
+            try:
+                self._check_f1(c, 1)
+            except BadParams as exc:
+                raise BadAutomorphismParams(f"shift {exc}") from exc
             shifts = [self.from_tensor(c)]
             for i in range(2, n + 1):
                 si = self.s(i - 1)
@@ -775,25 +773,26 @@ class AwpaAlgebra:
             raise BadAutomorphismParams(f"unknown automorphism kind {kind!r}")
         return AwpaMorphism(self, target, images, anti)
 
-    def _f1_violation(self, t: TensorElem, k: int):
-        """Why t is not in F_1^(k), or None if it is.  F_1^(k) holds the even
-        elements of degree k*delta with slot 1 in F_psi^(k) and the other
-        slots in F_psi^(0) that are invariant under the superpermutations
-        fixing slot 1.  The reason is "parity", "degree", "span" or
-        "symmetry", the first test t fails in that order."""
+    def _check_f1(self, t: TensorElem, k: int):
+        """Raise unless the n-slot tensor t lies in F_1^(k): even, of degree
+        k*delta, with slot 1 in F_psi^(k), the other slots in F_psi^(0), and
+        invariant under the superpermutations fixing slot 1.  At n = 1 this is
+        the slot-1 condition c in F_psi^(k)."""
+        if t.F is not self.F or t.n != self.n:
+            raise BadParams(f"parameter at k={k} is not in {self.F.name}^(x){self.n}")
         if t.is_zero():
-            return None
+            return
         if {word_parity(self.F, w) for w in t.terms} != {0}:
-            return "parity"
+            raise OddParity(f"parameter at k={k} must be even")
         if {word_degree(self.F, w) for w in t.terms} != {k * self.F.delta}:
-            return "degree"
+            raise WrongDegree(f"parameter at k={k} must have degree {k * self.F.delta}")
         basis = self._tensor_subspace_basis([k] + [0] * (self.n - 1))
         if not linalg.in_span(basis, t.terms):
-            return "span"
+            rest = " (x) F_psi^(0)" * (self.n - 1)
+            raise NotPsiFixed(f"parameter at k={k} is not in F_psi^({k}){rest}")
         for j in range(2, self.n):
             if superpermute(perms.simple(self.n, j), t) != t:
-                return "symmetry"
-        return None
+                raise NotPsiFixed(f"parameter at k={k} is not fixed by permuting slots 2..n")
 
     # -- graded dimension ------------------------------------------------------------
 
@@ -842,13 +841,6 @@ class AwpaAlgebra:
             out = _poly_mul_trunc(out, base, cutoff)
         return [factorial(self.n) * c for c in out]
 
-_SHIFT_PARAM_ERRORS = {
-    "parity": "shift parameter must be even",
-    "degree": "shift parameter must have degree delta",
-    "span": "shift parameter is not in F_psi^(1) (x) F_psi^(0) (x) ...",
-    "symmetry": "shift parameter must be invariant under permutations fixing slot 1",
-}
-
 
 def _poly_mul_trunc(a, b, cutoff: int):
     out = [0] * (cutoff + 1)
@@ -882,13 +874,15 @@ class AwpaMorphism:
     @memoized("_image_cache")
     def _image(self, key) -> AwpaElem:
         """The image of one monomial key: the product of its generator images,
-        reversed and with the super sign for an anti-homomorphism."""
-        factors, parities = self.source._monomial_factor_images(key, self.images)
-        odd_pairs = 0
-        if self.anti:
-            factors = factors[::-1]
-            odd_pairs = sum(p * q for i, p in enumerate(parities) for q in parities[i + 1 :])
+        reversed and with the super sign for an anti-homomorphism.  Only the
+        slot factors can be odd, so reversing k odd factors gives (-1)^C(k,2)."""
+        alpha, word, pi = key
+        images = self.images
+        factors = [images["x"](i + 1) for i, e in enumerate(alpha) for _ in range(e)]
+        factors += [images["slot"](b, i + 1) for i, b in enumerate(word)]
+        factors += [images["s"](j) for j in perms.reduced_word(pi)]
         term = self.target.one()
-        for f in factors:
+        for f in reversed(factors) if self.anti else factors:
             term = self.target.mul(term, f)
-        return -term if odd_pairs % 2 else term
+        odd = sum(self.source.F.parities[b] for b in word)
+        return -term if self.anti and comb(odd, 2) % 2 else term

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import awpa
 from awpa import cyclotomic
 from awpa.cli import main
-from awpa.frobenius import dual_numbers_algebra, clifford_algebra
+from awpa.frobenius import dual_numbers_algebra, clifford_algebra, taft_algebra
 
 
 def run(capsys, *argv):
@@ -256,6 +256,28 @@ def test_malformed_builtin_params_fail_cleanly(argv, extra_env, section, tmp_pat
     assert proc.returncode in (1, 2)
     assert "Traceback" not in proc.stderr
     assert proc.stdout.startswith("FAIL: ")
+
+
+SLOT_ONE_REFUSALS = [
+    pytest.param(lambda: taft_algebra(2), {"e": [1, 0], "c": [["y*g"], []]},
+                 "FAIL: parameter at k=1 is not in F_psi^(1)", id="taft2-not-psi-fixed"),
+    pytest.param(lambda: taft_algebra(2), {"e": [0, 1], "c": [[], ["y"]]},
+                 "FAIL: parameter at k=2 must have degree 4", id="taft2-wrong-degree"),
+    pytest.param(clifford_algebra, {"e": [1, 0], "c": [["c"], []]},
+                 "FAIL: parameter at k=1 must be even", id="clifford-odd"),
+]
+
+
+@pytest.mark.parametrize("build,section,line", SLOT_ONE_REFUSALS)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_slot_one_parameter_refusals(build, section, line, json_flag, capsys, tmp_path):
+    """A slot-1 parameter outside F_psi^(k) exits 1 with one exact FAIL line."""
+    data = build().to_json_dict()
+    data["cyclotomic"] = section
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, *json_flag, "cyclotomic", "gram", "--params", str(path), "--n", "1")
+    assert code == 1 and out == line + "\n"
 
 
 def test_size_refusal_exit_2(capsys, tmp_path, monkeypatch):

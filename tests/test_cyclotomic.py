@@ -18,10 +18,12 @@ from awpa.cyclotomic import (
 )
 from awpa.engine import AwpaAlgebra, AwpaElem
 from awpa.errors import (
+    BadParams,
     InternalInconsistency,
     LevelZero,
     NotPsiFixed,
     OddParity,
+    ParamsMismatch,
     ParseError,
     TooLarge,
     WrongDegree,
@@ -459,18 +461,59 @@ def test_nakayama_check_and_induction_basis_surface():
 
 
 def test_general_tensor_params():
-    """A genuine F_1^(k) tensor parameter (slot-1 restriction relaxed)."""
-    from awpa.wreath import TensorElem
-
+    """A tensor parameter goes through the same entries dict; this one is the
+    slot-1 parameter 3 in disguise, 3 (1 (x) 1) in F_1^(2) at n = 2."""
     Cl = clifford_algebra()
     n = 2
-    # c (x) c is even of degree 0 = 2*delta and lies in F_psi^(2) (x) F_psi^(0)?
-    # psi(c) = -c so c is not psi-fixed; use 1 (x) 1 times a scalar instead,
-    # which lives in every slot-wise-fixed space with k even
     t = TensorElem.unit(Cl, n) * Cl.scalar(3)
-    params = make_params(Cl, {}, general_entries={2: [t]}, n_fixed=n)
-    assert params.general and params.level == 2
+    params = make_params(Cl, {2: [t]})
+    assert params.general and params.n_fixed == n and params.level == 2
     Q = CyclotomicAlgebra(params, n)
     assert Q.reduce(Q.chi(1)).is_zero()
-    with pytest.raises(Exception):
+    with pytest.raises(ParamsMismatch):
         InductionStructure(params, n - 1)
+    with pytest.raises(ParamsMismatch):
+        params.to_json_dict()
+
+
+def _pure_tensor(F, labels):
+    """The pure tensor of the named basis elements of F."""
+    word = tuple(F.basis_labels.index(label) for label in labels)
+    return TensorElem(F, len(word), {word: F.scalar(1)})
+
+
+def test_general_tensor_param_not_slot_one():
+    """g (x) g^2 lies in F_1^(1) of kZ3 at n = 2 but is no slot-1 parameter;
+    its quotient has the full dimension n! (d dim F)^n = 18, an invertible
+    Gram matrix, and every chi_i in the ideal."""
+    F = cyclic_group_algebra(3)
+    params = make_params(F, {1: [_pure_tensor(F, ["g", "g^2"])]})
+    assert params.n_fixed == 2 and params.level == 1
+    Q = CyclotomicAlgebra(params, 2)
+    rows, invertible = Q.gram_matrix()
+    assert len(rows) == Q.dim() == 18 and invertible
+    assert all(Q.reduce(Q.chi(i)).is_zero() for i in (1, 2))
+    with pytest.raises(ParamsMismatch):
+        CyclotomicAlgebra(params, 3)
+
+
+def test_general_tensor_param_rejections():
+    F = cyclic_group_algebra(3)
+    # slots 2 and 3 differ, so swapping them moves the tensor
+    with pytest.raises(NotPsiFixed, match="slots 2..n"):
+        make_params(F, {1: [_pure_tensor(F, ["e", "g", "g^2"])]})
+    two, three = _pure_tensor(F, ["g", "g^2"]), TensorElem.unit(F, 3)
+    with pytest.raises(ParamsMismatch):
+        make_params(F, {1: [two, three]})
+    # a slot-1 parameter and a tensor mix; the tensor fixes n
+    params = make_params(F, {1: [F.from_label("g"), two]})
+    assert params.n_fixed == 2 and params.level == 2
+    with pytest.raises(ParamsMismatch):
+        InductionStructure(params, 1)
+    Cl = clifford_algebra()
+    with pytest.raises(BadParams, match=r"not in cyclic_group_3\^\(x\)2$"):
+        make_params(F, {1: [TensorElem.unit(Cl, 2)]})
+    with pytest.raises(OddParity):
+        make_params(Cl, {2: [TensorElem.slot(Cl, 2, "c", 2)]})
+    with pytest.raises(NotPsiFixed, match=r"F_psi\^\(1\) \(x\) F_psi\^\(0\)$"):
+        make_params(Cl, {1: [TensorElem.slot(Cl, 2, Cl.unit_elem(), 2)]})

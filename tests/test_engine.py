@@ -10,8 +10,9 @@ from awpa import engine, linalg, sparse
 from awpa import permutations as perms
 from awpa.cyclotomic import CyclotomicAlgebra, InductionStructure, make_params, nakayama_check
 from awpa.engine import AwpaAlgebra, AwpaElem
-from awpa.errors import NotPolynomial, SizeMismatch, ZeroElement
+from awpa.errors import BadAutomorphismParams, NotPolynomial, SizeMismatch, ZeroElement
 from awpa.frobenius import (
+    FrobAlg,
     clifford_algebra,
     cyclic_group_algebra,
     dual_numbers_algebra,
@@ -19,7 +20,7 @@ from awpa.frobenius import (
     taft_algebra,
     trivial_algebra,
 )
-from awpa.scalars import CycScalar
+from awpa.scalars import CycScalar, root_of_unity
 from awpa.sparse import acc
 from awpa.verify import random_element, run_suite
 from awpa.wreath import TensorElem, WreathElem, word_mul, word_parity
@@ -415,6 +416,55 @@ def test_shift_automorphism():
         assert sh(ctx.mul(a, b)) == ctx.mul(sh(a), sh(b))
 
 
+def test_frobenius_automorphism_is_multiplicative():
+    """xi : g -> g^2 on kZ3 induces an automorphism of A_2(kZ3)."""
+    F = cyclic_group_algebra(3)
+    ctx = AwpaAlgebra(F, 2)
+    phi = ctx.automorphism("frobenius", xi=[[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    g, g2 = (ctx.slot_elem(F.from_label(label), 1) for label in ("g", "g^2"))
+    assert phi(g) == g2 and phi(g2) == g and phi(ctx.x(2)) == ctx.x(2)
+    rng = random.Random(31)
+    for _ in range(8):
+        a = random_element(ctx, rng, terms=2, max_exp=1)
+        b = random_element(ctx, rng, terms=2, max_exp=1)
+        assert phi(ctx.mul(a, b)) == ctx.mul(phi(a), phi(b))
+
+
+def test_antihom_reverses_products_with_super_sign():
+    """tau(c) = zeta_4 c is a trace-preserving anti-automorphism of Cl over
+    Q(zeta_4); on A_2(Cl) it gives phi(ab) = (-1)^{|a||b|} phi(b) phi(a)."""
+    data = clifford_algebra().to_json_dict()
+    data["conductor"] = 4
+    Cl = FrobAlg.from_json_dict(data)
+    ctx = AwpaAlgebra(Cl, 2)
+    phi = ctx.automorphism("antihom", tau=[[1, 0], [0, root_of_unity(4)]])
+    c1, c2 = ctx.slot_elem(Cl.from_label("c"), 1), ctx.slot_elem(Cl.from_label("c"), 2)
+    odd_pair = (ctx.mul(c1, ctx.x(1)), ctx.mul(c2, ctx.s(1)))  # both odd
+    rng = random.Random(32)
+    pairs = [odd_pair] + [
+        (random_element(ctx, rng, terms=1, max_exp=1), random_element(ctx, rng, terms=1, max_exp=1))
+        for _ in range(10)
+    ]
+    for a, b in pairs:
+        rhs = ctx.mul(phi(b), phi(a))
+        assert phi(ctx.mul(a, b)) == (-rhs if a.parity() and b.parity() else rhs)
+
+
+def test_frobenius_automorphism_must_preserve_trace():
+    """z -> 2z is an algebra automorphism of k[z]/(z^2) but doubles tr(z)."""
+    ctx = AwpaAlgebra(dual_numbers_algebra(), 2)
+    with pytest.raises(BadAutomorphismParams, match="trace not preserved"):
+        ctx.automorphism("frobenius", xi=[[1, 0], [0, 2]])
+
+
+def test_shift_parameter_outside_f1_is_refused():
+    ctx = AwpaAlgebra(clifford_algebra(), 2)
+    with pytest.raises(BadAutomorphismParams, match="^shift parameter at k=1 must be even$"):
+        ctx.automorphism("shift", c=ctx.F.from_label("c"))
+    with pytest.raises(BadAutomorphismParams, match=r"not in clifford\^\(x\)2$"):
+        ctx.automorphism("shift", c=TensorElem.unit(ctx.F, 3))
+
+
 def test_graded_dimension_dual_numbers():
     # (1+q^2)/(1-q^2) = 1 + 2q^2 + 2q^4 + ...
     ctx = AwpaAlgebra(dual_numbers_algebra(), 1)
@@ -508,22 +558,33 @@ def test_exponents_are_checked(ctx_k2):
 
 
 def test_monomial_word_and_perm_lengths_are_checked(ctx_k2):
-    """A word or permutation whose length is not n is refused; before, on
-    A_2(k), monomial((0, 0), (0,), (1, 2)) printed as b(1)."""
+    """A word or permutation whose length is not n, a word letter outside
+    range(F.dim) and a permutation that is not a rearrangement of 1..n are
+    refused; before, on A_2(k), monomial((0, 0), (0,), (1, 2)) printed as
+    b(1) and monomial((0, 0), (0, 3), (1, 2)) built an unprintable element."""
     for word in [(0,), (0, 0, 0)]:
         with pytest.raises(SizeMismatch, match="word"):
             ctx_k2.monomial((0, 0), word, (1, 2))
     for pi in [(1,), (1, 2, 3)]:
         with pytest.raises(SizeMismatch, match="permutation"):
             ctx_k2.monomial((0, 0), (0, 0), pi)
+    for word in [(0, 3), (-1, 0)]:
+        with pytest.raises(ValueError, match="outside 0..0"):
+            ctx_k2.monomial((0, 0), word, (1, 2))
+    with pytest.raises(ValueError, match="not a permutation"):
+        ctx_k2.monomial((0, 0), (0, 0), (1, 1))
     assert ctx_k2.monomial((0, 0), [0, 0], [2, 1]) == ctx_k2.s(1)
 
 
 def test_perm_elem_length_is_checked(ctx_k2):
-    """perm_elem refuses a permutation of another length; before,
-    perm_elem((1, 2, 3)) printed as s[1,2,3] and multiplied like the unit."""
+    """perm_elem refuses a permutation of another length or one that is not
+    a rearrangement of 1..n; before, perm_elem((1, 2, 3)) printed as
+    s[1,2,3] and multiplied like the unit, and perm_elem((1, 1)) as s[1,1]."""
     for pi in [(1,), (1, 2, 3)]:
         with pytest.raises(SizeMismatch, match="permutation"):
+            ctx_k2.perm_elem(pi)
+    for pi in [(1, 1), (0, 1), (2, 3)]:
+        with pytest.raises(ValueError, match="not a permutation of 1..2"):
             ctx_k2.perm_elem(pi)
     assert ctx_k2.perm_elem([2, 1]) == ctx_k2.s(1)
 

@@ -238,7 +238,7 @@ def test_scan_finds_dense_helpers():
     ]
 
 
-MODULE_CONTAINERS = {"__all__", "BUILTINS", "ALL_CHECKS", "_SHIFT_PARAM_ERRORS"}
+MODULE_CONTAINERS = {"__all__", "BUILTINS", "ALL_CHECKS"}
 MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "Counter", "OrderedDict", "deque"}
 MEMO_DECORATORS = {"cache", "lru_cache"}
 SCALAR_TABLES = {"cyclotomic_polynomial", "_zeta_powers", "_constant"}
