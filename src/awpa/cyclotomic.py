@@ -70,21 +70,34 @@ class CycloParams:
     """Validated cyclotomic parameters.
 
     ``entries`` maps k (1 <= k <= theta) to the list of parameters c^(k,j),
-    each an AlgElem of F or a TensorElem of F^(x)n.  An AlgElem is a slot-1
-    parameter in F_psi^(k), the standing restriction: the quotient is then
-    defined uniformly in n and carries the induction/restriction structure.
-    A TensorElem is a general parameter in F_1^(k) for its own n; the
-    tensors fix ``n_fixed``, the one n the quotient can be built for, and
-    such parameters neither serialize nor induce.
+    each an AlgElem of F or its dense coordinates, or a TensorElem of
+    F^(x)n.  An AlgElem is a slot-1 parameter, which must lie in
+    F_psi^(k), the standing restriction: the quotient is then defined
+    uniformly in n and carries the induction/restriction structure; it is
+    checked as the one-slot tensor, where F_1^(k) is F_psi^(k).  A
+    TensorElem is a general parameter, which must lie in F_1^(k) for its own
+    n; the tensors fix ``n_fixed``, the one n the quotient can be built for,
+    and such parameters neither serialize nor induce.  The constructor
+    refuses a parameter outside its F_1^(k), a k outside 1..theta, level
+    zero, and tensors of different n.
     """
 
     def __init__(self, F: FrobAlg, entries: dict):
         self.F = F
-        self.entries = entries
-        self.level = sum(k * len(v) for k, v in entries.items())
+        self.entries: dict = {}
+        for k, values in entries.items():
+            if not 1 <= k <= F.theta:
+                raise WrongDegree(f"parameter index k={k} outside 1..theta={F.theta}")
+            out = [c if isinstance(c, (AlgElem, TensorElem)) else F.elem(c) for c in values]
+            for c in out:
+                t = c if isinstance(c, TensorElem) else TensorElem.slot(F, 1, c, 1)
+                AwpaAlgebra(F, t.n)._check_f1(t, k)
+            if out:
+                self.entries[k] = out
+        self.level = sum(k * len(v) for k, v in self.entries.items())
         if self.level < 1:
             raise LevelZero("cyclotomic level must be at least 1")
-        ns = {c.n for v in entries.values() for c in v if isinstance(c, TensorElem)}
+        ns = {c.n for v in self.entries.values() for c in v if isinstance(c, TensorElem)}
         if len(ns) > 1:
             raise ParamsMismatch(f"tensor parameters of different n: {sorted(ns)}")
         self.n_fixed = ns.pop() if ns else None
@@ -92,22 +105,6 @@ class CycloParams:
     @property
     def general(self) -> bool:
         return self.n_fixed is not None
-
-    def factor_list(self, n: int):
-        """The chi factors (x_1^k - c) as AwpaElems over a fresh context,
-        in canonical (k, j) order."""
-        if self.n_fixed not in (None, n):
-            raise ParamsMismatch(f"general parameters were validated for n={self.n_fixed}")
-        ctx = AwpaAlgebra(self.F, n)
-        if n == 0:
-            # A_0^C(F) = k by convention; nothing to quotient
-            return ctx, []
-        factors = []
-        for k in sorted(self.entries):
-            for c in self.entries[k]:
-                t = c if isinstance(c, TensorElem) else TensorElem.slot(self.F, n, c, 1)
-                factors.append(ctx.x(1, k) - ctx.from_tensor(t))
-        return ctx, factors
 
     def to_json_dict(self) -> dict:
         if self.general:
@@ -133,28 +130,11 @@ class CycloParams:
         for k0, count in enumerate(e):
             if count != len(entries.get(k0 + 1, ())):
                 raise ParamsMismatch("e vector does not match parameter lists")
-        return make_params(F, entries)
+        return CycloParams(F, entries)
 
 
-def make_params(F: FrobAlg, entries: dict) -> CycloParams:
-    """Validate and build cyclotomic parameters.
-
-    entries: {k: [c^(k,1), ...]} with each c an AlgElem of F or its dense
-    coordinates, lying in F_psi^(k) (slot-1 parameters), or a TensorElem
-    lying in F_1^(k) (general parameters, all with the same n).  A slot-1
-    parameter is checked as the one-slot tensor, where F_1^(k) is F_psi^(k).
-    """
-    checked: dict = {}
-    for k, values in entries.items():
-        if not 1 <= k <= F.theta:
-            raise WrongDegree(f"parameter index k={k} outside 1..theta={F.theta}")
-        out = [c if isinstance(c, (AlgElem, TensorElem)) else F.elem(c) for c in values]
-        for c in out:
-            t = c if isinstance(c, TensorElem) else TensorElem.slot(F, 1, c, 1)
-            AwpaAlgebra(F, t.n)._check_f1(t, k)
-        if out:
-            checked[k] = out
-    return CycloParams(F, checked)
+# The earlier name of the validating constructor, kept for existing callers.
+make_params = CycloParams
 
 
 class CycloElem(SparseElem):
@@ -194,13 +174,20 @@ class CyclotomicAlgebra:
     """A_n^C(F): the quotient with its reduction, trace, and Frobenius data."""
 
     def __init__(self, params: CycloParams, n: int):
+        if params.n_fixed not in (None, n):
+            raise ParamsMismatch(f"general parameters were validated for n={params.n_fixed}")
         self.params = params
         self.n = n
         self.d = params.level
-        ctx, factors = params.factor_list(n)
-        self.ctx = ctx
         self.F = params.F
-        self._factors = factors
+        self.ctx = AwpaAlgebra(self.F, n)
+        # the chi factors (x_1^k - c) in canonical (k, j) order
+        self._factors = []
+        if n:  # A_0^C(F) = k by convention, with nothing to quotient
+            for k in sorted(params.entries):
+                for c in params.entries[k]:
+                    t = c if isinstance(c, TensorElem) else TensorElem.slot(self.F, n, c, 1)
+                    self._factors.append(self.ctx.x(1, k) - self.ctx.from_tensor(t))
         self._chi_cache: dict = {}
         self._rewrite_cache: dict = {}
         self._basis_keys_cache: dict = {}
@@ -353,24 +340,18 @@ class InductionStructure:
         self._transition_cache: dict = {}
 
     def right_module_basis(self) -> list:
-        """The elements x_j^a b_j s_j ... s_n of A_{n+1}^C(F)."""
+        """The elements x_j^a b_j s_j ... s_n of A_{n+1}^C(F), built from
+        their keys: with a < d each is already in reduced normal form."""
+        F, m, ctx = self.params.F, self.n + 1, self.big.ctx
         out = []
-        for j in range(1, self.n + 2):
-            pi = perms.identity(self.n + 1)
-            for t in range(j, self.n + 1):
-                pi = perms.mul(pi, perms.simple(self.n + 1, t))
+        for j in range(1, m + 1):
+            pi = perms.from_word(m, range(j, m))
             for a in range(self.big.d):
-                for b in range(self.params.F.dim):
-                    mono = self.big.ctx.mul(
-                        self.big.ctx.x_monomial(
-                            tuple(a if t == j - 1 else 0 for t in range(self.n + 1))
-                        ),
-                        self.big.ctx.mul(
-                            self.big.ctx.slot_elem(self.params.F.basis_elem(b), j),
-                            self.big.ctx.perm_elem(pi),
-                        ),
-                    )
-                    out.append(((j, a, b), self.big.reduce(mono)))
+                alpha = tuple(a if t == j - 1 else 0 for t in range(m))
+                for b in range(F.dim):
+                    words = TensorElem.slot(F, m, F.basis_elem(b), j).terms
+                    u = ctx._elem(ctx._keyed(alpha, words, pi))
+                    out.append(((j, a, b), CycloElem(self.big, u)))
         return out
 
     def embed(self, z: CycloElem) -> CycloElem:
@@ -392,13 +373,14 @@ class InductionStructure:
         dim_big = self.big.dim()
         _check_matrix_size("induction transition matrix", dim_big)
         small_keys = self.small.basis_keys()
+        embedded = [
+            self.embed(CycloElem(self.small, self.small.ctx.monomial(*sk))) for sk in small_keys
+        ]
         rows = []
         slots = []
         for (j, a, b), u in self.right_module_basis():
-            for sk in small_keys:
-                y = self.embed(CycloElem(self.small, self.small.ctx.monomial(*sk)))
-                prod = self.big.reduce(self.big.ctx.mul(u.elem, y.elem))
-                rows.append(prod.terms)
+            for sk, y in zip(small_keys, embedded):
+                rows.append(self.big.mul(u, y).terms)
                 slots.append((j, a, b, sk))
         if len(rows) != dim_big:
             raise InternalInconsistency("right-module basis count mismatch")

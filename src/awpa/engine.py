@@ -39,7 +39,7 @@ from .errors import (
 )
 from .frobenius import AlgElem, FrobAlg, check_frobenius_morphism
 from .scalars import CycScalar
-from .sparse import MEMO_CAP, SparseElem, acc, memoized
+from .sparse import SparseElem, acc, memoized
 from .wreath import (
     TensorElem,
     WreathElem,
@@ -409,12 +409,8 @@ class AwpaAlgebra:
 
     # -- multiplication ----------------------------------------------------------
 
-    def _mono_mul(self, k1, k2, keep: bool = True) -> dict:
-        """The product of two monomials; kept in ``_mono_cache`` if ``keep``."""
-        ckey = (k1, k2)
-        cached = self._mono_cache.get(ckey)
-        if cached is not None:
-            return cached
+    def _mono_product(self, k1, k2) -> dict:
+        """The product of two monomials."""
         a1, w1, p1 = k1
         a2, w2, p2 = k2
         out: dict = {}
@@ -422,20 +418,21 @@ class AwpaAlgebra:
             tail = perms.mul(tau, p2)
             for (alpha, w), c2 in self._pd_mono_mul(a1, w1, g, d):
                 acc(out, (alpha, w, tail), c * c2)
-        if keep and len(self._mono_cache) < MEMO_CAP:
-            self._mono_cache[ckey] = out
         return out
+
+    _mono_mul = memoized("_mono_cache")(_mono_product)
 
     def mul(self, a: AwpaElem, b: AwpaElem) -> AwpaElem:
         a._check(b)
         out: dict = {}
         # a product of two monomials (a Gram entry, say) is rarely asked for
         # again, so only products inside a longer sum are kept
-        keep = len(a.terms) > 1 or len(b.terms) > 1
+        many = len(a.terms) > 1 or len(b.terms) > 1
+        mono_mul = self._mono_mul if many else self._mono_product
         for k1, c1 in a.terms.items():
             for k2, c2 in b.terms.items():
                 c12 = c1 * c2
-                for k, c in self._mono_mul(k1, k2, keep).items():
+                for k, c in mono_mul(k1, k2).items():
                     acc(out, k, c12 * c)
         return self._elem(out)
 

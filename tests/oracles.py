@@ -2,8 +2,9 @@
 
 None of this runs in the CLI, the benchmark or the package: Young subgroups
 and minimal double cosets with the affine Mackey dimension report, the
-expected centralizer of P_n(F), a span comparison, and the level-one
-quotient against the wreath product.
+expected centralizer of P_n(F), a span comparison, the level-one quotient
+against the wreath product, the induction basis built by products, and the
+algebra k x k, whose unit is not a basis element.
 
 Young subgroups are described by compositions (tuples of positive integers
 summing to n); double cosets are enumerated exhaustively, which is fine at
@@ -18,6 +19,7 @@ from awpa import permutations as perms
 from awpa.cyclotomic import CycloElem
 from awpa.engine import AwpaElem
 from awpa.errors import AwpaError, InternalInconsistency, ParamsMismatch
+from awpa.frobenius import FrobAlg
 from awpa.scalars import CycScalar
 from awpa.wreath import WreathElem
 
@@ -274,3 +276,28 @@ def level_one_matches_wreath(qalg) -> bool:
             if quot != wreath:
                 return False
     return True
+
+
+def product_right_module_basis(ind) -> list:
+    """The right-module basis x_j^a b_j s_j ... s_n of an InductionStructure,
+    each element multiplied out in the engine and reduced."""
+    ctx, F, m = ind.big.ctx, ind.params.F, ind.n + 1
+    out = []
+    for j in range(1, m + 1):
+        pi = perms.identity(m)
+        for t in range(j, m):
+            pi = perms.mul(pi, perms.simple(m, t))
+        for a in range(ind.big.d):
+            for b in range(F.dim):
+                mono = ctx.mul(
+                    ctx.x_monomial(tuple(a if t == j - 1 else 0 for t in range(m))),
+                    ctx.mul(ctx.slot_elem(F.basis_elem(b), j), ctx.perm_elem(pi)),
+                )
+                out.append(((j, a, b), ind.big.reduce(mono)))
+    return out
+
+
+def split_algebra() -> FrobAlg:
+    """k x k: e_a e_b = [a = b] e_a, unit and trace e1 + e2."""
+    cube = [[[int(a == b == c) for c in range(2)] for b in range(2)] for a in range(2)]
+    return FrobAlg(["e1", "e2"], [0, 0], [0, 0], cube, [1, 1], [1, 1], name="split")

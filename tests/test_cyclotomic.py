@@ -38,7 +38,7 @@ from awpa.frobenius import (
 from awpa.verify import random_element
 from awpa.wreath import TensorElem, word_parity
 
-from oracles import level_one_matches_wreath
+from oracles import level_one_matches_wreath, product_right_module_basis, split_algebra
 
 
 def level_one(F):
@@ -105,6 +105,22 @@ def test_make_params_level_zero():
         make_params(F, {})
 
 
+def test_cyclo_params_constructor_validates():
+    """The public constructor runs the F_1^(k) checks itself; make_params is
+    the same class under its earlier name."""
+    assert make_params is CycloParams
+    Cl = clifford_algebra()
+    with pytest.raises(OddParity, match="must be even"):
+        CycloParams(Cl, {1: [Cl.from_label("c")]})
+    with pytest.raises(WrongDegree, match="outside 1..theta"):
+        CycloParams(Cl, {Cl.theta + 1: [Cl.zero_elem()]})
+    with pytest.raises(WrongDegree, match="outside 1..theta"):
+        CycloParams(Cl, {0: [Cl.zero_elem()]})
+    # dense coordinates become elements, and empty lists drop out
+    p = CycloParams(Cl, {1: [], 2: [[2, 0]]})
+    assert p.entries == {2: [Cl.scalar(2) * Cl.unit_elem()]} and p.level == 2
+
+
 def test_taft_level_one_with_y():
     # y in F_psi^(1)? condition: g y = y psi(g) i.e. omega^{-1} y g ... holds
     # exactly when k = 1 satisfies omega^k = omega^{-1+...}; check via solver
@@ -153,7 +169,8 @@ def test_chi_factor_order_independence():
     F = dual_numbers_algebra()
     params = make_params(F, {1: [F.from_label("z"), F.zero_elem()]})
     Q = CyclotomicAlgebra(params, 2)
-    ctx, factors = params.factor_list(2)
+    ctx, factors = Q.ctx, Q._factors
+    assert len(factors) == 2
     rng = random.Random(0)
     for _ in range(3):
         order = list(range(len(factors)))
@@ -161,9 +178,7 @@ def test_chi_factor_order_independence():
         prod = ctx.one()
         for idx in order:
             prod = ctx.mul(prod, factors[idx])
-        expected = Q.chi(1)
-        # both live over different contexts; compare term dicts
-        assert prod.terms == expected.terms
+        assert prod == Q.chi(1)
 
 
 def test_reduce_chi_is_zero():
@@ -365,6 +380,49 @@ def test_induction_basis_counts():
     assert len(indc.right_module_basis()) == 8
     assert indc.big.dim() == 32
     assert indc.verify_free_basis()
+
+
+INDUCTION_PARAMS = {
+    "split": (split_algebra, lambda F: {1: [F.zero_elem(), F.unit_elem()]}),
+    "clifford": (clifford_algebra, lambda F: {2: [F.zero_elem()]}),
+    "taft2": (lambda: taft_algebra(2), lambda F: {2: [F.zero_elem()]}),
+    "dual": (dual_numbers_algebra, lambda F: {1: [F.from_label("z"), F.zero_elem()]}),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", sorted(INDUCTION_PARAMS))
+def test_right_module_basis_matches_products(name, n, monkeypatch):
+    """The basis built from its keys equals the one multiplied out and
+    reduced, and building it makes no engine product."""
+    make, entries_of = INDUCTION_PARAMS[name]
+    F = make()
+    ind = InductionStructure(make_params(F, entries_of(F)), n)
+    assert ind.big.d == 2
+    expected = product_right_module_basis(ind)
+    products = []
+    real_mul = AwpaAlgebra.mul
+
+    def counted_mul(ctx, a, b):
+        products.append((a, b))
+        return real_mul(ctx, a, b)
+
+    monkeypatch.setattr(AwpaAlgebra, "mul", counted_mul)
+    basis = ind.right_module_basis()
+    assert products == []
+    assert [key for key, _ in basis] == [key for key, _ in expected]
+    assert all(u == v for (_, u), (_, v) in zip(basis, expected))
+
+
+def test_cyclo_elem_product_is_the_quotient_product():
+    Cl = clifford_algebra()
+    Q = CyclotomicAlgebra(make_params(Cl, {2: [Cl.scalar(3) * Cl.unit_elem()]}), 2)
+    rng = random.Random(4)
+    for _ in range(5):
+        a, b = random_quotient_elem(Q, rng), random_quotient_elem(Q, rng)
+        assert a * b == Q.mul(a, b)
+    a = random_quotient_elem(Q, rng)
+    assert a * Cl.scalar(2) == a + a
 
 
 def test_partial_trace_examples():

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from awpa import engine, linalg, sparse
+from awpa import linalg, sparse
 from awpa import permutations as perms
 from awpa.cyclotomic import CyclotomicAlgebra, InductionStructure, make_params, nakayama_check
 from awpa.engine import AwpaAlgebra, AwpaElem
@@ -187,6 +187,15 @@ def test_center_examples(ctx_cl2):
     # elementary symmetric polynomials in x^theta
     e2 = ctx_cl2.mul(ctx_cl2.x(1, 2), ctx_cl2.x(2, 2))
     assert ctx_cl2.is_central(e2)
+
+
+def test_odd_elements_supercommute_with_a_sign(ctx_cl2):
+    """c_2 supercommutes with the odd c_1 (c_2 c_1 = -c_1 c_2) but not with
+    itself (c_2 c_2 = 1), so the first generator it fails is c_2; without the
+    odd-odd sign it would be c_1."""
+    verdict = ctx_cl2.is_central(ctx_cl2.slot_elem(ctx_cl2.F.from_label("c"), 2))
+    assert not verdict
+    assert verdict.failed_generator == "c_2"
 
 
 @pytest.mark.parametrize(
@@ -741,7 +750,6 @@ def test_memo_cap_holds(monkeypatch):
     uncapped = _memo_sizes(owners)
     contexts.clear()
     monkeypatch.setattr(sparse, "MEMO_CAP", 3)
-    monkeypatch.setattr(engine, "MEMO_CAP", 3)
     results, owners = _memo_workout(contexts)
     capped = _memo_sizes(owners)
     assert set(capped) == set(uncapped) == MEMOS

@@ -19,6 +19,7 @@ from awpa.errors import (
     DegenerateTrace,
     DimensionMismatch,
     GradingViolation,
+    NakayamaInfiniteOrder,
     NoUnit,
     NotAssociative,
 )
@@ -116,6 +117,19 @@ def test_group_algebra_validation():
         group_algebra([[0, 1], [1, 1]])  # not associative / no inverse
     with pytest.raises(BadParams):
         group_algebra([[1, 0], [1, 0]])  # no identity
+
+
+def test_nakayama_of_infinite_order_is_refused():
+    """The quantum plane k<x,y>/(x^2, y^2, yx - 2xy), basis 1, x, y, xy in
+    degrees 0, 1, 1, 2, trace on xy: tr(xy) = 1 and tr(yx) = 2 give
+    psi(x) = x/2, of infinite order."""
+    struct = [[{} for _ in range(4)] for _ in range(4)]
+    for b in range(4):
+        struct[0][b] = struct[b][0] = {b: 1}
+    struct[1][2] = {3: 1}
+    struct[2][1] = {3: 2}
+    with pytest.raises(NakayamaInfiniteOrder, match="bound 64"):
+        FrobAlg(["1", "x", "y", "xy"], [0, 1, 1, 2], [0] * 4, struct, [1, 0, 0, 0], [0, 0, 0, 1])
 
 
 @pytest.mark.parametrize("make", ALL_BUILTINS)

@@ -12,9 +12,8 @@ No module but ``linalg.py`` names a dense-matrix helper, so the package
 solves on sparse rows only.  Memos live on objects (F, a context): no
 module or class body binds a mutable container beyond a short list of
 tables, and ``functools.cache`` wraps only the int-keyed scalar tables.
-Every memo but ``AwpaAlgebra._mono_mul`` goes through ``sparse.memoized``:
-no other code looks up or stores in a ``*_cache`` dict, or reads
-``MEMO_CAP``.
+Every memo goes through ``sparse.memoized``: no other code looks up or
+stores in a ``*_cache`` dict, or reads ``MEMO_CAP``.
 Every function, class and method of the package is reached from the CLI,
 the benchmark or the public names; code that only tests run lives in
 ``tests/oracles.py``.
@@ -335,28 +334,15 @@ def test_scan_finds_module_state():
     assert memo_uses(source) == ["g", "h", "line 20"]
 
 
-# The one memo written by hand: it stores a product only when asked to.
-HAND_MEMOS = {"AwpaAlgebra._mono_mul"}
-
-
 def _is_cache(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr.endswith("_cache")
 
 
 def hand_memo_lines(source: str) -> list[str]:
     """line: what for each lookup or store on a ``*_cache`` attribute (a
-    ``.get``, a subscript or an ``in``) and each read of ``MEMO_CAP``, outside
-    the methods in HAND_MEMOS."""
-    tree, skipped = ast.parse(source), set()
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef):
-            for item in cls.body:
-                if f"{cls.name}.{getattr(item, 'name', '')}" in HAND_MEMOS:
-                    skipped |= set(map(id, ast.walk(item)))
+    ``.get``, a subscript or an ``in``) and each read of ``MEMO_CAP``."""
     found = []
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if node.func.attr == "get" and _is_cache(node.func.value):
                 found.append((node.lineno, "get"))
@@ -379,8 +365,8 @@ def hand_memo_lines(source: str) -> list[str]:
     "path", sorted(p for p in SRC.glob("*.py") if p.name != "sparse.py"), ids=lambda p: p.name
 )
 def test_memos_use_the_decorator(path):
-    """Every memo but ``_mono_mul`` goes through ``sparse.memoized``, which
-    applies the cap, so no other code looks up, stores or caps by hand."""
+    """Every memo goes through ``sparse.memoized``, which applies the cap, so
+    no other code looks up, stores or caps by hand."""
     assert hand_memo_lines(path.read_text()) == []
 
 
@@ -406,6 +392,9 @@ def test_scan_finds_hand_memos():
         "    return F._word_cache[w] if len(F._word_cache) < sparse.MEMO_CAP else None\n"
     )
     assert hand_memo_lines(source) == [
+        "line 7: MEMO_CAP",
+        "line 7: in",
+        "line 8: get",
         "line 10: get",
         "line 11: in",
         "line 12: subscript",

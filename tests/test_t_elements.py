@@ -14,15 +14,11 @@ import pytest
 
 from awpa.cli import main
 from awpa.engine import AwpaAlgebra, AwpaElem
-from awpa.frobenius import FrobAlg, clifford_algebra, symmetric_group_algebra, taft_algebra
+from awpa.frobenius import clifford_algebra, symmetric_group_algebra, taft_algebra
 from awpa.verify import run_suite
 from awpa.wreath import TensorElem
 
-
-def split_algebra() -> FrobAlg:
-    """k x k: e_a e_b = [a = b] e_a, unit and trace e1 + e2."""
-    cube = [[[int(a == b == c) for c in range(2)] for b in range(2)] for a in range(2)]
-    return FrobAlg(["e1", "e2"], [0, 0], [0, 0], cube, [1, 1], [1, 1], name="split")
+from oracles import split_algebra
 
 
 ALGEBRAS = {
