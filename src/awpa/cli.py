@@ -64,65 +64,59 @@ def load_params_file(path: str) -> tuple[FrobAlg, CycloParams]:
     return F, CycloParams.from_json_dict(F, data["cyclotomic"])
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
+def _emit(args, payload: dict, text_lines: list[str], ok: bool = True) -> int:
+    """Print the payload (--json) or the text lines; the exit code of ok."""
     if args.json:
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
+    return 0 if ok else 1
+
+
+def _emit_element(args, elem) -> int:
+    text = element_str(elem)
+    return _emit(args, {"result": text}, [text])
+
+
+def _context(args) -> AwpaAlgebra:
+    """A_n(F) for F = --algebra and n = --n."""
+    return AwpaAlgebra(resolve_algebra(args.algebra), args.n)
 
 
 def cmd_algebra_verify(args) -> int:
     F = resolve_algebra(args.spec)
-    lines = [
-        f"algebra: {F.name}",
-        f"dim: {F.dim}",
-        f"delta: {F.delta}",
-        f"theta: {F.theta}",
-        f"conductor: {F.conductor}",
-        "invariants: associative, unital, graded, trace nondegenerate, "
-        "Nakayama finite order and diagonalizable",
-        "PASS",
-    ]
-    payload = {
+    fields = {
         "algebra": F.name,
         "dim": F.dim,
         "delta": F.delta,
         "theta": F.theta,
         "conductor": F.conductor,
-        "valid": True,
     }
-    _emit(args, payload, lines)
-    return 0
+    lines = [f"{key}: {value}" for key, value in fields.items()] + [
+        "invariants: associative, unital, graded, trace nondegenerate, "
+        "Nakayama finite order and diagonalizable",
+        "PASS",
+    ]
+    return _emit(args, {**fields, "valid": True}, lines)
 
 
 def cmd_mul(args) -> int:
-    F = resolve_algebra(args.algebra)
-    ctx = AwpaAlgebra(F, args.n)
+    ctx = _context(args)
     a = parse_element(ctx, args.left)
     b = parse_element(ctx, args.right)
-    result = ctx.mul(a, b)
-    _emit(
-        args,
-        {"result": element_str(result)},
-        [element_str(result)],
-    )
-    return 0
+    return _emit_element(args, ctx.mul(a, b))
 
 
 def cmd_nf(args) -> int:
-    F = resolve_algebra(args.algebra)
-    ctx = AwpaAlgebra(F, args.n)
-    result = parse_element(ctx, args.element)
-    _emit(args, {"result": element_str(result)}, [element_str(result)])
-    return 0
+    ctx = _context(args)
+    return _emit_element(args, parse_element(ctx, args.element))
 
 
 def cmd_grdim(args) -> int:
-    F = resolve_algebra(args.algebra)
-    ctx = AwpaAlgebra(F, args.n)
+    ctx = _context(args)
     counts = ctx.graded_dimension(args.cutoff)
-    if F.delta > 0:
+    if ctx.F.delta > 0:
         series = ctx.graded_dimension_series(args.cutoff)
         ok = counts == series
         lines = [
@@ -130,21 +124,15 @@ def cmd_grdim(args) -> int:
             f"series n!(grdim F/(1-q^delta))^n:  {series}",
             "PASS" if ok else "FAIL: counts do not match the closed form",
         ]
-        _emit(args, {"counts": counts, "series": series, "match": ok}, lines)
-        return 0 if ok else 1
-    lines = [f"polynomial-layer counts (delta = 0): {counts}"]
-    _emit(args, {"counts": counts}, lines)
-    return 0
+        return _emit(args, {"counts": counts, "series": series, "match": ok}, lines, ok)
+    return _emit(args, {"counts": counts}, [f"polynomial-layer counts (delta = 0): {counts}"])
 
 
 def cmd_dual_basis(args) -> int:
     F = resolve_algebra(args.algebra)
     duals = F.dual_basis()
-    lines = [
-        f"{F.basis_labels[i]}^vee = {duals[i]}" for i in range(F.dim)
-    ]
-    _emit(args, {"duals": [str(d) for d in duals]}, lines)
-    return 0
+    lines = [f"{F.basis_labels[i]}^vee = {duals[i]}" for i in range(F.dim)]
+    return _emit(args, {"duals": [str(d) for d in duals]}, lines)
 
 
 def cmd_nakayama(args) -> int:
@@ -155,55 +143,39 @@ def cmd_nakayama(args) -> int:
         img = F.psi(F.basis_elem(i))
         images.append(str(img))
         lines.append(f"psi({F.basis_labels[i]}) = {img}")
-    _emit(args, {"theta": F.theta, "images": images}, lines)
-    return 0
+    return _emit(args, {"theta": F.theta, "images": images}, lines)
 
 
 def cmd_center(args) -> int:
-    F = resolve_algebra(args.algebra)
-    ctx = AwpaAlgebra(F, args.n)
-    basis = ctx.center_up_to_degree(args.degree)
+    basis = [element_str(z) for z in _context(args).center_up_to_degree(args.degree)]
     lines = [f"central elements with polynomial degree <= {args.degree}: {len(basis)}"]
-    lines += [f"  {element_str(z)}" for z in basis]
-    _emit(
-        args,
-        {"dimension": len(basis), "basis": [element_str(z) for z in basis]},
-        lines,
-    )
-    return 0
+    lines += [f"  {z}" for z in basis]
+    return _emit(args, {"dimension": len(basis), "basis": basis}, lines)
 
 
 def cmd_jm(args) -> int:
-    F = resolve_algebra(args.algebra)
-    ctx = AwpaAlgebra(F, args.n)
+    ctx = _context(args)
     if not 1 <= args.k <= args.n:
         raise ParseError(f"no Jucys-Murphy element J_{args.k} for n={args.n}")
-    jk = ctx.from_wreath(ctx.jucys_murphy(args.k))
-    _emit(args, {"result": element_str(jk)}, [element_str(jk)])
-    return 0
+    return _emit_element(args, ctx.from_wreath(ctx.jucys_murphy(args.k)))
 
 
 def cmd_suite(args) -> int:
     F = resolve_algebra(args.algebra)
     counts, failures = run_suite(F, args.n, seed=args.seed, instances=args.instances)
     lines = [f"suite: algebra={args.algebra} n={args.n} seed={args.seed}"]
-    for name, cnt in counts:
-        lines.append(f"  {name}: {cnt} instances")
+    lines += [f"  {name}: {cnt} instances" for name, cnt in counts]
     if failures:
         lines.append(f"FAIL: {failures[0]}")
     else:
         lines.append(f"PASS ({sum(c for _, c in counts)} instances)")
-    _emit(
-        args,
-        {
-            "seed": args.seed,
-            "instances": dict(counts),
-            "failures": failures,
-            "pass": not failures,
-        },
-        lines,
-    )
-    return 1 if failures else 0
+    payload = {
+        "seed": args.seed,
+        "instances": dict(counts),
+        "failures": failures,
+        "pass": not failures,
+    }
+    return _emit(args, payload, lines, not failures)
 
 
 def cmd_cyclotomic(args) -> int:
@@ -217,12 +189,8 @@ def cmd_cyclotomic(args) -> int:
             f"gram invertible: {invertible}",
             "PASS" if invertible else "FAIL: degenerate trace pairing",
         ]
-        _emit(
-            args,
-            {"level": qalg.d, "dim": qalg.dim(), "invertible": invertible},
-            lines,
-        )
-        return 0 if invertible else 1
+        payload = {"level": qalg.d, "dim": qalg.dim(), "invertible": invertible}
+        return _emit(args, payload, lines, invertible)
     if args.action == "nakayama":
         failure = nakayama_counterexample(qalg, args.pairs, args.seed)
         ok = failure is None
@@ -233,34 +201,23 @@ def cmd_cyclotomic(args) -> int:
             + ("PASS" if ok else f"FAIL at a={failure[0]}, b={failure[1]}"),
             f"symmetric (theta | level): {sym}",
         ]
-        _emit(
-            args,
-            {"level": qalg.d, "identity": ok, "symmetric": sym, "seed": args.seed},
-            lines,
-        )
-        return 0 if ok else 1
-    if args.action == "basis":
-        dim = qalg.dim()
-        lines = [
-            f"level: {qalg.d}",
-            f"dim A_n^C = n!(d dim F)^n = {dim}",
-        ]
-        payload = {"level": qalg.d, "dim": dim}
-        if args.n > 1:
-            ind = InductionStructure(params, args.n - 1)
-            ind.verify_free_basis()
-            lhs, rhs = ind.mackey_dimensions()
-            lines.append(f"free right-module basis over A_{args.n - 1}^C: PASS")
-            lines.append(f"cyclotomic Mackey dimensions: {lhs} = {rhs}")
-            payload["mackey"] = [lhs, rhs]
-            if lhs != rhs:
-                lines.append("FAIL")
-                _emit(args, payload, lines)
-                return 1
-        lines.append("PASS")
-        _emit(args, payload, lines)
-        return 0
-    raise AwpaError(f"unknown cyclotomic action {args.action!r}")
+        payload = {"level": qalg.d, "identity": ok, "symmetric": sym, "seed": args.seed}
+        return _emit(args, payload, lines, ok)
+    # basis
+    dim = qalg.dim()
+    lines = [f"level: {qalg.d}", f"dim A_n^C = n!(d dim F)^n = {dim}"]
+    payload = {"level": qalg.d, "dim": dim}
+    ok = True
+    if args.n > 1:
+        ind = InductionStructure(params, args.n - 1)
+        ind.verify_free_basis()
+        lhs, rhs = ind.mackey_dimensions()
+        lines.append(f"free right-module basis over A_{args.n - 1}^C: PASS")
+        lines.append(f"cyclotomic Mackey dimensions: {lhs} = {rhs}")
+        payload["mackey"] = [lhs, rhs]
+        ok = lhs == rhs
+    lines.append("PASS" if ok else "FAIL")
+    return _emit(args, payload, lines, ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,66 +228,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_alg = sub.add_parser("algebra", help="Frobenius algebra operations")
-    alg_sub = p_alg.add_subparsers(dest="action", required=True)
-    p_verify = alg_sub.add_parser("verify", help="build and validate an algebra")
-    p_verify.add_argument("spec", help=f"builtin ({BUILTIN_USAGE}) or JSON file")
-    p_verify.set_defaults(func=cmd_algebra_verify)
+    # arguments several subcommands share, each declared once in a parent
+    # parser.  A subcommand inherits its parents' arguments, in order, before
+    # its own; so `cyclotomic` takes its leading positional from a parent too,
+    # which keeps the order of its help and of its missing-argument errors.
+    algebra, n, seed, params, action = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    algebra.add_argument("--algebra", required=True)
+    n.add_argument("--n", type=nonnegative_int, required=True)
+    seed.add_argument("--seed", type=int, default=0)
+    params.add_argument("--params", required=True, help="algebra JSON with a cyclotomic section")
+    action.add_argument("action", choices=["gram", "nakayama", "basis"])
 
-    p_mul = sub.add_parser("mul", help="normal-form product of two elements")
-    p_mul.add_argument("--algebra", required=True)
-    p_mul.add_argument("--n", type=nonnegative_int, required=True)
-    p_mul.add_argument("left")
-    p_mul.add_argument("right")
-    p_mul.set_defaults(func=cmd_mul)
+    def command(subparsers, name, summary, func, *parents):
+        p = subparsers.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p_nf = sub.add_parser("nf", help="normal form of an element expression")
-    p_nf.add_argument("--algebra", required=True)
-    p_nf.add_argument("--n", type=nonnegative_int, required=True)
-    p_nf.add_argument("element")
-    p_nf.set_defaults(func=cmd_nf)
-
-    p_gr = sub.add_parser("grdim", help="graded dimension counts vs the closed form")
-    p_gr.add_argument("--algebra", required=True)
-    p_gr.add_argument("--n", type=nonnegative_int, required=True)
-    p_gr.add_argument("--cutoff", type=nonnegative_int, required=True)
-    p_gr.set_defaults(func=cmd_grdim)
-
-    p_db = sub.add_parser("dual-basis", help="left dual basis of F")
-    p_db.add_argument("--algebra", required=True)
-    p_db.set_defaults(func=cmd_dual_basis)
-
-    p_nk = sub.add_parser("nakayama", help="Nakayama automorphism of F")
-    p_nk.add_argument("--algebra", required=True)
-    p_nk.set_defaults(func=cmd_nakayama)
-
-    p_ct = sub.add_parser("center", help="central elements up to polynomial degree")
-    p_ct.add_argument("--algebra", required=True)
-    p_ct.add_argument("--n", type=nonnegative_int, required=True)
-    p_ct.add_argument("--degree", type=nonnegative_int, required=True)
-    p_ct.set_defaults(func=cmd_center)
-
-    p_jm = sub.add_parser("jm", help="Jucys-Murphy element J_k")
-    p_jm.add_argument("--algebra", required=True)
-    p_jm.add_argument("--n", type=nonnegative_int, required=True)
-    p_jm.add_argument("--k", type=int, required=True)
-    p_jm.set_defaults(func=cmd_jm)
-
-    p_st = sub.add_parser("suite", help="randomized property suite")
-    p_st.add_argument("--algebra", required=True)
-    p_st.add_argument("--n", type=nonnegative_int, required=True)
-    p_st.add_argument("--seed", type=int, default=0)
-    p_st.add_argument("--instances", type=nonnegative_int, default=200)
-    p_st.set_defaults(func=cmd_suite)
-
-    p_cy = sub.add_parser("cyclotomic", help="cyclotomic quotient computations")
-    p_cy.add_argument("action", choices=["gram", "nakayama", "basis"])
-    p_cy.add_argument("--params", required=True, help="algebra JSON with a cyclotomic section")
-    p_cy.add_argument("--n", type=nonnegative_int, required=True)
-    p_cy.add_argument("--seed", type=int, default=0)
-    p_cy.add_argument("--pairs", type=nonnegative_int, default=50)
-    p_cy.set_defaults(func=cmd_cyclotomic)
-
+    alg_sub = sub.add_parser("algebra", help="Frobenius algebra operations").add_subparsers(
+        dest="action", required=True
+    )
+    p = command(alg_sub, "verify", "build and validate an algebra", cmd_algebra_verify)
+    p.add_argument("spec", help=f"builtin ({BUILTIN_USAGE}) or JSON file")
+    p = command(sub, "mul", "normal-form product of two elements", cmd_mul, algebra, n)
+    p.add_argument("left")
+    p.add_argument("right")
+    p = command(sub, "nf", "normal form of an element expression", cmd_nf, algebra, n)
+    p.add_argument("element")
+    p = command(sub, "grdim", "graded dimension counts vs the closed form", cmd_grdim, algebra, n)
+    p.add_argument("--cutoff", type=nonnegative_int, required=True)
+    command(sub, "dual-basis", "left dual basis of F", cmd_dual_basis, algebra)
+    command(sub, "nakayama", "Nakayama automorphism of F", cmd_nakayama, algebra)
+    p = command(sub, "center", "central elements up to polynomial degree", cmd_center, algebra, n)
+    p.add_argument("--degree", type=nonnegative_int, required=True)
+    p = command(sub, "jm", "Jucys-Murphy element J_k", cmd_jm, algebra, n)
+    p.add_argument("--k", type=int, required=True)
+    p = command(sub, "suite", "randomized property suite", cmd_suite, algebra, n, seed)
+    p.add_argument("--instances", type=nonnegative_int, default=200)
+    p = command(
+        sub, "cyclotomic", "cyclotomic quotient computations", cmd_cyclotomic, action, params, n, seed
+    )
+    p.add_argument("--pairs", type=nonnegative_int, default=50)
     return parser
 
 

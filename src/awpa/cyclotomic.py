@@ -191,7 +191,6 @@ class CyclotomicAlgebra:
         self._chi_cache: dict = {}
         self._rewrite_cache: dict = {}
         self._basis_keys_cache: dict = {}
-        self._gram_cache: dict = {}
 
     # -- chi and the rewrite elements ---------------------------------------------
 
@@ -297,7 +296,6 @@ class CyclotomicAlgebra:
         """The quotient trace is symmetric iff theta | d."""
         return self.d % self.F.theta == 0
 
-    @memoized("_gram_cache")
     def gram_matrix(self):
         """G[u][v] = tr_C(u v) over the reduced basis, with the exact rank
         verdict.  Guarded by the configured size bound."""

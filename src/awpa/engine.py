@@ -238,9 +238,9 @@ class AwpaAlgebra:
             raise SizeMismatch("wreath element with different n")
         return AwpaElem(self, {(self.zero_alpha, word, p): c for (word, p), c in w.terms.items()})
 
-    def monomial(self, alpha, word, pi, coeff=1) -> AwpaElem:
+    def monomial(self, alpha, word, pi) -> AwpaElem:
         key = (self._exponents(alpha), self._word(word), self._perm(pi))
-        return AwpaElem(self, {key: self.F.scalar(coeff)})
+        return AwpaElem(self, {key: CycScalar.one(self.F.conductor)})
 
     def module_one(self) -> PolyModElem:
         terms = self._keyed(self.zero_alpha, self._unit_words, self.identity_perm)
@@ -709,14 +709,15 @@ class AwpaAlgebra:
                 raise BadAutomorphismParams(
                     "antihom needs tau" if anti else "frobenius automorphism needs xi"
                 )
+            # a valid verdict makes the map bijective: phi(f) = 0 gives
+            # tr(fg) = ±tr(phi(f) phi(g)) = 0 for every g, so f = 0
             verdict = check_frobenius_morphism(self.F, self.F, matrix, anti=anti)
-            rows = [[self.F.scalar(v) for v in row] for row in matrix]
-            if not verdict or not linalg.is_invertible(rows):
+            if not verdict:
                 what = "anti-isomorphism" if anti else "automorphism"
                 raise BadAutomorphismParams(f"{name} is not a Frobenius {what}: {verdict}")
             images = {
                 "x": lambda i: self.x(i),
-                "slot": lambda b, i: self.slot_elem(self.F.elem(rows[b]), i),
+                "slot": lambda b, i: self.slot_elem(self.F.elem(matrix[b]), i),
                 "s": lambda j: self.s(j),
             }
         elif kind == "trace_change":

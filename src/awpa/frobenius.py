@@ -29,6 +29,7 @@ from .errors import (
     NakayamaNotDiagonalizable,
     NoUnit,
     NotAssociative,
+    ParseError,
 )
 from .scalars import CycScalar, lcm, parse_scalar, root_of_unity, signed_terms
 from .sparse import SparseElem, acc, memoized
@@ -604,17 +605,19 @@ def builtin(name: str, params=()) -> FrobAlg:
     """Construct a named builtin algebra from its integer parameters, given
     as ints or decimal strings: ``cyclic_group`` takes the order m (default
     2), ``taft`` takes q and the degree of y (defaults 2, 2).  Missing
-    parameters take their defaults; surplus or malformed ones raise
-    BadParams."""
+    parameters take their defaults.  Text that cannot be read (an unknown
+    name, a parameter that is not an integer, a surplus parameter) raises
+    ParseError; a value the constructor refuses, such as q = 1 for
+    ``taft``, raises BadParams."""
     if name not in BUILTINS:
-        raise BadParams(f"unknown builtin algebra {name!r}")
+        raise ParseError(f"unknown builtin algebra {name!r}")
     make, defaults = BUILTINS[name]
     if len(params) > len(defaults):
-        raise BadParams(f"builtin {name!r} takes at most {len(defaults)} parameters")
+        raise ParseError(f"builtin {name!r} takes at most {len(defaults)} parameters")
     try:
         values = [int(p) for p in params]
     except ValueError as exc:
-        raise BadParams(f"builtin {name!r}: parameters must be integers ({exc})") from exc
+        raise ParseError(f"builtin {name!r}: parameters must be integers ({exc})") from exc
     return make(*values, *defaults[len(values):])
 
 

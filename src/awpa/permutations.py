@@ -41,13 +41,6 @@ def mul(p: Perm, q: Perm) -> Perm:
     return tuple(p[v - 1] for v in q)
 
 
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
 def reduced_word(p: Perm) -> list[int]:
     """A reduced word [i1, ..., il] with p = s_{i1} ... s_{il}.
 

@@ -1,10 +1,11 @@
 """Reference computations that only the tests use.
 
-None of this runs in the CLI, the benchmark or the package: Young subgroups
-and minimal double cosets with the affine Mackey dimension report, the
-expected centralizer of P_n(F), a span comparison, the level-one quotient
-against the wreath product, the induction basis built by products, and the
-algebra k x k, whose unit is not a basis element.
+None of this runs in the CLI, the benchmark or the package: the inverse of
+a permutation, Young subgroups and minimal double cosets with the affine
+Mackey dimension report, the expected centralizer of P_n(F), a span
+comparison, the level-one quotient against the wreath product, the
+induction basis built by products, and the algebra k x k, whose unit is not
+a basis element.
 
 Young subgroups are described by compositions (tuples of positive integers
 summing to n); double cosets are enumerated exhaustively, which is fine at
@@ -29,6 +30,14 @@ class BadComposition(AwpaError):
 
 
 # -- compositions and Young subgroups ---------------------------------------
+
+
+def perm_inverse(p) -> tuple:
+    """The inverse of a permutation in one-line form."""
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v - 1] = i + 1
+    return tuple(inv)
 
 
 def length(p) -> int:
@@ -129,7 +138,7 @@ def min_double_cosets(mu, nu, n: int | None = None):
     nu_idx = block_index(nu, n)
     out = []
     for p in reps:
-        pinv = perms.inverse(p)
+        pinv = perm_inverse(p)
         left = {
             i
             for i in range(1, n)
@@ -204,7 +213,7 @@ def phi_is_algebra_map(ctx, pi, left_comp) -> bool:
     """phi_{pi^-1}: sigma -> pi^-1 sigma pi, x_i -> x_{pi^-1 i},
     f_i -> f_{pi^-1 i} respects the defining relations on the generators
     of the parabolic subalgebra for the composition."""
-    pinv = perms.inverse(pi)
+    pinv = perm_inverse(pi)
     for i in young_subgroup_simples(left_comp, ctx.n):
         ii = pinv[i - 1]
         if pinv[i] != ii + 1:

@@ -225,25 +225,28 @@ def dual_params(directory, section=CYCLO):
 
 
 MALFORMED = [
-    *(pytest.param(["algebra", "verify", spec], {}, CYCLO, id=spec)
-      for spec in ["cyclic_group:x", "taft:2:y", "trivial:1"]),
-    pytest.param(["jm", "--algebra", "trivial", "--n", "2", "--k", "5"], {}, CYCLO, id="jm-k-above-n"),
-    pytest.param(["suite", "--algebra", "clifford", "--n", "0"], {}, CYCLO, id="suite-n0"),
-    pytest.param(["mul", "--algebra", "trivial", "--n", "2", "x1", "1/0"], {}, CYCLO, id="zero-denominator"),
-    pytest.param(GRAM, {"AWPA_MAX_DIM": "abc"}, CYCLO, id="max-dim-not-an-integer"),
-    pytest.param(GRAM, {}, {"c": [["z"]]}, id="cyclotomic-no-e"),
-    pytest.param(GRAM, {}, {"e": ["x"], "c": [["z"]]}, id="cyclotomic-e-not-an-integer"),
-    pytest.param(GRAM, {}, {"e": [1], "c": 5}, id="cyclotomic-c-not-a-list"),
-    pytest.param(GRAM, {}, [1], id="cyclotomic-section-a-list"),
-    pytest.param(GRAM, {}, {"e": [2], "c": ["zz"]}, id="cyclotomic-c-entry-a-string"),
-    pytest.param(GRAM, {}, {"e": "2", "c": [["z", "z"]]}, id="cyclotomic-e-a-string"),
-    pytest.param(GRAM, {}, {"e": [True], "c": [["z"]]}, id="cyclotomic-e-a-bool"),
+    *(pytest.param(["algebra", "verify", spec], {}, CYCLO, code, id=spec)
+      for spec, code in [("cyclic_group:x", 2), ("taft:2:y", 2), ("trivial:1", 2),
+                         ("taft:abc", 2), ("taft:1", 1)]),
+    pytest.param(["jm", "--algebra", "trivial", "--n", "2", "--k", "5"], {}, CYCLO, 2, id="jm-k-above-n"),
+    pytest.param(["suite", "--algebra", "clifford", "--n", "0"], {}, CYCLO, 1, id="suite-n0"),
+    pytest.param(["mul", "--algebra", "trivial", "--n", "2", "x1", "1/0"], {}, CYCLO, 2, id="zero-denominator"),
+    pytest.param(GRAM, {"AWPA_MAX_DIM": "abc"}, CYCLO, 2, id="max-dim-not-an-integer"),
+    pytest.param(GRAM, {}, {"c": [["z"]]}, 2, id="cyclotomic-no-e"),
+    pytest.param(GRAM, {}, {"e": ["x"], "c": [["z"]]}, 2, id="cyclotomic-e-not-an-integer"),
+    pytest.param(GRAM, {}, {"e": [1], "c": 5}, 2, id="cyclotomic-c-not-a-list"),
+    pytest.param(GRAM, {}, [1], 2, id="cyclotomic-section-a-list"),
+    pytest.param(GRAM, {}, {"e": [2], "c": ["zz"]}, 2, id="cyclotomic-c-entry-a-string"),
+    pytest.param(GRAM, {}, {"e": "2", "c": [["z", "z"]]}, 2, id="cyclotomic-e-a-string"),
+    pytest.param(GRAM, {}, {"e": [True], "c": [["z"]]}, 2, id="cyclotomic-e-a-bool"),
 ]
 
 
-@pytest.mark.parametrize("argv,extra_env,section", MALFORMED)
-def test_malformed_builtin_params_fail_cleanly(argv, extra_env, section, tmp_path):
-    """Malformed input ends in one FAIL line, never in a traceback."""
+@pytest.mark.parametrize("argv,extra_env,section,code", MALFORMED)
+def test_malformed_builtin_params_fail_cleanly(argv, extra_env, section, code, tmp_path):
+    """Malformed input ends in one FAIL line, never in a traceback: exit 2
+    for text that cannot be read, exit 1 for a readable value that a check
+    refuses (``taft:1``; the relation suite's n >= 1)."""
     params = dual_params(tmp_path, section)
     argv = [str(params) if a == "PARAMS" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(awpa.__file__).resolve().parent.parent))
@@ -253,9 +256,9 @@ def test_malformed_builtin_params_fail_cleanly(argv, extra_env, section, tmp_pat
         text=True,
         env={**env, **extra_env},
     )
-    assert proc.returncode in (1, 2)
+    assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    assert proc.stdout.startswith("FAIL: ")
+    assert proc.stdout.startswith("FAIL: ") and proc.stdout.count("\n") == 1
 
 
 SLOT_ONE_REFUSALS = [

@@ -33,6 +33,8 @@ CASES = {
     "mul-clifford": ["mul", "--algebra", "clifford", "--n", "2", "s[2,1]", "x1^3"],
     "mul-taft3": ["mul", "--algebra", "taft:3", "--n", "2", "s[2,1]", "x1^2*b(y,g)"],
     "nf-taft3-n3": ["nf", "--algebra", "taft:3", "--n", "3", "b(y,g,1)*x2^2*s[3,1,2]"],
+    "grdim-dual-numbers-n2-c8": ["grdim", "--algebra", "dual_numbers", "--n", "2", "--cutoff", "8"],
+    "grdim-clifford-n2-c3": ["grdim", "--algebra", "clifford", "--n", "2", "--cutoff", "3"],
     "algebra-verify-taft4": ["algebra", "verify", "taft:4"],
     "cyclotomic-gram": ["cyclotomic", "gram", "--params", "PARAMS", "--n", "1"],
     "cyclotomic-nakayama": ["cyclotomic", "nakayama", "--params", "PARAMS", "--n", "1"],

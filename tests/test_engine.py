@@ -466,6 +466,15 @@ def test_frobenius_automorphism_must_preserve_trace():
         ctx.automorphism("frobenius", xi=[[1, 0], [0, 2]])
 
 
+def test_singular_algebra_map_is_refused():
+    """The augmentation g -> 1 of kZ3 is a unital algebra map but singular;
+    no singular map preserves the trace, so the verdict alone refuses it."""
+    ctx = AwpaAlgebra(cyclic_group_algebra(3), 2)
+    with pytest.raises(BadAutomorphismParams, match="^xi is not a Frobenius automorphism: "
+                       "invalid: trace not preserved on g$"):
+        ctx.automorphism("frobenius", xi=[[1, 0, 0]] * 3)
+
+
 def test_shift_parameter_outside_f1_is_refused():
     ctx = AwpaAlgebra(clifford_algebra(), 2)
     with pytest.raises(BadAutomorphismParams, match="^shift parameter at k=1 must be even$"):
@@ -697,7 +706,7 @@ def test_memo_entries_match_fresh_values(monkeypatch):
 MEMOS = {
     "_word_cache", "_graded_piece_cache", "_t_cache", "_smono_cache", "_delta_cache",
     "_twist_cache", "_jm_cache", "_mono_cache", "_image_cache", "_chi_cache",
-    "_rewrite_cache", "_basis_keys_cache", "_gram_cache", "_transition_cache",
+    "_rewrite_cache", "_basis_keys_cache", "_transition_cache",
 }
 
 

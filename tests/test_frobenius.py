@@ -22,6 +22,7 @@ from awpa.errors import (
     NakayamaInfiniteOrder,
     NoUnit,
     NotAssociative,
+    ParseError,
 )
 from awpa.frobenius import (
     FrobAlg,
@@ -110,6 +111,18 @@ def test_taft():
     assert F.psi(y) == y
     assert F.theta == q
     assert F.delta == (q - 1) * 2
+
+
+@pytest.mark.parametrize(
+    "name,params,error",
+    [("nope", [], ParseError), ("taft", ["abc"], ParseError), ("trivial", ["1"], ParseError),
+     ("taft", ["1"], BadParams)],
+)
+def test_builtin_refusals(name, params, error):
+    """Text that cannot be read is a ParseError; a readable value that the
+    constructor refuses (q = 1 for taft) is BadParams."""
+    with pytest.raises(error):
+        builtin(name, params)
 
 
 def test_group_algebra_validation():
@@ -466,11 +479,12 @@ def test_morphism_anti_symmetric_group():
     """Inversion extends to an anti-automorphism of a group algebra."""
     F = symmetric_group_algebra(3)
     from awpa import permutations as perms
+    from oracles import perm_inverse
 
     elems = perms.all_permutations(3)
     mat = [[0] * 6 for _ in range(6)]
     for i, p in enumerate(elems):
-        mat[i][elems.index(perms.inverse(p))] = 1
+        mat[i][elems.index(perm_inverse(p))] = 1
     assert check_frobenius_morphism(F, F, mat, anti=True)
 
 

@@ -416,14 +416,38 @@ UNREACHED_ALLOWED = {
 }
 
 
-def _reads(nodes) -> set[str]:
-    """Every name and attribute read under the nodes."""
-    return {
-        n.id if isinstance(n, ast.Name) else n.attr
-        for node in nodes
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
-    }
+def _module_aliases(tree, modules) -> dict[str, str]:
+    """{local name: module} for each import that binds a module of the
+    package: ``from . import m``, ``from awpa import m``, ``import m`` and
+    ``import awpa.m as a``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "awpa"):
+            pairs = [(alias.name, alias.asname or alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            pairs = [(alias.name.removeprefix("awpa."), alias.asname or alias.name)
+                     for alias in node.names]
+        else:
+            continue
+        aliases.update({local: name for name, local in pairs if name in modules})
+    return aliases
+
+
+def _reads(nodes, aliases) -> set[str]:
+    """Every name and attribute read under the nodes: a bare name as
+    ``name``, an attribute of a module alias as ``module.name`` and an
+    attribute of any other receiver as ``.name``."""
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if not isinstance(getattr(n, "ctx", None), ast.Load):
+                continue
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                receiver = n.value.id if isinstance(n.value, ast.Name) else None
+                out.add(f"{aliases[receiver]}.{n.attr}" if receiver in aliases else f".{n.attr}")
+    return out
 
 
 def _is_dunder(name: str) -> bool:
@@ -437,26 +461,35 @@ def unreached(package: dict[str, str], entry: list[str]) -> list[str]:
     The roots are the names read anywhere in the ``entry`` sources, the
     strings of each module's ``__all__`` and the names read in its
     module-level statements.  A reached definition reaches every name read
-    in its body.  A class reaches its bases, decorators, class-level
-    statements and dunders; its other methods are reached by their name once
-    the class is.  Names are matched without scopes, so a name read anywhere
-    reached keeps every definition of that name."""
-    seen = _reads(ast.parse(source) for source in entry)
-    defs = []  # (qualified name, name, owning class or None, nodes it reaches)
+    in its body.  A module-level function or class is reached by its bare
+    name, read in any module, or as ``m.name`` on an alias ``m`` of its own
+    module.  A class reaches its bases, decorators, class-level statements
+    and dunders; once it is reached, its other methods are reached by their
+    bare name or by an attribute of that name on any receiver but a module
+    alias."""
+    seen = set()
+    for source in entry:
+        tree = ast.parse(source)
+        seen |= _reads([tree], _module_aliases(tree, package))
+    defs = []  # (qualified name, names that reach it, owning class or None, nodes, aliases)
     for module, source in package.items():
-        for stmt in ast.parse(source).body:
+        tree = ast.parse(source)
+        aliases = _module_aliases(tree, package)
+        for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.append((f"{module}.{stmt.name}", stmt.name, None, [stmt]))
+                qual = f"{module}.{stmt.name}"
+                defs.append((qual, {stmt.name, qual}, None, [stmt], aliases))
             elif isinstance(stmt, ast.ClassDef):
                 qual, own = f"{module}.{stmt.name}", [*stmt.bases, *stmt.decorator_list]
                 for item in stmt.body:
                     if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
-                        defs.append((f"{qual}.{item.name}", item.name, qual, [item]))
+                        names = {item.name, f".{item.name}"}
+                        defs.append((f"{qual}.{item.name}", names, qual, [item], aliases))
                     else:
                         own.append(item)
-                defs.append((qual, stmt.name, None, own))
+                defs.append((qual, {stmt.name, qual}, None, own, aliases))
             else:
-                seen |= _reads([stmt])
+                seen |= _reads([stmt], aliases)
                 targets = [ast.unparse(t) for t in getattr(stmt, "targets", ())]
                 if targets == ["__all__"]:
                     seen |= {elt.value for elt in stmt.value.elts}
@@ -464,10 +497,10 @@ def unreached(package: dict[str, str], entry: list[str]) -> list[str]:
     grew = True
     while grew:
         grew = False
-        for qual, name, owner, nodes in defs:
-            if qual not in reached and name in seen and (owner is None or owner in reached):
+        for qual, names, owner, nodes, aliases in defs:
+            if qual not in reached and names & seen and (owner is None or owner in reached):
                 reached.add(qual)
-                seen |= _reads(nodes)
+                seen |= _reads(nodes, aliases)
                 grew = True
     return sorted(qual for qual, *_ in defs if qual not in reached)
 
@@ -522,3 +555,18 @@ def test_scan_finds_unreachable():
         "m.only_from_dead",
         "m.shown",
     ]
+    # one name, three scopes: an attribute of a module alias reaches only
+    # that module's function, an attribute of any other receiver only
+    # methods, and a bare name any definition
+    package = {
+        "perms": "def inverse(p): pass\ndef mul(p, q): pass\ndef length(p): pass\n",
+        "linalg": "def inverse(m): pass\ndef mul(a, b): pass\n",
+        "scalars": "class S:\n    def inverse(self): pass\n    def mul(self): pass\n",
+    }
+    entry = [
+        "from awpa import linalg, perms as pm\n"
+        "from awpa.scalars import S\n"
+        "linalg.inverse(S().inverse())\n"
+        "pm.mul(length)\n"
+    ]
+    assert unreached(package, entry) == ["linalg.mul", "perms.inverse", "scalars.S.mul"]
