@@ -162,6 +162,8 @@ def cmd_jm(args) -> int:
 
 def cmd_suite(args) -> int:
     F = resolve_algebra(args.algebra)
+    if args.n < 1:
+        raise ParseError(f"the relation suite needs n >= 1, got n={args.n}")
     counts, failures = run_suite(F, args.n, seed=args.seed, instances=args.instances)
     lines = [f"suite: algebra={args.algebra} n={args.n} seed={args.seed}"]
     lines += [f"  {name}: {cnt} instances" for name, cnt in counts]

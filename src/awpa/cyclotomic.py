@@ -441,14 +441,8 @@ def nakayama_counterexample(qalg: CyclotomicAlgebra, pairs: int = 50, seed: int 
 def nakayama_check(qalg: CyclotomicAlgebra, pairs: int = 50, seed: int = 0):
     """Randomized verification of tr_C(ab) = (-1)^{|a||b|} tr_C(b nu(a)),
     plus the symmetry criterion.  Returns (identity_ok, symmetric, images)
-    where images lists nu on the generators x_i, the basis slots, and s_j."""
+    where images lists (name, nu(g)) for each (name, g) of
+    ``qalg.ctx.named_generators()``: the x_i, every basis slot and the s_j."""
     ok = nakayama_counterexample(qalg, pairs, seed) is None
-    images = []
-    for i in range(1, qalg.n + 1):
-        images.append((f"x{i}", qalg.nakayama(CycloElem(qalg, qalg.ctx.x(i)))))
-    for b in range(qalg.F.dim):
-        el = CycloElem(qalg, qalg.ctx.slot_elem(qalg.F.basis_elem(b), 1))
-        images.append((f"{qalg.F.basis_labels[b]}_1", qalg.nakayama(el)))
-    for j in range(1, qalg.n):
-        images.append((f"s{j}", qalg.nakayama(CycloElem(qalg, qalg.ctx.s(j)))))
+    images = [(name, qalg.nakayama(CycloElem(qalg, g))) for name, g in qalg.ctx.named_generators()]
     return ok, qalg.is_symmetric(), images

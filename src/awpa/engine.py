@@ -538,37 +538,32 @@ class AwpaAlgebra:
 
     # -- center / centralizer ---------------------------------------------------------
 
+    def named_generators(self) -> list:
+        """The homogeneous generators of A_n(F) as (name, element) pairs:
+        x1..xn, each basis element b of F in each slot i as {label}_{i}
+        (basis-major), then s1..s{n-1}."""
+        F, slots = self.F, range(1, self.n + 1)
+        xs = [(f"x{i}", self.x(i)) for i in slots]
+        bs = [(f"{label}_{i}", self.slot_elem(F.basis_elem(b), i))
+              for b, label in enumerate(F.basis_labels) for i in slots]
+        return xs + bs + [(f"s{j}", self.s(j)) for j in range(1, self.n)]
+
     def generators(self) -> list:
-        """Homogeneous generators: x_i, the basis slots and the simple
-        reflections."""
-        gens = [self.x(i) for i in range(1, self.n + 1)]
-        for b in range(self.F.dim):
-            for i in range(1, self.n + 1):
-                gens.append(self.slot_elem(self.F.basis_elem(b), i))
-        return gens + [self.s(j) for j in range(1, self.n)]
+        return [g for _, g in self.named_generators()]
+
+    def _bracket(self, z: AwpaElem, zp: int, g: AwpaElem, gp: int) -> AwpaElem:
+        """The supercommutator z g - (-1)^{zp gp} g z (zp, gp the parities)."""
+        right = self.mul(g, z)
+        return self.mul(z, g) - (-right if zp and gp else right)
 
     def _supercommutes_with_generators(self, z: AwpaElem):
-        """z supercommutes with x_1, every basis slot, and every s_j?
-        (Sufficient for centrality: these generate A_n(F).)"""
-        gens = [("x1", self.x(1), 0)] if self.n >= 1 else []
-        for b in range(self.F.dim):
-            for i in range(1, self.n + 1):
-                gens.append(
-                    (
-                        f"{self.F.basis_labels[b]}_{i}",
-                        self.slot_elem(self.F.basis_elem(b), i),
-                        self.F.parities[b],
-                    )
-                )
-        for j in range(1, self.n):
-            gens.append((f"s{j}", self.s(j), 0))
+        """The name of the first of x_1, the basis slots and the s_j (which
+        generate A_n(F)) that z does not supercommute with, or None."""
+        gens = self.named_generators()
+        gens = gens[:1] + gens[self.n :]
         for zp, zelem in z.parity_components().items():
-            for name, g, gp in gens:
-                left = self.mul(zelem, g)
-                right = self.mul(g, zelem)
-                if zp and gp:
-                    right = -right
-                if left != right:
+            for name, g in gens:
+                if not self._bracket(zelem, zp, g, g.parity()).is_zero():
                     return name
         return None
 
@@ -651,8 +646,7 @@ class AwpaAlgebra:
                 brackets = {}
                 for j in {j for vec in basis for j in vec}:
                     zm = AwpaElem(self, {monos[j]: one})
-                    right = self.mul(gelem, zm)
-                    brackets[j] = self.mul(zm, gelem) - (-right if par and gpar else right)
+                    brackets[j] = self._bracket(zm, par, gelem, gpar)
                 # one row per output monomial: sum_b v_b [basis_b, g] at that key
                 rows: dict = {}
                 for b, vec in enumerate(basis):
@@ -680,27 +674,30 @@ class AwpaAlgebra:
     def automorphism(self, kind: str, **params) -> AwpaMorphism:
         """Build one of the structural (anti)automorphisms as a reusable map.
 
-        kind: "reverse"    x_i -> x_{n+1-i}, f_i -> f_{n+1-i}, s_j -> -s_{n-j}
-              "frobenius"  induced by a trace-preserving automorphism xi of F
-                           (params: xi = dim x dim matrix, rows = images)
-              "antihom"    the anti-isomorphism from tau : F -> F^op
-                           (params: tau matrix); reverses products with the
-                           super sign
+        Each kind names the images of x_i, of a basis element b in slot i
+        (b_i) and of s_j that it changes; the others go to the same generator
+        of the target, which is A_n(F) but for trace_change.
+
+        kind: "reverse"    x_i -> x_{n+1-i}, b_i -> b_{n+1-i}, s_j -> -s_{n-j}
+              "frobenius"  b_i -> xi(b)_i for a trace-preserving automorphism
+                           xi of F (params: xi = dim x dim matrix, rows =
+                           images)
+              "antihom"    b_i -> tau(b)_i for tau : F -> F^op (params: tau
+                           matrix); reverses products with the super sign
               "trace_change"  x_i -> x_i u_i into A_n(F') where F' has the
-                           trace tr'(f) = tr(f u)  (params: u = AlgElem);
-                           images live in the morphism's target context
+                           trace tr'(f) = tr(f u)  (params: u = AlgElem)
               "shift"      x_i -> x_i + s_{i-1}...s_1 c s_1...s_{i-1}
                            (params: c = TensorElem or AlgElem in F_1^(1))
         """
         n = self.n
-        target = self
-        anti = False
+        target, anti = self, False
+        # the identity images, read in the final target (trace_change replaces it)
+        x, s = (lambda i: target.x(i)), (lambda j: target.s(j))
+        slot = lambda b, i: target.slot_elem(target.F.basis_elem(b), i)
         if kind == "reverse":
-            images = {
-                "x": lambda i: self.x(n + 1 - i),
-                "slot": lambda b, i: self.slot_elem(self.F.basis_elem(b), n + 1 - i),
-                "s": lambda j: -self.s(n - j),
-            }
+            x = lambda i: self.x(n + 1 - i)
+            slot = lambda b, i: self.slot_elem(self.F.basis_elem(b), n + 1 - i)
+            s = lambda j: -self.s(n - j)
         elif kind in ("frobenius", "antihom"):
             anti = kind == "antihom"
             name = "tau" if anti else "xi"
@@ -715,11 +712,7 @@ class AwpaAlgebra:
             if not verdict:
                 what = "anti-isomorphism" if anti else "automorphism"
                 raise BadAutomorphismParams(f"{name} is not a Frobenius {what}: {verdict}")
-            images = {
-                "x": lambda i: self.x(i),
-                "slot": lambda b, i: self.slot_elem(self.F.elem(matrix[b]), i),
-                "s": lambda j: self.s(j),
-            }
+            slot = lambda b, i: self.slot_elem(self.F.elem(matrix[b]), i)
         elif kind == "trace_change":
             u = params.get("u")
             if not isinstance(u, AlgElem):
@@ -743,11 +736,7 @@ class AwpaAlgebra:
             )
             target = AwpaAlgebra(F2, n)
             u2 = AlgElem(F2, u.terms)
-            images = {
-                "x": lambda i: target.mul(target.x(i), target.slot_elem(u2, i)),
-                "slot": lambda b, i: target.slot_elem(F2.basis_elem(b), i),
-                "s": lambda j: target.s(j),
-            }
+            x = lambda i: target.mul(target.x(i), target.slot_elem(u2, i))
         elif kind == "shift":
             c = params.get("c")
             if isinstance(c, AlgElem):
@@ -762,14 +751,10 @@ class AwpaAlgebra:
             for i in range(2, n + 1):
                 si = self.s(i - 1)
                 shifts.append(self.mul(self.mul(si, shifts[-1]), si))
-            images = {
-                "x": lambda i: self.x(i) + shifts[i - 1],
-                "slot": lambda b, i: self.slot_elem(self.F.basis_elem(b), i),
-                "s": lambda j: self.s(j),
-            }
+            x = lambda i: self.x(i) + shifts[i - 1]
         else:
             raise BadAutomorphismParams(f"unknown automorphism kind {kind!r}")
-        return AwpaMorphism(self, target, images, anti)
+        return AwpaMorphism(self, target, (x, slot, s), anti)
 
     def _check_f1(self, t: TensorElem, k: int):
         """Raise unless the n-slot tensor t lies in F_1^(k): even, of degree
@@ -851,8 +836,11 @@ def _poly_mul_trunc(a, b, cutoff: int):
 
 
 class AwpaMorphism:
-    """A structural (anti)homomorphism given by generator images; callable
-    on elements of the source context, producing elements of the target."""
+    """A structural (anti)homomorphism A_n(F) -> A_n(F') given by the images
+    of the generators: images = (x, slot, s), where x(i) is the image of x_i,
+    slot(b, i) that of the basis element b of F in slot i and s(j) that of
+    s_j, each an element of the target.  Callable on elements of the source
+    context, producing elements of the target."""
 
     def __init__(self, source: AwpaAlgebra, target: AwpaAlgebra, images, anti: bool):
         self.source = source
@@ -875,10 +863,10 @@ class AwpaMorphism:
         reversed and with the super sign for an anti-homomorphism.  Only the
         slot factors can be odd, so reversing k odd factors gives (-1)^C(k,2)."""
         alpha, word, pi = key
-        images = self.images
-        factors = [images["x"](i + 1) for i, e in enumerate(alpha) for _ in range(e)]
-        factors += [images["slot"](b, i + 1) for i, b in enumerate(word)]
-        factors += [images["s"](j) for j in perms.reduced_word(pi)]
+        x, slot, s = self.images
+        factors = [x(i + 1) for i, e in enumerate(alpha) for _ in range(e)]
+        factors += [slot(b, i + 1) for i, b in enumerate(word)]
+        factors += [s(j) for j in perms.reduced_word(pi)]
         term = self.target.one()
         for f in reversed(factors) if self.anti else factors:
             term = self.target.mul(term, f)

@@ -41,9 +41,9 @@ class AlgElem(SparseElem):
     """An element of a FrobAlg: sparse {basis index: CycScalar}.
 
     The constructor takes such terms and drops zeros.  Dense coordinates
-    exist only at the JSON and text boundary: ``FrobAlg.elem`` takes a
-    coordinate vector and ``coords`` returns one.  Sums and products check
-    the algebra; elements of different algebras compare unequal."""
+    exist only at the JSON and text boundary, where ``FrobAlg.elem`` takes a
+    coordinate vector.  Sums and products check the algebra; elements of
+    different algebras compare unequal."""
 
     __slots__ = ("algebra",)
     _context = ("algebra",)
@@ -51,11 +51,6 @@ class AlgElem(SparseElem):
     def __init__(self, algebra: FrobAlg, terms: dict):
         self.algebra = algebra
         super().__init__(terms)
-
-    @property
-    def coords(self) -> tuple:
-        zero = CycScalar.zero(self.algebra.conductor)
-        return tuple(self.terms.get(i, zero) for i in range(self.algebra.dim))
 
     def _check(self, other: AlgElem):
         if self.algebra is not other.algebra:

@@ -3,9 +3,9 @@
 None of this runs in the CLI, the benchmark or the package: the inverse of
 a permutation, Young subgroups and minimal double cosets with the affine
 Mackey dimension report, the expected centralizer of P_n(F), a span
-comparison, the level-one quotient against the wreath product, the
-induction basis built by products, and the algebra k x k, whose unit is not
-a basis element.
+comparison, the dense coordinates of an element of F, the level-one
+quotient against the wreath product, the induction basis built by
+products, and the algebra k x k, whose unit is not a basis element.
 
 Young subgroups are described by compositions (tuples of positive integers
 summing to n); double cosets are enumerated exhaustively, which is fine at
@@ -258,6 +258,12 @@ def same_span(basis_a, basis_b) -> bool:
     """Whether two lists of rows span the same space."""
     ra = linalg.rank(basis_a)
     return ra == linalg.rank(basis_b) and linalg.rank(list(basis_a) + list(basis_b)) == ra
+
+
+def coords(a) -> list:
+    """The dense coordinate vector of an element a of F."""
+    zero = CycScalar.zero(a.algebra.conductor)
+    return [a.terms.get(i, zero) for i in range(a.algebra.dim)]
 
 
 # -- cyclotomic quotients ------------------------------------------------------------

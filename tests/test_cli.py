@@ -229,7 +229,7 @@ MALFORMED = [
       for spec, code in [("cyclic_group:x", 2), ("taft:2:y", 2), ("trivial:1", 2),
                          ("taft:abc", 2), ("taft:1", 1)]),
     pytest.param(["jm", "--algebra", "trivial", "--n", "2", "--k", "5"], {}, CYCLO, 2, id="jm-k-above-n"),
-    pytest.param(["suite", "--algebra", "clifford", "--n", "0"], {}, CYCLO, 1, id="suite-n0"),
+    pytest.param(["suite", "--algebra", "clifford", "--n", "0"], {}, CYCLO, 2, id="suite-n0"),
     pytest.param(["mul", "--algebra", "trivial", "--n", "2", "x1", "1/0"], {}, CYCLO, 2, id="zero-denominator"),
     pytest.param(GRAM, {"AWPA_MAX_DIM": "abc"}, CYCLO, 2, id="max-dim-not-an-integer"),
     pytest.param(GRAM, {}, {"c": [["z"]]}, 2, id="cyclotomic-no-e"),
@@ -245,8 +245,9 @@ MALFORMED = [
 @pytest.mark.parametrize("argv,extra_env,section,code", MALFORMED)
 def test_malformed_builtin_params_fail_cleanly(argv, extra_env, section, code, tmp_path):
     """Malformed input ends in one FAIL line, never in a traceback: exit 2
-    for text that cannot be read, exit 1 for a readable value that a check
-    refuses (``taft:1``; the relation suite's n >= 1)."""
+    for text that cannot be read or an argument out of range (``jm --k 5``
+    at n = 2, ``suite --n 0``), exit 1 for a readable value that a check
+    refuses (``taft:1``)."""
     params = dual_params(tmp_path, section)
     argv = [str(params) if a == "PARAMS" else a for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(awpa.__file__).resolve().parent.parent))

@@ -15,6 +15,7 @@ from awpa.cyclotomic import (
     InductionStructure,
     gram_entry_bound,
     make_params,
+    nakayama_check,
 )
 from awpa.engine import AwpaAlgebra, AwpaElem
 from awpa.errors import (
@@ -38,7 +39,7 @@ from awpa.frobenius import (
 from awpa.verify import random_element
 from awpa.wreath import TensorElem, word_parity
 
-from oracles import level_one_matches_wreath, product_right_module_basis, split_algebra
+from oracles import coords, level_one_matches_wreath, product_right_module_basis, split_algebra
 
 
 def level_one(F):
@@ -127,8 +128,8 @@ def test_taft_level_one_with_y():
     T = taft_algebra(2)
     y = T.from_label("y")
     piece = T.graded_piece(1)
-    vecs = [list(b.coords) for b in piece]
-    assert linalg.in_span(vecs, list(y.coords))
+    vecs = [coords(b) for b in piece]
+    assert linalg.in_span(vecs, coords(y))
     p = make_params(T, {1: [y]})
     assert p.level == 1
 
@@ -502,8 +503,6 @@ def test_params_json_roundtrip():
 
 
 def test_nakayama_check_and_induction_basis_surface():
-    from awpa.cyclotomic import nakayama_check
-
     Cl = clifford_algebra()
     params = make_params(Cl, {2: [Cl.zero_elem()]})
     Q = CyclotomicAlgebra(params, 1)
@@ -516,6 +515,20 @@ def test_nakayama_check_and_induction_basis_surface():
     assert ind.verify_free_basis()
     lhs, rhs = ind.mackey_dimensions()
     assert lhs == rhs
+
+
+def test_nakayama_check_names_every_generator():
+    """nu fixes the x_i and the s_j and twists each basis slot by psi^d."""
+    Cl = clifford_algebra()
+    Q = CyclotomicAlgebra(make_params(Cl, {1: [Cl.zero_elem()]}), 2)
+    ok, symmetric, images = nakayama_check(Q, pairs=5, seed=1)
+    assert ok and not symmetric
+    assert [name for name, _ in images] == [name for name, _ in Q.ctx.named_generators()]
+    psi_slots = [
+        Q.ctx.slot_elem(Cl.psi(Cl.basis_elem(b)), i) for b in range(Cl.dim) for i in (1, 2)
+    ]
+    expected = [Q.ctx.x(1), Q.ctx.x(2), *psi_slots, Q.ctx.s(1)]
+    assert [z.elem for _, z in images] == expected
 
 
 def test_general_tensor_params():

@@ -12,7 +12,9 @@ from awpa.cyclotomic import CyclotomicAlgebra, InductionStructure, make_params, 
 from awpa.engine import AwpaAlgebra, AwpaElem
 from awpa.errors import BadAutomorphismParams, NotPolynomial, SizeMismatch, ZeroElement
 from awpa.frobenius import (
+    BUILTINS,
     FrobAlg,
+    builtin,
     clifford_algebra,
     cyclic_group_algebra,
     dual_numbers_algebra,
@@ -369,6 +371,26 @@ def test_staged_centralizer_mixed_parity_generator(ctx_cl2):
         assert [z.terms for z in got] == [z.terms for z in want]
 
 
+def test_named_generators_clifford_n2(ctx_cl2):
+    gens = ctx_cl2.named_generators()
+    assert [name for name, _ in gens] == ["x1", "x2", "1_1", "1_2", "c_1", "c_2", "s1"]
+    assert [g for _, g in gens] == ctx_cl2.generators()
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_generators_keep_their_order(name, n):
+    """The x_i, then each basis element in each slot (basis-major), then the
+    s_j: the centre benchmark shuffles and rescales this list with its seed,
+    so another order would change the work it measures."""
+    ctx = AwpaAlgebra(builtin(name), n)
+    F, slots = ctx.F, range(1, n + 1)
+    expected = [ctx.x(i) for i in slots]
+    expected += [ctx.slot_elem(F.basis_elem(b), i) for b in range(F.dim) for i in slots]
+    expected += [ctx.s(j) for j in range(1, n)]
+    assert ctx.generators() == expected
+
+
 def test_staged_centralizer_takes_fewer_products(ctx_cl2, monkeypatch):
     """A return to the one-shot solve shows as more engine products."""
     calls = []
@@ -423,6 +445,26 @@ def test_shift_automorphism():
         a = random_element(ctx, rng, terms=1)
         b = random_element(ctx, rng, terms=1)
         assert sh(ctx.mul(a, b)) == ctx.mul(sh(a), sh(b))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: taft_algebra(3), lambda: cyclic_group_algebra(3)], ids=["taft3", "kZ3"]
+)
+def test_trace_change_is_multiplicative(make):
+    """x_i -> x_i g_i, identity on F^(x)2 and S_2, is a homomorphism
+    A_2(F) -> A_2(F') for the trace tr'(f) = tr(f g) of F'."""
+    F = make()
+    ctx = AwpaAlgebra(F, 2)
+    phi = ctx.automorphism("trace_change", u=F.from_label("g"))
+    target = phi.target
+    g2 = target.slot_elem(target.F.from_label("g"), 2)
+    assert phi(ctx.x(2)) == target.mul(target.x(2), g2)
+    assert phi(ctx.s(1)) == target.s(1)
+    rng = random.Random(33)
+    for _ in range(8):
+        a = random_element(ctx, rng, terms=2, max_exp=1)
+        b = random_element(ctx, rng, terms=2, max_exp=1)
+        assert phi(ctx.mul(a, b)) == target.mul(phi(a), phi(b))
 
 
 def test_frobenius_automorphism_is_multiplicative():

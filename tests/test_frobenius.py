@@ -41,6 +41,8 @@ from awpa.frobenius import (
 from awpa.scalars import CycScalar, lcm, parse_scalar, root_of_unity
 from awpa.wreath import word_mul
 
+from oracles import coords
+
 GOLDEN = Path(__file__).parent / "golden"
 
 ALL_BUILTINS = [
@@ -63,9 +65,9 @@ def test_trivial():
 
 def test_elem_checks_the_coordinate_count():
     F = clifford_algebra()
-    for coords in ([1, 2, 3], [5]):  # too long, too short
+    for vector in ([1, 2, 3], [5]):  # too long, too short
         with pytest.raises(DimensionMismatch):
-            F.elem(coords)
+            F.elem(vector)
 
 
 def test_clifford():
@@ -228,9 +230,9 @@ def test_graded_pieces_taft():
     for m in (2, 3):
         k = 1 - m
         piece = F.graded_piece(k)
-        vecs = [list(b.coords) for b in piece]
+        vecs = [coords(b) for b in piece]
         target = [y, y2][m - 2]
-        assert linalg.in_span(vecs, list(target.coords))
+        assert linalg.in_span(vecs, coords(target))
 
 
 def test_supercenter_taft():
@@ -238,8 +240,8 @@ def test_supercenter_taft():
     # g-components break centrality; just check 1 is there
     F = taft_algebra(2)
     piece = F.graded_piece(0)
-    vecs = [list(b.coords) for b in piece]
-    assert linalg.in_span(vecs, list(F.unit_elem().coords))
+    vecs = [coords(b) for b in piece]
+    assert linalg.in_span(vecs, coords(F.unit_elem()))
 
 
 # -- the dense reference for construction --------------------------------------
@@ -341,8 +343,8 @@ def test_derived_data_matches_dense_reference(spec, op):
     # F's dual and psi rows, densified to the reference's matrices
     got = {
         "theta": F.theta,
-        "dual_matrix": [list(d.coords) for d in F.dual_basis()],
-        "nakayama": [list(F.psi(F.basis_elem(i)).coords) for i in range(F.dim)],
+        "dual_matrix": [coords(d) for d in F.dual_basis()],
+        "nakayama": [coords(F.psi(F.basis_elem(i))) for i in range(F.dim)],
         "psi_eigenvalues": F.psi_eigenvalues,
         "psi_eigenbasis": F.psi_eigenbasis,
     }

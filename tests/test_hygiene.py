@@ -464,9 +464,9 @@ def unreached(package: dict[str, str], entry: list[str]) -> list[str]:
     in its body.  A module-level function or class is reached by its bare
     name, read in any module, or as ``m.name`` on an alias ``m`` of its own
     module.  A class reaches its bases, decorators, class-level statements
-    and dunders; once it is reached, its other methods are reached by their
-    bare name or by an attribute of that name on any receiver but a module
-    alias."""
+    and dunders; once it is reached, its other methods are reached only by
+    an attribute of that name on any receiver but a module alias, not by a
+    bare name (a parameter or local that shares the name)."""
     seen = set()
     for source in entry:
         tree = ast.parse(source)
@@ -483,7 +483,7 @@ def unreached(package: dict[str, str], entry: list[str]) -> list[str]:
                 qual, own = f"{module}.{stmt.name}", [*stmt.bases, *stmt.decorator_list]
                 for item in stmt.body:
                     if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
-                        names = {item.name, f".{item.name}"}
+                        names = {f".{item.name}"}
                         defs.append((f"{qual}.{item.name}", names, qual, [item], aliases))
                     else:
                         own.append(item)
@@ -570,3 +570,15 @@ def test_scan_finds_unreachable():
         "pm.mul(length)\n"
     ]
     assert unreached(package, entry) == ["linalg.mul", "perms.inverse", "scalars.S.mul"]
+    # a bare name never reaches a method: the parameter ``coords`` of
+    # ``elem`` leaves the method ``coords`` unreached
+    package = {
+        "frob": (
+            "class Alg:\n"
+            "    def elem(self, coords):\n"
+            "        return coords\n"
+            "    def coords(self): pass\n"
+        ),
+    }
+    entry = ["from awpa.frob import Alg\nAlg().elem([1])\n"]
+    assert unreached(package, entry) == ["frob.Alg.coords"]
