@@ -12,9 +12,11 @@ mutating it, and doing so corrupts the element).  Algebra contexts are not
 immutable: they fill memo caches (products, t-elements, twists, word
 products on F, Delta_i(x^alpha)) as they compute, and hand out the stored
 dicts, read-only in the same way.  Memos live on F and the contexts, never
-at module level, so they die with them.  Each cache entry is a pure function
-of its key, so filling is idempotent, but the package does no locking; share
-a context across threads only if the caller serializes its use.
+at module level, and hold rows and term dicts rather than elements that
+would refer back to their owner, so they die with them.  Each cache entry
+is a pure function of its key, so filling is idempotent, but the package
+does no locking; share a context across threads only if the caller
+serializes its use.
 """
 
 from .cyclotomic import (
@@ -44,7 +46,7 @@ from .frobenius import (
 from .scalars import CycScalar, parse_scalar, root_of_unity
 from .textio import element_str, parse_element
 from .verify import run_suite
-from .wreath import TensorElem, WreathElem, superpermute
+from .wreath import TensorElem, superpermute
 
 __all__ = [
     "AlgElem",
@@ -58,7 +60,6 @@ __all__ = [
     "InductionStructure",
     "PolyModElem",
     "TensorElem",
-    "WreathElem",
     "builtin",
     "check_frobenius_morphism",
     "clifford_algebra",

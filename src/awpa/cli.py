@@ -157,7 +157,7 @@ def cmd_jm(args) -> int:
     ctx = _context(args)
     if not 1 <= args.k <= args.n:
         raise ParseError(f"no Jucys-Murphy element J_{args.k} for n={args.n}")
-    return _emit_element(args, ctx.from_wreath(ctx.jucys_murphy(args.k)))
+    return _emit_element(args, ctx.jucys_murphy(args.k))
 
 
 def cmd_suite(args) -> int:

@@ -127,8 +127,9 @@ class CycloParams:
             entries = {k0 + 1: [parse_alg_elem(F, t) for t in s] for k0, s in enumerate(c) if s}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed cyclotomic section: {exc}") from exc
-        for k0, count in enumerate(e):
-            if count != len(entries.get(k0 + 1, ())):
+        # compare over the longer list: a missing count is 0, a missing list []
+        for k0 in range(max(len(e), len(c))):
+            if (e[k0] if k0 < len(e) else 0) != len(entries.get(k0 + 1, ())):
                 raise ParamsMismatch("e vector does not match parameter lists")
         return CycloParams(F, entries)
 

@@ -12,7 +12,8 @@ words left past polynomial parts with the Nakayama twist f x_i = x_i psi_i(f).
 Corrections strictly drop polynomial degree, so the rewriting terminates.
 
 The module also hosts everything built on that arithmetic: t-elements,
-Jucys-Murphy elements and the evaluation map onto the wreath product,
+Jucys-Murphy elements and the evaluation map onto the wreath product
+F^(x)n x| S_n (the alpha = 0 monomials, multiplied by graded_mul),
 the polynomial-module action used as an independent multiplication oracle,
 center and centralizer computations, intertwiners, automorphisms and graded
 dimensions.
@@ -42,7 +43,6 @@ from .scalars import CycScalar
 from .sparse import SparseElem, acc, memoized
 from .wreath import (
     TensorElem,
-    WreathElem,
     permute_word,
     superpermute,
     tensor_of_vectors,
@@ -63,10 +63,7 @@ class AwpaElem(SparseElem):
         super().__init__(terms)
 
     def _check(self, other: AwpaElem):
-        if self.ctx.F is not other.ctx.F:
-            raise AlgebraMismatch("elements over different Frobenius algebras")
-        if self.ctx.n != other.ctx.n:
-            raise SizeMismatch("elements with different n")
+        self.ctx._check(other)
 
     def __mul__(self, other) -> AwpaElem:
         if isinstance(other, AwpaElem):
@@ -160,6 +157,13 @@ class AwpaAlgebra:
         self._jm_cache: dict = {}
         self._mono_cache: dict = {}
 
+    def _check(self, a):
+        """Raise unless a is an element over this context's F and n."""
+        if a.ctx.F is not self.F:
+            raise AlgebraMismatch("elements over different Frobenius algebras")
+        if a.ctx.n != self.n:
+            raise SizeMismatch("elements with different n")
+
     # -- constructors ---------------------------------------------------------
 
     def _keyed(self, alpha, words: dict, pi) -> dict:
@@ -232,11 +236,6 @@ class AwpaAlgebra:
 
     def s(self, i: int) -> AwpaElem:
         return self.perm_elem(perms.simple(self.n, i))
-
-    def from_wreath(self, w: WreathElem) -> AwpaElem:
-        if w.n != self.n:
-            raise SizeMismatch("wreath element with different n")
-        return AwpaElem(self, {(self.zero_alpha, word, p): c for (word, p), c in w.terms.items()})
 
     def monomial(self, alpha, word, pi) -> AwpaElem:
         key = (self._exponents(alpha), self._word(word), self._perm(pi))
@@ -346,6 +345,7 @@ class AwpaAlgebra:
         Leibniz rule Delta_i(ab) = Delta_i(a) b + (s_i . a) Delta_i(b)."""
         if not 1 <= i <= self.n - 1:
             raise IndexError(f"Delta_{i} needs 1 <= i < n")
+        self._check(a)
         out: dict = {}
         for (alpha, word, pi), c in a.terms.items():
             if pi != self.identity_perm:
@@ -365,6 +365,7 @@ class AwpaAlgebra:
 
     def superpermute_elem(self, pi, a: AwpaElem) -> AwpaElem:
         """pi . a for a in P_n(F) (superpermuting x-exponents and word slots)."""
+        self._check(a)
         out: dict = {}
         for (alpha, word, p), c in a.terms.items():
             if p != self.identity_perm:
@@ -376,6 +377,7 @@ class AwpaAlgebra:
     def psi_twist(self, a: AwpaElem, gamma) -> AwpaElem:
         """psi^gamma applied slotwise to the F^(x)n part of every monomial of
         a: slot i is twisted by psi^(gamma_i)."""
+        self._check(a)
         out: dict = {}
         for (alpha, word, pi), c in a.terms.items():
             for w2, c2 in self._word_psi_twist(word, gamma).items():
@@ -423,7 +425,8 @@ class AwpaAlgebra:
     _mono_mul = memoized("_mono_cache")(_mono_product)
 
     def mul(self, a: AwpaElem, b: AwpaElem) -> AwpaElem:
-        a._check(b)
+        self._check(a)
+        self._check(b)
         out: dict = {}
         # a product of two monomials (a Gram entry, say) is rarely asked for
         # again, so only products inside a longer sum are kept
@@ -439,8 +442,10 @@ class AwpaAlgebra:
     def graded_mul(self, a: AwpaElem, b: AwpaElem) -> AwpaElem:
         """Multiplication in the associated graded algebra
         (k[x] |x F)^(x)n x| S_n: permutations superpermute with no
-        lower-degree corrections."""
-        a._check(b)
+        lower-degree corrections.  On alpha = 0 monomials it is the product
+        of the wreath subalgebra F^(x)n x| S_n."""
+        self._check(a)
+        self._check(b)
         out: dict = {}
         for (a1, w1, p1), c1 in a.terms.items():
             for (a2, w2, p2), c2 in b.terms.items():
@@ -456,6 +461,7 @@ class AwpaAlgebra:
     def leading_term(self, a: AwpaElem) -> AwpaElem:
         """Top polynomial-degree component (an element of the associated
         graded algebra, represented on the same monomials)."""
+        self._check(a)
         if a.is_zero():
             raise ZeroElement("zero element has no leading term")
         top = a.poly_degree()
@@ -477,6 +483,7 @@ class AwpaAlgebra:
         """Action of a on V = P_n(F) (x) kS_n:
         z . (p (x) w) = zp (x) w for z in P_n(F) and
         s_i . (p (x) w) = (s_i . p) (x) s_i w - Delta_i(p) (x) w."""
+        self._check(a)
         if v.ctx is not self:
             raise SizeMismatch("module element from another context")
         out: dict = {}
@@ -499,31 +506,34 @@ class AwpaAlgebra:
 
     # -- Jucys-Murphy / evaluation ---------------------------------------------------
 
+    def jucys_murphy(self, k: int) -> AwpaElem:
+        """J_1 = 0 and J_k = sum_{i<k} t_{i,k} s_{i,k}, on keys (0, word, s_{i,k})."""
+        return self._elem(self._jm_terms(k))
+
     @memoized("_jm_cache")
-    def jucys_murphy(self, k: int) -> WreathElem:
-        """J_1 = 0 and J_k = sum_{i<k} t_{i,k} s_{i,k} in F^(x)n x| S_n."""
+    def _jm_terms(self, k: int) -> dict:
+        # the memo keeps dicts: an element would refer back to self in a cycle
         if not 1 <= k <= self.n:
             raise IndexError(f"J_{k} needs 1 <= k <= n={self.n}")
-        out = WreathElem(self.F, self.n, {})
+        out: dict = {}
         for i in range(1, k):
             sik = perms.transposition(self.n, i, k)
-            terms = {}
             for (_, w), c in self.t_pd(1, i, k).items():
-                terms[(w, sik)] = c
-            out = out + WreathElem(self.F, self.n, terms)
+                out[(self.zero_alpha, w, sik)] = c
         return out
 
-    def evaluation_hom(self, a: AwpaElem) -> WreathElem:
-        """The surjection A_n(F) ->> F^(x)n x| S_n fixing the wreath
-        subalgebra and sending x_k to J_k."""
-        out = WreathElem(self.F, self.n, {})
+    def evaluation_hom(self, a: AwpaElem) -> AwpaElem:
+        """The surjection A_n(F) ->> F^(x)n x| S_n onto the wreath subalgebra
+        (alpha = 0, multiplied by graded_mul) fixing it and sending x_k to J_k:
+        c x^alpha b pi goes to J_1^alpha_1 ... J_n^alpha_n (c b pi)."""
+        self._check(a)
+        out = self.zero()
         for (alpha, word, pi), c in a.terms.items():
-            term = WreathElem.unit(self.F, self.n)
+            term = self.one()
             for i, e in enumerate(alpha):
                 for _ in range(e):
-                    term = term * self.jucys_murphy(i + 1)
-            term = term * WreathElem(self.F, self.n, {(word, pi): CycScalar.one(self.F.conductor)})
-            out = out + c * term
+                    term = self.graded_mul(term, self.jucys_murphy(i + 1))
+            out = out + self.graded_mul(term, self._elem({(self.zero_alpha, word, pi): c}))
         return out
 
     # -- intertwiners --------------------------------------------------------------

@@ -326,10 +326,12 @@ class FrobAlg:
     def graded_piece(self, k: int) -> list[AlgElem]:
         """Basis of F_psi^(k): the psi-fixed f with g f = (-1)^{|f||g|} f psi^k(g)
         for all g.  It depends on k mod theta only."""
-        return self._graded_piece(k % self.theta)
+        return [AlgElem(self, row) for row in self._graded_piece(k % self.theta)]
 
     @memoized("_graded_piece_cache")
-    def _graded_piece(self, k: int) -> list[AlgElem]:
+    def _graded_piece(self, k: int) -> list[dict]:
+        """The basis of graded_piece(k) as rows: the memo holds no element
+        of self, so it keeps no reference cycle alive."""
         vectors = []
         minus_one = -CycScalar.one(self.conductor)
         for target_parity in (0, 1):
@@ -352,8 +354,7 @@ class FrobAlg:
                     acc(rows.setdefault((-1, out), {}), i, c)
                 acc(rows.setdefault((-1, i), {}), i, minus_one)
             vectors.extend(linalg.nullspace(list(rows.values()), idxs))
-        zero = self.zero_elem()
-        return [zero._like(v) for v in vectors]
+        return vectors
 
     # -- serialization ----------------------------------------------------------
 

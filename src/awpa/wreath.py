@@ -1,5 +1,6 @@
-"""Tensor powers F^(x)n with superpermutation action, and the wreath
-product algebra F^(x)n x| S_n.
+"""Tensor powers F^(x)n with superpermutation action: the word layer under
+the wreath product algebra F^(x)n x| S_n, which A_n(F) holds as its
+alpha = 0 monomials (``AwpaAlgebra.graded_mul`` multiplies them).
 
 Words are tuples of basis indices; a word (i1, ..., in) stands for
 b_{i1} (x) ... (x) b_{in}.  Multiplying two words is slotwise, with the
@@ -15,7 +16,6 @@ product of (-1) over inversions of pi at pairs of odd slots.
 
 from __future__ import annotations
 
-from . import permutations as perms
 from .errors import AlgebraMismatch, SizeMismatch
 from .frobenius import FrobAlg
 from .scalars import CycScalar
@@ -147,62 +147,3 @@ def superpermute(pi, t: TensorElem) -> TensorElem:
         acc(out, new, -c if sign else c)
     return t._like(out)
 
-
-class WreathElem(SparseElem):
-    """Element of the wreath product F^(x)n x| S_n: sparse {(word, pi): scalar}."""
-
-    __slots__ = ("F", "n")
-    _context = ("F", "n")
-
-    def __init__(self, F: FrobAlg, n: int, terms=None):
-        self.F = F
-        self.n = n
-        super().__init__(terms)
-
-    def _check(self, other: WreathElem):
-        if self.F is not other.F:
-            raise AlgebraMismatch("wreath elements over different algebras")
-        if self.n != other.n:
-            raise SizeMismatch("wreath elements with different sizes")
-
-    @staticmethod
-    def unit(F: FrobAlg, n: int) -> WreathElem:
-        return WreathElem.from_perm(F, n, perms.identity(n))
-
-    @staticmethod
-    def from_tensor(t: TensorElem, pi=None) -> WreathElem:
-        pi = tuple(pi or perms.identity(t.n))
-        return WreathElem(t.F, t.n, {(w, pi): c for w, c in t.terms.items()})
-
-    @staticmethod
-    def from_perm(F: FrobAlg, n: int, pi) -> WreathElem:
-        return WreathElem.from_tensor(TensorElem.unit(F, n), pi)
-
-    def __mul__(self, other) -> WreathElem:
-        if not isinstance(other, WreathElem):
-            return super().__mul__(other)
-        self._check(other)
-        out = {}
-        for (w1, p1), c1 in self.terms.items():
-            for (w2, p2), c2 in other.terms.items():
-                # (w1 p1)(w2 p2) = w1 * (p1 . w2) * (p1 p2)
-                moved, sign = permute_word(self.F, p1, w2)
-                c12 = c1 * c2
-                if sign:
-                    c12 = -c12
-                tail = perms.mul(p1, p2)
-                for w, c in word_mul(self.F, w1, moved).items():
-                    acc(out, (w, tail), c12 * c)
-        return self._like(out)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, p in sorted(self.terms):
-            labels = ",".join(self.F.basis_labels[b] for b in w)
-            pstr = ",".join(map(str, p))
-            bits.append(f"({self.terms[(w, p)]})*b({labels})*s[{pstr}]")
-        return " + ".join(bits)
-
-    __repr__ = __str__

@@ -22,7 +22,6 @@ from awpa.engine import AwpaElem
 from awpa.errors import AwpaError, InternalInconsistency, ParamsMismatch
 from awpa.frobenius import FrobAlg
 from awpa.scalars import CycScalar
-from awpa.wreath import WreathElem
 
 
 class BadComposition(AwpaError):
@@ -271,24 +270,15 @@ def coords(a) -> list:
 
 def level_one_matches_wreath(qalg) -> bool:
     """At level one with chi = x_1, the quotient is the wreath product:
-    compare all structure constants against wreath multiplication.  The
-    quotient basis keys (0, word, pi) match the wreath keys (word, pi)."""
+    compare all structure constants against the wreath product, which is
+    graded_mul on the alpha = 0 monomials (the quotient's basis keys)."""
     if qalg.d != 1:
         raise ParamsMismatch("level-one comparison needs d = 1")
-    keys = qalg.basis_keys()
-    for ku in keys:
-        u = CycloElem(qalg, qalg.ctx.monomial(*ku))
-        wu = WreathElem(qalg.F, qalg.n, {(ku[1], ku[2]): CycScalar.one(qalg.F.conductor)})
-        for kv in keys:
-            v = CycloElem(qalg, qalg.ctx.monomial(*kv))
-            wv = WreathElem(
-                qalg.F, qalg.n, {(kv[1], kv[2]): CycScalar.one(qalg.F.conductor)}
-            )
-            quot = qalg.mul(u, v).terms
-            wreath = {
-                (qalg.ctx.zero_alpha, w, p): c for (w, p), c in (wu * wv).terms.items()
-            }
-            if quot != wreath:
+    monos = [qalg.ctx.monomial(*k) for k in qalg.basis_keys()]
+    for u in monos:
+        for v in monos:
+            quot = qalg.mul(CycloElem(qalg, u), CycloElem(qalg, v))
+            if quot.terms != qalg.ctx.graded_mul(u, v).terms:
                 return False
     return True
 

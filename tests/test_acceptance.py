@@ -6,12 +6,17 @@ comparison below is exact equality; there are no tolerances anywhere.
 Each test prints one PASS line on success.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import awpa
 from awpa import linalg
 from awpa import permutations as perms
 from awpa.cyclotomic import (
@@ -182,19 +187,71 @@ def test_criterion_5_jucys_murphy():
         for _ in range(14):
             a = random_element(ctx, rng, terms=terms, max_exp=max_exp)
             b = random_element(ctx, rng, terms=terms, max_exp=max_exp)
-            assert ctx.evaluation_hom(ctx.mul(a, b)) == ctx.evaluation_hom(
-                a
-            ) * ctx.evaluation_hom(b), name
+            assert ctx.evaluation_hom(ctx.mul(a, b)) == ctx.graded_mul(
+                ctx.evaluation_hom(a), ctx.evaluation_hom(b)
+            ), name
             pairs += 1
         # identity on the wreath subalgebra
         for _ in range(5):
             word = tuple(rng.randrange(ctx.F.dim) for _ in range(2))
             pi = rng.choice(perms.all_permutations(2))
             w = ctx.monomial(ctx.zero_alpha, word, pi)
-            assert ctx.from_wreath(ctx.evaluation_hom(w)) == w, name
+            assert ctx.evaluation_hom(w) == w, name
     assert pairs >= 100
     print(f"PASS criterion 5: evaluation_hom multiplicative on {pairs} pairs, "
           "identity on the wreath subalgebra")
+
+
+# Criteria 2 and 5 on A_2(Cl) in one script that compares the results itself
+# and exits 1 on any mismatch.  With the argument "broken", graded_mul drops
+# the last term of its product, so a criterion 5 comparison must fail.
+OPTIMIZED_CRITERIA = """
+import random, sys
+from awpa.engine import AwpaAlgebra
+from awpa.frobenius import clifford_algebra
+from awpa.verify import random_element
+if sys.argv[1:] == ["broken"]:
+    real = AwpaAlgebra.graded_mul
+    def graded_mul(ctx, a, b):
+        out = real(ctx, a, b)
+        return ctx._elem(dict(list(out.terms.items())[:-1]))
+    AwpaAlgebra.graded_mul = graded_mul
+ctx = AwpaAlgebra(clifford_algebra(), 2)
+ev, rng, failed = ctx.evaluation_hom, random.Random(2025), set()
+for _ in range(30):
+    a, b, c = (random_element(ctx, rng) for _ in range(3))
+    if ctx.element_to_module(ctx.mul(a, b)) != ctx.oracle_act(a, ctx.element_to_module(b)):
+        failed.add("2: oracle equivalence")
+    if ctx.mul(ctx.mul(a, b), c) != ctx.mul(a, ctx.mul(b, c)):
+        failed.add("2: associativity")
+    if ev(ctx.mul(a, b)) != ctx.graded_mul(ev(a), ev(b)):
+        failed.add("5: evaluation map multiplicativity")
+    w = random_element(ctx, rng, max_exp=0)
+    if ev(w) != w:
+        failed.add("5: identity on the wreath subalgebra")
+print("__debug__", __debug__, "failed", sorted(failed))
+sys.exit(1 if failed or __debug__ else 0)
+"""
+
+
+def _optimized_criteria(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(awpa.__file__).resolve().parent.parent))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CRITERIA, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_criteria_2_and_5_under_python_O():
+    """Oracle equivalence, associativity and the evaluation map hold with
+    every assert stripped, and the script does catch a wrong product."""
+    proc = _optimized_criteria()
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "__debug__ False failed []\n"
+    broken = _optimized_criteria("broken")
+    assert broken.returncode == 1, broken.stdout + broken.stderr
+    assert "5: " in broken.stdout and "2: " not in broken.stdout
+    print("PASS criteria 2 and 5 under python -O on A_2(Cl)")
 
 
 def test_criterion_6_intertwiners():
@@ -325,7 +382,7 @@ def test_criterion_7_cyclotomic_basis():
         assert level_one_matches_wreath(Q), name
         for _ in range(8):
             a = random_element(Q.ctx, rng, terms=2, max_exp=1)
-            assert Q.reduce(a).elem == Q.ctx.from_wreath(Q.ctx.evaluation_hom(a)), name
+            assert Q.reduce(a).elem == Q.ctx.evaluation_hom(a), name
     print("PASS criterion 7: cyclotomic basis dimensions and level-one wreath "
           "isomorphism")
 

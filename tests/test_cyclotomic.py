@@ -233,10 +233,10 @@ def test_reduce_level_one_is_evaluation():
     Q = CyclotomicAlgebra(level_one(F), 3)
     rng = random.Random(2)
     for k in (1, 2, 3):
-        assert Q.reduce(Q.ctx.x(k)).elem == Q.ctx.from_wreath(Q.ctx.jucys_murphy(k))
+        assert Q.reduce(Q.ctx.x(k)).elem == Q.ctx.jucys_murphy(k)
     for _ in range(10):
         a = random_element(Q.ctx, rng)
-        assert Q.reduce(a).elem == Q.ctx.from_wreath(Q.ctx.evaluation_hom(a))
+        assert Q.reduce(a).elem == Q.ctx.evaluation_hom(a)
 
 
 def test_reduce_is_algebra_map():
@@ -500,6 +500,24 @@ def test_params_json_roundtrip():
     back = CycloParams.from_json_dict(Cl, data)
     assert back.level == 2
     assert back.entries[2][0] == params.entries[2][0]
+
+
+@pytest.mark.parametrize(
+    "e,c",
+    [([1], [["0"], ["0"]]), ([], [["0"]]), ([1, 1], [["0"]])],
+    ids=["c-past-e", "e-empty", "e-past-c"],
+)
+def test_params_json_compares_e_and_c_over_both_lengths(e, c):
+    """A parameter list with no count in e (a level-3 list behind e = [1], a
+    level-1 list behind e = []) is refused, as a count with no list is."""
+    with pytest.raises(ParamsMismatch, match="e vector does not match"):
+        CycloParams.from_json_dict(clifford_algebra(), {"e": e, "c": c})
+
+
+def test_params_json_reads_missing_entries_as_empty():
+    Cl = clifford_algebra()
+    for e, c in (([1, 0], [["0"]]), ([1], [["0"], []])):
+        assert CycloParams.from_json_dict(Cl, {"e": e, "c": c}).level == 1
 
 
 def test_nakayama_check_and_induction_basis_surface():

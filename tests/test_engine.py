@@ -1,6 +1,8 @@
 """Normal-form arithmetic in A_n(F) and the structure theory built on it."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +12,13 @@ from awpa import linalg, sparse
 from awpa import permutations as perms
 from awpa.cyclotomic import CyclotomicAlgebra, InductionStructure, make_params, nakayama_check
 from awpa.engine import AwpaAlgebra, AwpaElem
-from awpa.errors import BadAutomorphismParams, NotPolynomial, SizeMismatch, ZeroElement
+from awpa.errors import (
+    AlgebraMismatch,
+    BadAutomorphismParams,
+    NotPolynomial,
+    SizeMismatch,
+    ZeroElement,
+)
 from awpa.frobenius import (
     BUILTINS,
     FrobAlg,
@@ -25,7 +33,7 @@ from awpa.frobenius import (
 from awpa.scalars import CycScalar, root_of_unity
 from awpa.sparse import acc
 from awpa.verify import random_element, run_suite
-from awpa.wreath import TensorElem, WreathElem, word_mul, word_parity
+from awpa.wreath import TensorElem, word_mul, word_parity
 
 from oracles import (
     compositions,
@@ -151,16 +159,16 @@ def test_oracle_module_axiom(ctx_cl2):
 def test_jucys_murphy_examples():
     ctx = AwpaAlgebra(trivial_algebra(), 3)
     assert ctx.jucys_murphy(1).is_zero()
-    expected = WreathElem.from_perm(
-        ctx.F, 3, perms.transposition(3, 1, 3)
-    ) + WreathElem.from_perm(ctx.F, 3, perms.transposition(3, 2, 3))
+    expected = ctx.perm_elem(perms.transposition(3, 1, 3)) + ctx.perm_elem(
+        perms.transposition(3, 2, 3)
+    )
     assert ctx.jucys_murphy(3) == expected
 
     ctx2 = AwpaAlgebra(clifford_algebra(), 2)
     t = TensorElem.unit(ctx2.F, 2) + TensorElem(
         ctx2.F, 2, {(1, 1): ctx2.F.scalar(1)}
     )
-    assert ctx2.jucys_murphy(2) == WreathElem.from_tensor(t, perms.simple(2, 1))
+    assert ctx2.jucys_murphy(2) == ctx2.mul(ctx2.from_tensor(t), ctx2.s(1))
 
 
 def test_evaluation_hom_examples(ctx_cl2):
@@ -178,9 +186,34 @@ def test_evaluation_hom_multiplicative(ctx_cl2):
     for _ in range(25):
         a = random_element(ctx_cl2, rng)
         b = random_element(ctx_cl2, rng)
-        assert ctx_cl2.evaluation_hom(ctx_cl2.mul(a, b)) == ctx_cl2.evaluation_hom(
-            a
-        ) * ctx_cl2.evaluation_hom(b)
+        assert ctx_cl2.evaluation_hom(ctx_cl2.mul(a, b)) == ctx_cl2.graded_mul(
+            ctx_cl2.evaluation_hom(a), ctx_cl2.evaluation_hom(b)
+        )
+
+
+ONE_ELEMENT_MAPS = {
+    "psi_twist": lambda ctx, a: ctx.psi_twist(a, (1, 1)),
+    "leading_term": lambda ctx, a: ctx.leading_term(a),
+    "superpermute_elem": lambda ctx, a: ctx.superpermute_elem((2, 1), a),
+    "divided_difference": lambda ctx, a: ctx.divided_difference(1, a),
+    "evaluation_hom": lambda ctx, a: ctx.evaluation_hom(a),
+    "mul": lambda ctx, a: ctx.mul(a, a),
+    "graded_mul": lambda ctx, a: ctx.graded_mul(a, a),
+    "element_to_module": lambda ctx, a: ctx.element_to_module(a),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_ELEMENT_MAPS))
+def test_engine_maps_check_the_context(name):
+    """An element of A_3(F) or of A_2(Cl) given to A_2(F) is refused, as in
+    a sum; one of another context over the same F and n is taken."""
+    T = taft_algebra(3)
+    ctx, apply = AwpaAlgebra(T, 2), ONE_ELEMENT_MAPS[name]
+    with pytest.raises(SizeMismatch):
+        apply(ctx, AwpaAlgebra(T, 3).x(1))
+    with pytest.raises(AlgebraMismatch):
+        apply(ctx, AwpaAlgebra(clifford_algebra(), 2).x(1))
+    assert apply(ctx, AwpaAlgebra(T, 2).x(1)) == apply(ctx, ctx.x(1))
 
 
 def test_center_examples(ctx_cl2):
@@ -812,3 +845,35 @@ def test_memo_cap_holds(monkeypatch):
     }
     assert results == expected
     assert results["suite"][1] == [] and results["gram"][1]
+
+
+def test_memos_die_with_their_owner(monkeypatch):
+    """With the cyclic collector off, F and every context are freed by
+    reference counting once the caller drops them: no memo holds an element
+    of its owner, which would refer back to it in a cycle."""
+    contexts = []
+    init = AwpaAlgebra.__init__
+
+    def recording_init(self, F, n):
+        init(self, F, n)
+        contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(AwpaAlgebra, "__init__", recording_init)
+
+    def workout():
+        F = taft_algebra(3)
+        ctx = AwpaAlgebra(F, 2)
+        F.graded_piece(0)
+        ctx.jucys_murphy(2)
+        ctx.evaluation_hom(random_element(ctx, random.Random(1)))
+        assert run_suite(F, 2, seed=1, instances=20)[1] == []
+        return weakref.ref(F)
+
+    gc.collect()
+    gc.disable()
+    try:
+        owners = [workout(), *contexts]
+        assert len(owners) == 3  # F, ctx and run_suite's context
+        assert [ref() for ref in owners] == [None] * len(owners)
+    finally:
+        gc.enable()

@@ -1,7 +1,9 @@
 """The shared sparse-combination kernel under the element classes.
 
-Properties over AwpaElem, PolyModElem, TensorElem, WreathElem and AlgElem,
-with coefficients in Q (the Clifford algebra) and in Q(zeta_3) (Taft(3)).
+Properties over AwpaElem, PolyModElem, TensorElem and AlgElem, with
+coefficients in Q (the Clifford algebra) and in Q(zeta_3) (Taft(3)).  The
+"wreath" kind is the wreath product F^(x)n x| S_n: AwpaElems on alpha = 0
+keys, multiplied by graded_mul.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from awpa.errors import AlgebraMismatch, SizeMismatch
 from awpa.frobenius import AlgElem, clifford_algebra, taft_algebra
 from awpa.scalars import CycScalar
 from awpa.sparse import SparseElem, acc
-from awpa.wreath import TensorElem, WreathElem
+from awpa.wreath import TensorElem
 
 N = 2
 FIELDS = {"Q": clifford_algebra(), "Q(zeta3)": taft_algebra(3)}
@@ -43,21 +45,19 @@ def keys(F, kind):
     if kind == "tensor":
         return word
     if kind == "wreath":
-        return st.tuples(word, pi)
+        alpha = st.just((0,) * N)
     return st.tuples(alpha, word, pi)
 
 
 def build(name, kind, terms):
     ctx = CONTEXTS[name]
-    if kind == "awpa":
+    if kind in ("awpa", "wreath"):
         return AwpaElem(ctx, terms)
     if kind == "polymod":
         return PolyModElem(ctx, terms)
     if kind == "tensor":
         return TensorElem(ctx.F, N, terms)
-    if kind == "alg":
-        return AlgElem(ctx.F, terms)
-    return WreathElem(ctx.F, N, terms)
+    return AlgElem(ctx.F, terms)
 
 
 def elements(name, kind, max_size=3):
@@ -66,10 +66,12 @@ def elements(name, kind, max_size=3):
     return terms.map(lambda t: build(name, kind, t))
 
 
-def product(a, b):
-    if isinstance(a, PolyModElem):
+def product(kind, a, b):
+    if kind == "polymod":
         # the module action of an algebra element on a module element
         return a.ctx.oracle_act(AwpaElem(a.ctx, b.terms), a)
+    if kind == "wreath":
+        return a.ctx.graded_mul(a, b)
     return a * b
 
 
@@ -121,7 +123,7 @@ def test_no_stored_zero(name, kind, data):
     b = data.draw(elements(name, kind))
     s = data.draw(scalars(FIELDS[name]))
     assert zero_free(a) and zero_free(b)  # the constructors filter zeros
-    for result in (a + b, a - b, -a, s * a, a * s, product(a, b)):
+    for result in (a + b, a - b, -a, s * a, a * s, product(kind, a, b)):
         assert zero_free(result)
         assert type(result) is type(a)
 
@@ -136,21 +138,20 @@ def test_mismatch_errors(kind):
                 op(a, other_algebra)
         assert (a == other_algebra) is False and a != other_algebra
         return
-    key = {"tensor": (0, 0), "wreath": ((0, 0), (1, 2))}.get(kind, ((0, 0), (0, 0), (1, 2)))
+    key = (0, 0) if kind == "tensor" else ((0, 0), (0, 0), (1, 2))
     one = CycScalar.one()
-    if kind in ("awpa", "polymod"):
-        cls = AwpaElem if kind == "awpa" else PolyModElem
+    if kind != "tensor":
+        cls = PolyModElem if kind == "polymod" else AwpaElem
         a = cls(AwpaAlgebra(F, 2), {key: one})
         other_algebra = cls(AwpaAlgebra(G, 2), {key: one})
         other_size = cls(AwpaAlgebra(F, 3), {((0,) * 3, (0,) * 3, (1, 2, 3)): one})
     else:
-        cls = TensorElem if kind == "tensor" else WreathElem
-        a = cls(F, 2, {key: one})
-        other_algebra = cls(G, 2, {key: one})
-        other_size = cls(F, 3, {})
+        a = TensorElem(F, 2, {key: one})
+        other_algebra = TensorElem(G, 2, {key: one})
+        other_size = TensorElem(F, 3, {})
     ops = [lambda x, y: x + y, lambda x, y: x - y]
     if kind != "polymod":  # PolyModElem has no product and compares unequal
-        ops += [lambda x, y: x * y, lambda x, y: x == y]
+        ops += [lambda x, y: product(kind, x, y), lambda x, y: x == y]
     for op in ops:
         with pytest.raises(AlgebraMismatch):
             op(a, other_algebra)
@@ -179,7 +180,7 @@ def test_acc_drops_cancelled_keys():
 
 
 def test_element_classes_share_the_kernel():
-    for cls in (AwpaElem, PolyModElem, TensorElem, WreathElem, CycloElem, AlgElem):
+    for cls in (AwpaElem, PolyModElem, TensorElem, CycloElem, AlgElem):
         assert issubclass(cls, SparseElem)
         for op in ("__add__", "__sub__", "__neg__", "__rmul__", "is_zero"):
             assert getattr(cls, op) is getattr(SparseElem, op)

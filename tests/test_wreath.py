@@ -1,4 +1,5 @@
-"""Superpermutation action and the wreath product F^(x)n x| S_n."""
+"""Superpermutation action, and the wreath product F^(x)n x| S_n as the
+alpha = 0 part of A_n(F) under graded_mul."""
 
 import random
 
@@ -8,12 +9,15 @@ from awpa import permutations as perms
 from awpa.engine import AwpaAlgebra
 from awpa.errors import AlgebraMismatch, SizeMismatch
 from awpa.frobenius import (
+    BUILTINS,
+    builtin,
     clifford_algebra,
     cyclic_group_algebra,
     taft_algebra,
     trivial_algebra,
 )
-from awpa.wreath import TensorElem, WreathElem, superpermute
+from awpa.verify import random_element
+from awpa.wreath import TensorElem, superpermute
 
 
 def test_superpermute_even_slot():
@@ -73,45 +77,45 @@ def test_superpermute_is_algebra_map():
 
 
 def test_wreath_smash_relation():
-    # (1, s1) * (f (x) 1, id) = (1 (x) f, s1) for even f
+    # (1, s1) * (f (x) 1, id) = (1 (x) f, s1) for even f, in the wreath
+    # subalgebra of A_2(F): the alpha = 0 monomials under graded_mul
     F = cyclic_group_algebra(2)
-    s1 = WreathElem.from_perm(F, 2, perms.simple(2, 1))
-    f1 = WreathElem.from_tensor(TensorElem.slot(F, 2, "g", 1))
-    prod = s1 * f1
-    expected = WreathElem.from_tensor(
-        TensorElem.slot(F, 2, "g", 2), perms.simple(2, 1)
-    )
-    assert prod == expected
+    ctx = AwpaAlgebra(F, 2)
+    e, g = F.basis_labels.index("e"), F.basis_labels.index("g")
+    prod = ctx.graded_mul(ctx.s(1), ctx.slot_elem("g", 1))
+    assert prod == ctx.monomial((0, 0), (e, g), perms.simple(2, 1))
 
 
 def test_wreath_clifford_signs():
-    F = clifford_algebra()
-    c1 = WreathElem.from_tensor(TensorElem.slot(F, 2, "c", 1))
-    c2 = WreathElem.from_tensor(TensorElem.slot(F, 2, "c", 2))
-    cc = WreathElem.from_tensor(
-        TensorElem(F, 2, {(1, 1): F.scalar(1)})
-    )
-    assert c1 * c2 == cc
-    assert c2 * c1 == -cc
+    ctx = AwpaAlgebra(clifford_algebra(), 2)
+    c1, c2 = ctx.slot_elem("c", 1), ctx.slot_elem("c", 2)
+    cc = ctx.monomial((0, 0), (1, 1), (1, 2))
+    assert ctx.graded_mul(c1, c2) == cc
+    assert ctx.graded_mul(c2, c1) == -cc
 
 
 def test_wreath_associativity_and_unit():
-    F = clifford_algebra()
+    ctx = AwpaAlgebra(clifford_algebra(), 2)
     rng = random.Random(3)
-    n = 2
-    def rnd():
-        terms = {}
-        for _ in range(2):
-            w = tuple(rng.randrange(2) for _ in range(n))
-            p = rng.choice(perms.all_permutations(n))
-            terms[(w, p)] = F.scalar(rng.randint(-3, 3))
-        return WreathElem(F, n, terms)
-
-    one = WreathElem.unit(F, n)
+    mul, one = ctx.graded_mul, ctx.one()
     for _ in range(20):
-        a, b, c = rnd(), rnd(), rnd()
-        assert (a * b) * c == a * (b * c)
-        assert one * a == a and a * one == a
+        a, b, c = (random_element(ctx, rng, max_exp=0) for _ in range(3))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(one, a) == a and mul(a, one) == a
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_wreath_subalgebra_is_closed_under_mul(name, n):
+    """On alpha = 0 elements the normal-form product needs no Delta
+    correction: it equals graded_mul and stays at alpha = 0."""
+    ctx = AwpaAlgebra(builtin(name), n)
+    rng = random.Random(f"{name}:{n}")
+    for _ in range(15):
+        a, b = (random_element(ctx, rng, terms=3, max_exp=0) for _ in range(2))
+        prod = ctx.graded_mul(a, b)
+        assert prod == ctx.mul(a, b)
+        assert all(alpha == ctx.zero_alpha for alpha, _, _ in prod.terms)
 
 
 def test_size_mismatch():
