@@ -46,7 +46,6 @@ from .frobenius import (
 from .scalars import CycScalar, parse_scalar, root_of_unity
 from .textio import element_str, parse_element
 from .verify import run_suite
-from .wreath import TensorElem, superpermute
 
 __all__ = [
     "AlgElem",
@@ -59,7 +58,6 @@ __all__ = [
     "FrobAlg",
     "InductionStructure",
     "PolyModElem",
-    "TensorElem",
     "builtin",
     "check_frobenius_morphism",
     "clifford_algebra",
@@ -75,7 +73,6 @@ __all__ = [
     "parse_scalar",
     "root_of_unity",
     "run_suite",
-    "superpermute",
     "symmetric_group_algebra",
     "taft_algebra",
     "trivial_algebra",

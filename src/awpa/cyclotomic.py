@@ -40,7 +40,7 @@ from .errors import (
 from .frobenius import AlgElem, FrobAlg
 from .scalars import CycScalar
 from .sparse import SparseElem, acc, memoized
-from .wreath import TensorElem, word_parity
+from .wreath import word_parity
 
 DEFAULT_GRAM_BOUND = 20_000
 
@@ -70,16 +70,16 @@ class CycloParams:
     """Validated cyclotomic parameters.
 
     ``entries`` maps k (1 <= k <= theta) to the list of parameters c^(k,j),
-    each an AlgElem of F or its dense coordinates, or a TensorElem of
-    F^(x)n.  An AlgElem is a slot-1 parameter, which must lie in
-    F_psi^(k), the standing restriction: the quotient is then defined
-    uniformly in n and carries the induction/restriction structure; it is
-    checked as the one-slot tensor, where F_1^(k) is F_psi^(k).  A
-    TensorElem is a general parameter, which must lie in F_1^(k) for its own
-    n; the tensors fix ``n_fixed``, the one n the quotient can be built for,
-    and such parameters neither serialize nor induce.  The constructor
-    refuses a parameter outside its F_1^(k), a k outside 1..theta, level
-    zero, and tensors of different n.
+    each an AlgElem of F or its dense coordinates, or an element of F^(x)n:
+    an AwpaElem of A_n(F) on alpha = 0, pi = 1 keys.  An AlgElem is a slot-1
+    parameter, which must lie in F_psi^(k), the standing restriction: the
+    quotient is then defined uniformly in n and carries the
+    induction/restriction structure; it is checked as the one-slot tensor,
+    where F_1^(k) is F_psi^(k).  An AwpaElem is a general parameter, which
+    must lie in F_1^(k) for its own n; these fix ``n_fixed``, the one n the
+    quotient can be built for, and such parameters neither serialize nor
+    induce.  The constructor refuses a parameter outside its F_1^(k), a k
+    outside 1..theta, level zero, and tensors of different n.
     """
 
     def __init__(self, F: FrobAlg, entries: dict):
@@ -88,16 +88,17 @@ class CycloParams:
         for k, values in entries.items():
             if not 1 <= k <= F.theta:
                 raise WrongDegree(f"parameter index k={k} outside 1..theta={F.theta}")
-            out = [c if isinstance(c, (AlgElem, TensorElem)) else F.elem(c) for c in values]
+            out = [c if isinstance(c, (AlgElem, AwpaElem)) else F.elem(c) for c in values]
             for c in out:
-                t = c if isinstance(c, TensorElem) else TensorElem.slot(F, 1, c, 1)
-                AwpaAlgebra(F, t.n)._check_f1(t, k)
+                general = isinstance(c, AwpaElem)
+                ctx = AwpaAlgebra(F, c.ctx.n if general else 1)
+                ctx._check_f1(c if general else ctx.slot_elem(c, 1), k)
             if out:
                 self.entries[k] = out
         self.level = sum(k * len(v) for k, v in self.entries.items())
         if self.level < 1:
             raise LevelZero("cyclotomic level must be at least 1")
-        ns = {c.n for v in self.entries.values() for c in v if isinstance(c, TensorElem)}
+        ns = {c.ctx.n for v in self.entries.values() for c in v if isinstance(c, AwpaElem)}
         if len(ns) > 1:
             raise ParamsMismatch(f"tensor parameters of different n: {sorted(ns)}")
         self.n_fixed = ns.pop() if ns else None
@@ -146,6 +147,7 @@ class CycloElem(SparseElem):
     _context = ("qalg",)
 
     def __init__(self, qalg: CyclotomicAlgebra, elem: AwpaElem):
+        qalg.ctx._check(elem)
         self.qalg = qalg
         self.terms = elem.terms
 
@@ -187,8 +189,8 @@ class CyclotomicAlgebra:
         if n:  # A_0^C(F) = k by convention, with nothing to quotient
             for k in sorted(params.entries):
                 for c in params.entries[k]:
-                    t = c if isinstance(c, TensorElem) else TensorElem.slot(self.F, n, c, 1)
-                    self._factors.append(self.ctx.x(1, k) - self.ctx.from_tensor(t))
+                    t = c if isinstance(c, AwpaElem) else self.ctx.slot_elem(c, 1)
+                    self._factors.append(self.ctx.x(1, k) - t)
         self._chi_cache: dict = {}
         self._rewrite_cache: dict = {}
         self._basis_keys_cache: dict = {}
@@ -348,7 +350,7 @@ class InductionStructure:
             for a in range(self.big.d):
                 alpha = tuple(a if t == j - 1 else 0 for t in range(m))
                 for b in range(F.dim):
-                    words = TensorElem.slot(F, m, F.basis_elem(b), j).terms
+                    words = ctx._slot_words(F.basis_elem(b), j)
                     u = ctx._elem(ctx._keyed(alpha, words, pi))
                     out.append(((j, a, b), CycloElem(self.big, u)))
         return out

@@ -42,9 +42,7 @@ from .frobenius import AlgElem, FrobAlg, check_frobenius_morphism
 from .scalars import CycScalar
 from .sparse import SparseElem, acc, memoized
 from .wreath import (
-    TensorElem,
     permute_word,
-    superpermute,
     tensor_of_vectors,
     word_degree,
     word_mul,
@@ -149,7 +147,7 @@ class AwpaAlgebra:
         self.n = n
         self.identity_perm = perms.identity(n)
         self.zero_alpha = (0,) * n
-        self._unit_words = dict(TensorElem.unit(F, n).terms)
+        self._unit_words = tensor_of_vectors(F, [F.unit_elem().terms] * n)
         self._t_cache: dict = {}
         self._smono_cache: dict = {}
         self._delta_cache: dict = {}
@@ -223,13 +221,23 @@ class AwpaAlgebra:
             raise ValueError(f"{pi} is not a permutation of 1..{self.n}")
         return pi
 
+    def _slot_words(self, f, i: int) -> dict:
+        """1 (x) ... (x) f (x) ... (x) 1, f in slot i (1-indexed), as
+        {word: scalar}; f is an AlgElem of F or the label of a basis element."""
+        if not 1 <= i <= self.n:
+            raise IndexError(f"slot {i} does not exist for n={self.n}")
+        if isinstance(f, str):
+            f = self.F.from_label(f)
+        if f.algebra is not self.F:
+            raise AlgebraMismatch("slot element of another algebra")
+        vectors = [self.F.unit_elem().terms] * self.n
+        vectors[i - 1] = f.terms
+        return tensor_of_vectors(self.F, vectors)
+
     def slot_elem(self, f, i: int) -> AwpaElem:
         """f_i = 1 (x) ... (x) f (x) ... (x) 1 as an element of A_n(F)."""
-        t = TensorElem.slot(self.F, self.n, f, i)
-        return self.from_tensor(t)
-
-    def from_tensor(self, t: TensorElem) -> AwpaElem:
-        return AwpaElem(self, self._keyed(self.zero_alpha, t.terms, self.identity_perm))
+        words = self._slot_words(f, i)
+        return AwpaElem(self, self._keyed(self.zero_alpha, words, self.identity_perm))
 
     def perm_elem(self, pi) -> AwpaElem:
         return AwpaElem(self, self._keyed(self.zero_alpha, self._unit_words, self._perm(pi)))
@@ -364,8 +372,10 @@ class AwpaAlgebra:
         return tuple(new_alpha), new_word, sign
 
     def superpermute_elem(self, pi, a: AwpaElem) -> AwpaElem:
-        """pi . a for a in P_n(F) (superpermuting x-exponents and word slots)."""
+        """pi . a for a in P_n(F) (superpermuting x-exponents and word slots);
+        on F^(x)n, the alpha = 0 part, it is the superpermutation action."""
         self._check(a)
+        pi = self._perm(pi)
         out: dict = {}
         for (alpha, word, p), c in a.terms.items():
             if p != self.identity_perm:
@@ -378,6 +388,7 @@ class AwpaAlgebra:
         """psi^gamma applied slotwise to the F^(x)n part of every monomial of
         a: slot i is twisted by psi^(gamma_i)."""
         self._check(a)
+        gamma = self._sized(gamma, "twist exponents")
         out: dict = {}
         for (alpha, word, pi), c in a.terms.items():
             for w2, c2 in self._word_psi_twist(word, gamma).items():
@@ -593,9 +604,10 @@ class AwpaAlgebra:
         for j in range(1, self.n):
             si = perms.simple(self.n, j)
             for alpha, wcoeffs in by_alpha.items():
-                moved = superpermute(si, TensorElem(self.F, self.n, wcoeffs))
+                part = self._elem(self._keyed(alpha, wcoeffs, self.identity_perm))
                 salpha = tuple(alpha[si[t] - 1] for t in range(self.n))
-                if moved.terms != by_alpha.get(salpha, {}):
+                target = self._keyed(salpha, by_alpha.get(salpha, {}), self.identity_perm)
+                if self.superpermute_elem(si, part).terms != target:
                     return f"not superinvariant under s_{j} at alpha={alpha}"
         return None
 
@@ -697,7 +709,8 @@ class AwpaAlgebra:
               "trace_change"  x_i -> x_i u_i into A_n(F') where F' has the
                            trace tr'(f) = tr(f u)  (params: u = AlgElem)
               "shift"      x_i -> x_i + s_{i-1}...s_1 c s_1...s_{i-1}
-                           (params: c = TensorElem or AlgElem in F_1^(1))
+                           (params: c in F_1^(1), an AlgElem or an
+                           AwpaElem on alpha = 0, pi = 1 keys)
         """
         n = self.n
         target, anti = self, False
@@ -750,14 +763,14 @@ class AwpaAlgebra:
         elif kind == "shift":
             c = params.get("c")
             if isinstance(c, AlgElem):
-                c = TensorElem.slot(self.F, n, c, 1) if n else None
-            if not isinstance(c, TensorElem):
-                raise BadAutomorphismParams("shift needs c as a TensorElem or AlgElem")
+                c = self.slot_elem(c, 1) if n else None
+            if not isinstance(c, AwpaElem):
+                raise BadAutomorphismParams("shift needs c as an AwpaElem or AlgElem")
             try:
                 self._check_f1(c, 1)
             except BadParams as exc:
                 raise BadAutomorphismParams(f"shift {exc}") from exc
-            shifts = [self.from_tensor(c)]
+            shifts = [c]
             for i in range(2, n + 1):
                 si = self.s(i - 1)
                 shifts.append(self.mul(self.mul(si, shifts[-1]), si))
@@ -766,25 +779,28 @@ class AwpaAlgebra:
             raise BadAutomorphismParams(f"unknown automorphism kind {kind!r}")
         return AwpaMorphism(self, target, (x, slot, s), anti)
 
-    def _check_f1(self, t: TensorElem, k: int):
-        """Raise unless the n-slot tensor t lies in F_1^(k): even, of degree
-        k*delta, with slot 1 in F_psi^(k), the other slots in F_psi^(0), and
-        invariant under the superpermutations fixing slot 1.  At n = 1 this is
-        the slot-1 condition c in F_psi^(k)."""
-        if t.F is not self.F or t.n != self.n:
+    def _check_f1(self, t: AwpaElem, k: int):
+        """Raise unless t lies in F_1^(k) inside F^(x)n, the alpha = 0, pi = 1
+        part: even, of degree k*delta, with slot 1 in F_psi^(k), the other
+        slots in F_psi^(0), and invariant under the superpermutations fixing
+        slot 1.  At n = 1 this is the slot-1 condition c in F_psi^(k)."""
+        if t.ctx.F is not self.F or t.ctx.n != self.n or any(
+            alpha != self.zero_alpha or pi != self.identity_perm for alpha, _, pi in t.terms
+        ):
             raise BadParams(f"parameter at k={k} is not in {self.F.name}^(x){self.n}")
-        if t.is_zero():
+        words = {w: c for (_, w, _), c in t.terms.items()}
+        if not words:
             return
-        if {word_parity(self.F, w) for w in t.terms} != {0}:
+        if {word_parity(self.F, w) for w in words} != {0}:
             raise OddParity(f"parameter at k={k} must be even")
-        if {word_degree(self.F, w) for w in t.terms} != {k * self.F.delta}:
+        if {word_degree(self.F, w) for w in words} != {k * self.F.delta}:
             raise WrongDegree(f"parameter at k={k} must have degree {k * self.F.delta}")
         basis = self._tensor_subspace_basis([k] + [0] * (self.n - 1))
-        if not linalg.in_span(basis, t.terms):
+        if not linalg.in_span(basis, words):
             rest = " (x) F_psi^(0)" * (self.n - 1)
             raise NotPsiFixed(f"parameter at k={k} is not in F_psi^({k}){rest}")
         for j in range(2, self.n):
-            if superpermute(perms.simple(self.n, j), t) != t:
+            if self.superpermute_elem(perms.simple(self.n, j), t) != t:
                 raise NotPsiFixed(f"parameter at k={k} is not fixed by permuting slots 2..n")
 
     # -- graded dimension ------------------------------------------------------------

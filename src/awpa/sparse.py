@@ -7,9 +7,9 @@ build on it and keep only what is their own (their context, operand check,
 product and printing):
 
 * ``engine.AwpaElem``: A_n(F) in normal form, keys (alpha, word, perm); the
-  keys with alpha = 0 span the wreath product F^(x)n x| S_n;
+  keys with alpha = 0 span the wreath product F^(x)n x| S_n, and those with
+  alpha = 0 and perm = 1 the tensor power F^(x)n;
 * ``engine.PolyModElem``: the module P_n(F) (x) kS_n, same keys;
-* ``wreath.TensorElem``: F^(x)n, keys are basis words;
 * ``cyclotomic.CycloElem``: the cyclotomic quotient, AwpaElem's keys;
 * ``frobenius.AlgElem``: F itself, keys are basis indices; ``FrobAlg``
   hands out its structure constants and psi-powers as such zero-free rows.

@@ -19,7 +19,6 @@ from .engine import AwpaAlgebra, AwpaElem
 from .errors import SizeMismatch
 from .frobenius import FrobAlg
 from .scalars import CycScalar
-from .wreath import TensorElem, superpermute
 
 
 class CheckFailure(Exception):
@@ -87,9 +86,9 @@ def check_SF_commutation(ctx, rng):
     """pi f = (pi . f) pi"""
     pi = rng.choice(perms.all_permutations(ctx.n))
     word = tuple(rng.randrange(ctx.F.dim) for _ in range(ctx.n))
-    t = TensorElem(ctx.F, ctx.n, {word: CycScalar.one(ctx.F.conductor)})
-    lhs = ctx.mul(ctx.perm_elem(pi), ctx.from_tensor(t))
-    rhs = ctx.mul(ctx.from_tensor(superpermute(pi, t)), ctx.perm_elem(pi))
+    f = ctx.monomial(ctx.zero_alpha, word, ctx.identity_perm)
+    lhs = ctx.mul(ctx.perm_elem(pi), f)
+    rhs = ctx.mul(ctx.superpermute_elem(pi, f), ctx.perm_elem(pi))
     _expect(lhs == rhs, "SF-commutation", f"pi={pi}, word={word}")
 
 
@@ -505,9 +504,10 @@ def check_superpermute_action(ctx, rng):
     p1 = rng.choice(perms.all_permutations(ctx.n))
     p2 = rng.choice(perms.all_permutations(ctx.n))
     word = tuple(rng.randrange(ctx.F.dim) for _ in range(ctx.n))
-    t = TensorElem(ctx.F, ctx.n, {word: CycScalar.one(ctx.F.conductor)})
+    f = ctx.monomial(ctx.zero_alpha, word, ctx.identity_perm)
+    act = ctx.superpermute_elem
     _expect(
-        superpermute(p1, superpermute(p2, t)) == superpermute(perms.mul(p1, p2), t),
+        act(p1, act(p2, f)) == act(perms.mul(p1, p2), f),
         "superpermute-action",
         f"{p1} o {p2}",
     )

@@ -1,6 +1,7 @@
-"""Tensor powers F^(x)n with superpermutation action: the word layer under
-the wreath product algebra F^(x)n x| S_n, which A_n(F) holds as its
-alpha = 0 monomials (``AwpaAlgebra.graded_mul`` multiplies them).
+"""The word layer of the tensor power F^(x)n.  A_n(F) holds F^(x)n as its
+monomials x^0 * word * 1 (``AwpaAlgebra.mul`` multiplies them,
+``AwpaAlgebra.superpermute_elem`` permutes their slots) and the wreath
+product F^(x)n x| S_n as its alpha = 0 monomials (``graded_mul``).
 
 Words are tuples of basis indices; a word (i1, ..., in) stands for
 b_{i1} (x) ... (x) b_{in}.  Multiplying two words is slotwise, with the
@@ -16,10 +17,9 @@ product of (-1) over inversions of pi at pairs of odd slots.
 
 from __future__ import annotations
 
-from .errors import AlgebraMismatch, SizeMismatch
 from .frobenius import FrobAlg
 from .scalars import CycScalar
-from .sparse import SparseElem, acc, memoized
+from .sparse import memoized
 
 
 def permute_word(F: FrobAlg, pi, word):
@@ -77,73 +77,3 @@ def word_mul(F: FrobAlg, w1, w2) -> dict:
     one = CycScalar.one(F.conductor)
     sign = -one if koszul_mul_sign(F, w1, w2) else one
     return tensor_of_vectors(F, [F.struct[b1][b2] for b1, b2 in zip(w1, w2)], sign)
-
-
-class TensorElem(SparseElem):
-    """Element of F^(x)n: sparse {word: scalar}."""
-
-    __slots__ = ("F", "n")
-    _context = ("F", "n")
-
-    def __init__(self, F: FrobAlg, n: int, terms=None):
-        self.F = F
-        self.n = n
-        super().__init__(terms)
-
-    def _check(self, other: TensorElem):
-        if self.F is not other.F:
-            raise AlgebraMismatch("tensor elements over different algebras")
-        if self.n != other.n:
-            raise SizeMismatch("tensor elements with different slot counts")
-
-    @staticmethod
-    def unit(F: FrobAlg, n: int) -> TensorElem:
-        return TensorElem(F, n, tensor_of_vectors(F, [F.unit_elem().terms] * n))
-
-    @staticmethod
-    def slot(F: FrobAlg, n: int, f, i: int) -> TensorElem:
-        """f in slot i (1-indexed), units elsewhere."""
-        if not 1 <= i <= n:
-            raise IndexError(f"slot {i} does not exist for n={n}")
-        if isinstance(f, str):
-            f = F.from_label(f)
-        if f.algebra is not F:
-            raise AlgebraMismatch("slot element of another algebra")
-        vectors = [F.unit_elem().terms] * n
-        vectors[i - 1] = f.terms
-        return TensorElem(F, n, tensor_of_vectors(F, vectors))
-
-    def __mul__(self, other) -> TensorElem:
-        if not isinstance(other, TensorElem):
-            return super().__mul__(other)
-        self._check(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for w, c in word_mul(self.F, w1, w2).items():
-                    acc(out, w, c12 * c)
-        return self._like(out)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms):
-            labels = ",".join(self.F.basis_labels[b] for b in w)
-            bits.append(f"({self.terms[w]})*b({labels})")
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
-
-def superpermute(pi, t: TensorElem) -> TensorElem:
-    """The superpermutation action of pi on the slots of t."""
-    if len(pi) != t.n:
-        raise SizeMismatch("permutation size does not match slot count")
-    out = {}
-    for w, c in t.terms.items():
-        new, sign = permute_word(t.F, pi, w)
-        acc(out, new, -c if sign else c)
-    return t._like(out)
-

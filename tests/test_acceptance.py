@@ -202,12 +202,15 @@ def test_criterion_5_jucys_murphy():
           "identity on the wreath subalgebra")
 
 
-# Criteria 2 and 5 on A_2(Cl) in one script that compares the results itself
-# and exits 1 on any mismatch.  With the argument "broken", graded_mul drops
-# the last term of its product, so a criterion 5 comparison must fail.
+# Criteria 2, 4 and 5 on A_2(Cl) in one script that compares the results
+# itself and exits 1 on any mismatch.  With the argument "broken", graded_mul
+# drops the last term of its product, so a criterion 5 comparison must fail;
+# with "flat", superpermute_elem returns its input unchanged, so a criterion 4
+# verdict must fail.
 OPTIMIZED_CRITERIA = """
 import random, sys
 from awpa.engine import AwpaAlgebra
+from awpa.errors import InternalInconsistency
 from awpa.frobenius import clifford_algebra
 from awpa.verify import random_element
 if sys.argv[1:] == ["broken"]:
@@ -216,6 +219,8 @@ if sys.argv[1:] == ["broken"]:
         out = real(ctx, a, b)
         return ctx._elem(dict(list(out.terms.items())[:-1]))
     AwpaAlgebra.graded_mul = graded_mul
+if sys.argv[1:] == ["flat"]:
+    AwpaAlgebra.superpermute_elem = lambda ctx, pi, a: a
 ctx = AwpaAlgebra(clifford_algebra(), 2)
 ev, rng, failed = ctx.evaluation_hom, random.Random(2025), set()
 for _ in range(30):
@@ -229,6 +234,15 @@ for _ in range(30):
     w = random_element(ctx, rng, max_exp=0)
     if ev(w) != w:
         failed.add("5: identity on the wreath subalgebra")
+def central(z):
+    try:
+        return bool(ctx.is_central(z))
+    except InternalInconsistency:  # the two routes of is_central disagree
+        return None
+if central(ctx.x(1, 2) + ctx.x(2, 2)) is not True:
+    failed.add("4: x_1^2 + x_2^2 central")
+if central(ctx.x(1, 2)) is not False:
+    failed.add("4: x_1^2 not central")
 print("__debug__", __debug__, "failed", sorted(failed))
 sys.exit(1 if failed or __debug__ else 0)
 """
@@ -243,15 +257,26 @@ def _optimized_criteria(*args):
 
 
 def test_criteria_2_and_5_under_python_O():
-    """Oracle equivalence, associativity and the evaluation map hold with
-    every assert stripped, and the script does catch a wrong product."""
+    """Oracle equivalence, associativity, the evaluation map and the centre
+    verdicts hold with every assert stripped, and the script does catch a
+    wrong product."""
     proc = _optimized_criteria()
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "__debug__ False failed []\n"
     broken = _optimized_criteria("broken")
     assert broken.returncode == 1, broken.stdout + broken.stderr
     assert "5: " in broken.stdout and "2: " not in broken.stdout
-    print("PASS criteria 2 and 5 under python -O on A_2(Cl)")
+    print("PASS criteria 2, 4 and 5 under python -O on A_2(Cl)")
+
+
+def test_criterion_4_under_python_O():
+    """The centre verdicts of the script above catch a superpermutation that
+    moves nothing, and only they do."""
+    flat = _optimized_criteria("flat")
+    assert flat.returncode == 1, flat.stdout + flat.stderr
+    assert "4: " in flat.stdout
+    assert "2: " not in flat.stdout and "5: " not in flat.stdout
+    print("PASS criterion 4 under python -O on A_2(Cl)")
 
 
 def test_criterion_6_intertwiners():

@@ -19,6 +19,7 @@ from awpa.cyclotomic import (
 )
 from awpa.engine import AwpaAlgebra, AwpaElem
 from awpa.errors import (
+    AlgebraMismatch,
     BadParams,
     InternalInconsistency,
     LevelZero,
@@ -26,6 +27,7 @@ from awpa.errors import (
     OddParity,
     ParamsMismatch,
     ParseError,
+    SizeMismatch,
     TooLarge,
     WrongDegree,
 )
@@ -37,7 +39,7 @@ from awpa.frobenius import (
     trivial_algebra,
 )
 from awpa.verify import random_element
-from awpa.wreath import TensorElem, word_parity
+from awpa.wreath import word_parity
 
 from oracles import coords, level_one_matches_wreath, product_right_module_basis, split_algebra
 
@@ -197,12 +199,13 @@ def test_reduce_chi_is_zero():
 
 def x1_pow_d_expansion(Q):
     """x_1^d = sum_i f_(i) x_1^i modulo the ideal: the list f_(0..d-1) as
-    TensorElems, read off R_1 = x_1^d - chi_1 (only for slot-1 parameters)."""
-    out = [TensorElem(Q.F, Q.n, {}) for _ in range(Q.d)]
+    {word: scalar} dicts, read off R_1 = x_1^d - chi_1 (only for slot-1
+    parameters)."""
+    out = [{} for _ in range(Q.d)]
     for (alpha, word, pi), c in Q._rewrite_elem(1).terms.items():
         if pi != Q.ctx.identity_perm or any(alpha[1:]):
             raise InternalInconsistency("x_1^d - chi has a term outside F^(x)n[x_1]")
-        out[alpha[0]] = out[alpha[0]] + TensorElem(Q.F, Q.n, {word: c})
+        out[alpha[0]][word] = c
     return out
 
 
@@ -223,8 +226,7 @@ def test_reduce_x1_pow_d():
     assert red == CycloElem(Q, Q.ctx.scalar_elem(Fraction(5, 3)))
     # x1^d expansion: f_(0) = 5/3, f_(1) = 0
     exp = x1_pow_d_expansion(Q)
-    assert exp[0].terms == {(0,): Q.F.scalar(Fraction(5, 3))}
-    assert exp[1].is_zero()
+    assert exp == [{(0,): Q.F.scalar(Fraction(5, 3))}, {}]
 
 
 def test_reduce_level_one_is_evaluation():
@@ -426,6 +428,19 @@ def test_cyclo_elem_product_is_the_quotient_product():
     assert a * Cl.scalar(2) == a + a
 
 
+def test_cyclo_elem_checks_the_context():
+    # an element of A_3(Cl) used to be wrapped for a two-slot quotient,
+    # printing x1*b(1,1,1)*s[1,2,3]; its product raised a bare IndexError
+    Cl = clifford_algebra()
+    Q = CyclotomicAlgebra(make_params(Cl, {2: [Cl.scalar(3) * Cl.unit_elem()]}), 2)
+    with pytest.raises(SizeMismatch):
+        CycloElem(Q, AwpaAlgebra(Cl, 3).x(1))
+    with pytest.raises(AlgebraMismatch):
+        CycloElem(Q, AwpaAlgebra(trivial_algebra(), 2).x(1))
+    # another context over the same F and n is taken, unreduced input as is
+    assert CycloElem(Q, AwpaAlgebra(Cl, 2).x(1, 3)).terms == Q.ctx.x(1, 3).terms
+
+
 def test_partial_trace_examples():
     Cl = clifford_algebra()
     ind = InductionStructure(make_params(Cl, {2: [Cl.zero_elem()]}), 1)
@@ -554,7 +569,7 @@ def test_general_tensor_params():
     slot-1 parameter 3 in disguise, 3 (1 (x) 1) in F_1^(2) at n = 2."""
     Cl = clifford_algebra()
     n = 2
-    t = TensorElem.unit(Cl, n) * Cl.scalar(3)
+    t = AwpaAlgebra(Cl, n).scalar_elem(3)
     params = make_params(Cl, {2: [t]})
     assert params.general and params.n_fixed == n and params.level == 2
     Q = CyclotomicAlgebra(params, n)
@@ -566,9 +581,10 @@ def test_general_tensor_params():
 
 
 def _pure_tensor(F, labels):
-    """The pure tensor of the named basis elements of F."""
+    """The pure tensor of the named basis elements of F, in A_n(F)."""
     word = tuple(F.basis_labels.index(label) for label in labels)
-    return TensorElem(F, len(word), {word: F.scalar(1)})
+    ctx = AwpaAlgebra(F, len(word))
+    return ctx.monomial(ctx.zero_alpha, word, ctx.identity_perm)
 
 
 def test_general_tensor_param_not_slot_one():
@@ -591,7 +607,7 @@ def test_general_tensor_param_rejections():
     # slots 2 and 3 differ, so swapping them moves the tensor
     with pytest.raises(NotPsiFixed, match="slots 2..n"):
         make_params(F, {1: [_pure_tensor(F, ["e", "g", "g^2"])]})
-    two, three = _pure_tensor(F, ["g", "g^2"]), TensorElem.unit(F, 3)
+    two, three = _pure_tensor(F, ["g", "g^2"]), AwpaAlgebra(F, 3).one()
     with pytest.raises(ParamsMismatch):
         make_params(F, {1: [two, three]})
     # a slot-1 parameter and a tensor mix; the tensor fixes n
@@ -600,9 +616,14 @@ def test_general_tensor_param_rejections():
     with pytest.raises(ParamsMismatch):
         InductionStructure(params, 1)
     Cl = clifford_algebra()
+    cl2 = AwpaAlgebra(Cl, 2)
     with pytest.raises(BadParams, match=r"not in cyclic_group_3\^\(x\)2$"):
-        make_params(F, {1: [TensorElem.unit(Cl, 2)]})
+        make_params(F, {1: [cl2.one()]})
     with pytest.raises(OddParity):
-        make_params(Cl, {2: [TensorElem.slot(Cl, 2, "c", 2)]})
+        make_params(Cl, {2: [cl2.slot_elem("c", 2)]})
     with pytest.raises(NotPsiFixed, match=r"F_psi\^\(1\) \(x\) F_psi\^\(0\)$"):
-        make_params(Cl, {1: [TensorElem.slot(Cl, 2, Cl.unit_elem(), 2)]})
+        make_params(Cl, {1: [cl2.slot_elem(Cl.unit_elem(), 2)]})
+    # an element of A_2(Cl) outside F^(x)2, the alpha = 0, pi = 1 part
+    for c in (cl2.x(1), cl2.s(1)):
+        with pytest.raises(BadParams, match=r"not in clifford\^\(x\)2$"):
+            make_params(Cl, {1: [c]})

@@ -33,7 +33,7 @@ from awpa.frobenius import (
 from awpa.scalars import CycScalar, root_of_unity
 from awpa.sparse import acc
 from awpa.verify import random_element, run_suite
-from awpa.wreath import TensorElem, word_mul, word_parity
+from awpa.wreath import word_mul, word_parity
 
 from oracles import (
     compositions,
@@ -165,10 +165,8 @@ def test_jucys_murphy_examples():
     assert ctx.jucys_murphy(3) == expected
 
     ctx2 = AwpaAlgebra(clifford_algebra(), 2)
-    t = TensorElem.unit(ctx2.F, 2) + TensorElem(
-        ctx2.F, 2, {(1, 1): ctx2.F.scalar(1)}
-    )
-    assert ctx2.jucys_murphy(2) == ctx2.mul(ctx2.from_tensor(t), ctx2.s(1))
+    t = ctx2.one() + ctx2.monomial((0, 0), (1, 1), (1, 2))
+    assert ctx2.jucys_murphy(2) == ctx2.mul(t, ctx2.s(1))
 
 
 def test_evaluation_hom_examples(ctx_cl2):
@@ -214,6 +212,24 @@ def test_engine_maps_check_the_context(name):
     with pytest.raises(AlgebraMismatch):
         apply(ctx, AwpaAlgebra(clifford_algebra(), 2).x(1))
     assert apply(ctx, AwpaAlgebra(T, 2).x(1)) == apply(ctx, ctx.x(1))
+
+
+def test_superpermute_elem_checks_the_permutation(ctx_cl2):
+    # (2, 2) used to overwrite x_1's exponent and return 1; (1, 2, 3) was
+    # cut to two slots and returned x_1
+    with pytest.raises(ValueError, match="not a permutation"):
+        ctx_cl2.superpermute_elem((2, 2), ctx_cl2.x(1))
+    with pytest.raises(SizeMismatch):
+        ctx_cl2.superpermute_elem((1, 2, 3), ctx_cl2.x(1))
+
+
+@pytest.mark.parametrize("gamma", [(1,), (1, 1, 1)])
+def test_psi_twist_checks_the_exponent_count(gamma):
+    # (1,) used to give a one-letter word in a two-slot algebra, and
+    # (1, 1, 1) was cut to two exponents
+    ctx = AwpaAlgebra(taft_algebra(3), 2)
+    with pytest.raises(SizeMismatch):
+        ctx.psi_twist(ctx.slot_elem("y", 1), gamma)
 
 
 def test_center_examples(ctx_cl2):
@@ -555,7 +571,11 @@ def test_shift_parameter_outside_f1_is_refused():
     with pytest.raises(BadAutomorphismParams, match="^shift parameter at k=1 must be even$"):
         ctx.automorphism("shift", c=ctx.F.from_label("c"))
     with pytest.raises(BadAutomorphismParams, match=r"not in clifford\^\(x\)2$"):
-        ctx.automorphism("shift", c=TensorElem.unit(ctx.F, 3))
+        ctx.automorphism("shift", c=AwpaAlgebra(ctx.F, 3).one())
+    # an element of A_2(F) outside F^(x)2, the alpha = 0, pi = 1 part
+    for c in (ctx.x(1), ctx.s(1)):
+        with pytest.raises(BadAutomorphismParams, match=r"not in clifford\^\(x\)2$"):
+            ctx.automorphism("shift", c=c)
 
 
 def test_graded_dimension_dual_numbers():

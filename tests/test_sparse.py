@@ -1,7 +1,8 @@
 """The shared sparse-combination kernel under the element classes.
 
-Properties over AwpaElem, PolyModElem, TensorElem and AlgElem, with
-coefficients in Q (the Clifford algebra) and in Q(zeta_3) (Taft(3)).  The
+Properties over AwpaElem, PolyModElem and AlgElem, with coefficients in Q
+(the Clifford algebra) and in Q(zeta_3) (Taft(3)).  The "tensor" kind is
+F^(x)n: AwpaElems on alpha = 0, pi = 1 keys, multiplied by mul.  The
 "wreath" kind is the wreath product F^(x)n x| S_n: AwpaElems on alpha = 0
 keys, multiplied by graded_mul.
 """
@@ -19,7 +20,6 @@ from awpa.errors import AlgebraMismatch, SizeMismatch
 from awpa.frobenius import AlgElem, clifford_algebra, taft_algebra
 from awpa.scalars import CycScalar
 from awpa.sparse import SparseElem, acc
-from awpa.wreath import TensorElem
 
 N = 2
 FIELDS = {"Q": clifford_algebra(), "Q(zeta3)": taft_algebra(3)}
@@ -43,20 +43,18 @@ def keys(F, kind):
     alpha = st.tuples(*[st.integers(0, 1)] * N)
     pi = st.sampled_from(PERMS)
     if kind == "tensor":
-        return word
-    if kind == "wreath":
+        pi = st.just(perms.identity(N))
+    if kind in ("tensor", "wreath"):
         alpha = st.just((0,) * N)
     return st.tuples(alpha, word, pi)
 
 
 def build(name, kind, terms):
     ctx = CONTEXTS[name]
-    if kind in ("awpa", "wreath"):
+    if kind in ("awpa", "tensor", "wreath"):
         return AwpaElem(ctx, terms)
     if kind == "polymod":
         return PolyModElem(ctx, terms)
-    if kind == "tensor":
-        return TensorElem(ctx.F, N, terms)
     return AlgElem(ctx.F, terms)
 
 
@@ -138,17 +136,12 @@ def test_mismatch_errors(kind):
                 op(a, other_algebra)
         assert (a == other_algebra) is False and a != other_algebra
         return
-    key = (0, 0) if kind == "tensor" else ((0, 0), (0, 0), (1, 2))
+    key = ((0, 0), (0, 0), (1, 2))
     one = CycScalar.one()
-    if kind != "tensor":
-        cls = PolyModElem if kind == "polymod" else AwpaElem
-        a = cls(AwpaAlgebra(F, 2), {key: one})
-        other_algebra = cls(AwpaAlgebra(G, 2), {key: one})
-        other_size = cls(AwpaAlgebra(F, 3), {((0,) * 3, (0,) * 3, (1, 2, 3)): one})
-    else:
-        a = TensorElem(F, 2, {key: one})
-        other_algebra = TensorElem(G, 2, {key: one})
-        other_size = TensorElem(F, 3, {})
+    cls = PolyModElem if kind == "polymod" else AwpaElem
+    a = cls(AwpaAlgebra(F, 2), {key: one})
+    other_algebra = cls(AwpaAlgebra(G, 2), {key: one})
+    other_size = cls(AwpaAlgebra(F, 3), {((0,) * 3, (0,) * 3, (1, 2, 3)): one})
     ops = [lambda x, y: x + y, lambda x, y: x - y]
     if kind != "polymod":  # PolyModElem has no product and compares unequal
         ops += [lambda x, y: product(kind, x, y), lambda x, y: x == y]
@@ -180,7 +173,7 @@ def test_acc_drops_cancelled_keys():
 
 
 def test_element_classes_share_the_kernel():
-    for cls in (AwpaElem, PolyModElem, TensorElem, CycloElem, AlgElem):
+    for cls in (AwpaElem, PolyModElem, CycloElem, AlgElem):
         assert issubclass(cls, SparseElem)
         for op in ("__add__", "__sub__", "__neg__", "__rmul__", "is_zero"):
             assert getattr(cls, op) is getattr(SparseElem, op)

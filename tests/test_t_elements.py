@@ -16,7 +16,6 @@ from awpa.cli import main
 from awpa.engine import AwpaAlgebra, AwpaElem
 from awpa.frobenius import clifford_algebra, symmetric_group_algebra, taft_algebra
 from awpa.verify import run_suite
-from awpa.wreath import TensorElem
 
 from oracles import split_algebra
 
@@ -65,11 +64,11 @@ def test_split_algebra_slot_elements():
     F = split_algebra()
     e1 = F.from_label("e1")
     one = F.scalar(1)
-    assert TensorElem.slot(F, 2, e1, 1) == TensorElem(F, 2, {(0, 0): one, (0, 1): one})
     ctx = AwpaAlgebra(F, 2)
-    f = ctx.slot_elem(e1, 1)
-    assert ctx.mul(f, f) == f
     ident = ctx.identity_perm
+    f = ctx.slot_elem(e1, 1)
+    assert f == AwpaElem(ctx, {((0, 0), (0, 0), ident): one, ((0, 0), (0, 1), ident): one})
+    assert ctx.mul(f, f) == f
     expected = AwpaElem(ctx, {((0, 0), (0, 0), ident): one, ((0, 0), (1, 1), ident): one})
     assert ctx.t_element(1, 2) == expected
 

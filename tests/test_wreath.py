@@ -1,12 +1,13 @@
-"""Superpermutation action, and the wreath product F^(x)n x| S_n as the
-alpha = 0 part of A_n(F) under graded_mul."""
+"""Superpermutation action on F^(x)n, the alpha = 0, pi = 1 part of A_n(F)
+(``superpermute_elem``, products by ``mul``), and the wreath product
+F^(x)n x| S_n as the alpha = 0 part under graded_mul."""
 
 import random
 
 import pytest
 
 from awpa import permutations as perms
-from awpa.engine import AwpaAlgebra
+from awpa.engine import AwpaAlgebra, AwpaElem
 from awpa.errors import AlgebraMismatch, SizeMismatch
 from awpa.frobenius import (
     BUILTINS,
@@ -17,63 +18,63 @@ from awpa.frobenius import (
     trivial_algebra,
 )
 from awpa.verify import random_element
-from awpa.wreath import TensorElem, superpermute
+
+
+def tensor(ctx, word, coeff=1):
+    """coeff * word as an element of F^(x)n inside A_n(F)."""
+    return AwpaElem(ctx, {(ctx.zero_alpha, word, ctx.identity_perm): ctx.F.scalar(coeff)})
 
 
 def test_superpermute_even_slot():
     # s_1 on 1 (x) f -> f (x) 1, no sign for even f
-    F = cyclic_group_algebra(2)
-    t = TensorElem.slot(F, 2, "g", 2)
-    moved = superpermute(perms.simple(2, 1), t)
-    assert moved == TensorElem.slot(F, 2, "g", 1)
+    ctx = AwpaAlgebra(cyclic_group_algebra(2), 2)
+    moved = ctx.superpermute_elem(perms.simple(2, 1), ctx.slot_elem("g", 2))
+    assert moved == ctx.slot_elem("g", 1)
 
 
 def test_superpermute_odd_odd_sign():
     # s_1 on c (x) c -> -(c (x) c)
-    F = clifford_algebra()
-    cc = TensorElem.slot(F, 2, "c", 1) * TensorElem.slot(F, 2, "c", 2)
-    assert superpermute(perms.simple(2, 1), cc) == -cc
+    ctx = AwpaAlgebra(clifford_algebra(), 2)
+    cc = ctx.mul(ctx.slot_elem("c", 1), ctx.slot_elem("c", 2))
+    assert ctx.superpermute_elem(perms.simple(2, 1), cc) == -cc
 
 
 def test_superpermute_three_slots():
     # (s1 s2) . (f (x) g (x) h) = h (x) f (x) g for even slots; the action of
     # the composite agrees with composing the two simple swaps (the oracle)
-    F = cyclic_group_algebra(3)
-    f = TensorElem(F, 3, {(1, 2, 0): F.scalar(1)})
+    ctx = AwpaAlgebra(cyclic_group_algebra(3), 3)
+    act, f = ctx.superpermute_elem, tensor(ctx, (1, 2, 0))
     pi = perms.mul(perms.simple(3, 1), perms.simple(3, 2))
-    direct = superpermute(pi, f)
-    stepwise = superpermute(perms.simple(3, 1), superpermute(perms.simple(3, 2), f))
+    direct = act(pi, f)
+    stepwise = act(perms.simple(3, 1), act(perms.simple(3, 2), f))
     assert direct == stepwise
-    assert direct == TensorElem(F, 3, {(0, 1, 2): F.scalar(1)})
+    assert direct == tensor(ctx, (0, 1, 2))
 
 
 def test_superpermute_group_action():
     F = clifford_algebra()
     rng = random.Random(1)
     for n in (2, 3):
+        ctx = AwpaAlgebra(F, n)
+        act = ctx.superpermute_elem
         for _ in range(15):
             p1 = rng.choice(perms.all_permutations(n))
             p2 = rng.choice(perms.all_permutations(n))
-            w = tuple(rng.randrange(2) for _ in range(n))
-            t = TensorElem(F, n, {w: F.scalar(1)})
-            assert superpermute(p1, superpermute(p2, t)) == superpermute(
-                perms.mul(p1, p2), t
-            )
+            t = tensor(ctx, tuple(rng.randrange(2) for _ in range(n)))
+            assert act(p1, act(p2, t)) == act(perms.mul(p1, p2), t)
 
 
 def test_superpermute_is_algebra_map():
-    F = clifford_algebra()
+    ctx = AwpaAlgebra(clifford_algebra(), 3)
+    act = ctx.superpermute_elem
     rng = random.Random(2)
-    n = 3
     for _ in range(15):
-        pi = rng.choice(perms.all_permutations(n))
-        a = TensorElem(
-            F, n, {tuple(rng.randrange(2) for _ in range(n)): F.scalar(rng.randint(-2, 2))}
+        pi = rng.choice(perms.all_permutations(3))
+        a, b = (
+            tensor(ctx, tuple(rng.randrange(2) for _ in range(3)), rng.randint(-2, 2))
+            for _ in range(2)
         )
-        b = TensorElem(
-            F, n, {tuple(rng.randrange(2) for _ in range(n)): F.scalar(rng.randint(-2, 2))}
-        )
-        assert superpermute(pi, a * b) == superpermute(pi, a) * superpermute(pi, b)
+        assert act(pi, ctx.mul(a, b)) == ctx.mul(act(pi, a), act(pi, b))
 
 
 def test_wreath_smash_relation():
@@ -119,30 +120,26 @@ def test_wreath_subalgebra_is_closed_under_mul(name, n):
 
 
 def test_size_mismatch():
-    F = trivial_algebra()
+    ctx = AwpaAlgebra(trivial_algebra(), 2)
     with pytest.raises(SizeMismatch):
-        superpermute((1, 2, 3), TensorElem.unit(F, 2))
+        ctx.superpermute_elem((1, 2, 3), ctx.one())
 
 
 @pytest.mark.parametrize("i", [0, 5])
 def test_slot_index_outside_one_to_n(i):
     # slot 0 used to wrap round to slot n, slot 5 to fail inside list assignment
     F = clifford_algebra()
-    with pytest.raises(IndexError, match=f"slot {i} does not exist for n=2"):
-        TensorElem.slot(F, 2, "c", i)
-    with pytest.raises(IndexError, match=f"slot {i} does not exist for n=2"):
-        AwpaAlgebra(F, 2).slot_elem(F.from_label("c"), i)
+    for f in ("c", F.from_label("c")):
+        with pytest.raises(IndexError, match=f"slot {i} does not exist for n=2"):
+            AwpaAlgebra(F, 2).slot_elem(f, i)
 
 
 def test_slot_of_another_algebra_is_rejected():
     # the element used to be read as a word over F's basis: Taft(3)'s
     # y^2*g became the word (7, 0) over Cl's two basis elements
     F = clifford_algebra()
-    f = taft_algebra(3).from_label("y^2*g")
+    ctx = AwpaAlgebra(F, 2)
     with pytest.raises(AlgebraMismatch):
-        TensorElem.slot(F, 2, f, 1)
-    with pytest.raises(AlgebraMismatch):
-        AwpaAlgebra(F, 2).slot_elem(f, 1)
+        ctx.slot_elem(taft_algebra(3).from_label("y^2*g"), 1)
     # an element of F itself is still taken, and so is its label
-    c = F.from_label("c")
-    assert TensorElem.slot(F, 2, c, 1) == TensorElem.slot(F, 2, "c", 1)
+    assert ctx.slot_elem(F.from_label("c"), 1) == ctx.slot_elem("c", 1)
