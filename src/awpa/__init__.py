@@ -27,7 +27,7 @@ from .cyclotomic import (
     make_params,
     nakayama_check,
 )
-from .engine import AwpaAlgebra, AwpaElem, PolyModElem
+from .engine import AwpaAlgebra, AwpaElem
 from .frobenius import (
     AlgElem,
     FrobAlg,
@@ -57,7 +57,6 @@ __all__ = [
     "CyclotomicAlgebra",
     "FrobAlg",
     "InductionStructure",
-    "PolyModElem",
     "builtin",
     "check_frobenius_morphism",
     "clifford_algebra",

@@ -30,6 +30,7 @@ from . import linalg
 from . import permutations as perms
 from .engine import AwpaAlgebra, AwpaElem
 from .errors import (
+    BadParams,
     InternalInconsistency,
     LevelZero,
     ParamsMismatch,
@@ -66,12 +67,25 @@ def _check_matrix_size(what: str, dim: int):
         )
 
 
+def _param_elem(F: FrobAlg, k: int, c):
+    """The parameter value c at k as an element: a label reads as a basis
+    element of F and a list or tuple as dense coordinates."""
+    if isinstance(c, (AlgElem, AwpaElem)):
+        return c
+    if isinstance(c, str):
+        return F.from_label(c)
+    if isinstance(c, (list, tuple)):
+        return F.elem(c)
+    raise BadParams(f"parameter at k={k} is not an element, a label or coordinates: {c!r}")
+
+
 class CycloParams:
     """Validated cyclotomic parameters.
 
     ``entries`` maps k (1 <= k <= theta) to the list of parameters c^(k,j),
-    each an AlgElem of F or its dense coordinates, or an element of F^(x)n:
-    an AwpaElem of A_n(F) on alpha = 0, pi = 1 keys.  An AlgElem is a slot-1
+    each an AlgElem of F (also given as a basis label or as a list or tuple
+    of dense coordinates), or an element of F^(x)n: an AwpaElem of A_n(F)
+    on alpha = 0, pi = 1 keys.  An AlgElem is a slot-1
     parameter, which must lie in F_psi^(k), the standing restriction: the
     quotient is then defined uniformly in n and carries the
     induction/restriction structure; it is checked as the one-slot tensor,
@@ -88,7 +102,7 @@ class CycloParams:
         for k, values in entries.items():
             if not 1 <= k <= F.theta:
                 raise WrongDegree(f"parameter index k={k} outside 1..theta={F.theta}")
-            out = [c if isinstance(c, (AlgElem, AwpaElem)) else F.elem(c) for c in values]
+            out = [_param_elem(F, k, c) for c in values]
             for c in out:
                 general = isinstance(c, AwpaElem)
                 ctx = AwpaAlgebra(F, c.ctx.n if general else 1)
@@ -230,8 +244,7 @@ class CyclotomicAlgebra:
     def reduce(self, a: AwpaElem) -> CycloElem:
         """Image of a modulo the ideal, in reduced normal form (all
         exponents < d).  Substitutions strictly drop polynomial degree."""
-        if a.ctx.F is not self.F or a.ctx.n != self.n:
-            raise ParamsMismatch("element from a different algebra context")
+        self.ctx._check(a)
         d = self.d
         work = dict(a.terms)
         out: dict = {}

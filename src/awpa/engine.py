@@ -14,7 +14,8 @@ Corrections strictly drop polynomial degree, so the rewriting terminates.
 The module also hosts everything built on that arithmetic: t-elements,
 Jucys-Murphy elements and the evaluation map onto the wreath product
 F^(x)n x| S_n (the alpha = 0 monomials, multiplied by graded_mul),
-the polynomial-module action used as an independent multiplication oracle,
+the action on the module V = P_n(F) (x) kS_n, which is A_n(F) itself on the
+same keys, used as a multiplication oracle independent of mul,
 center and centralizer computations, intertwiners, automorphisms and graded
 dimensions.
 """
@@ -96,27 +97,6 @@ class AwpaElem(SparseElem):
         return element_str(self)
 
     __repr__ = __str__
-
-
-class PolyModElem(SparseElem):
-    """Element of the module V = P_n(F) (x) kS_n; same key shape as AwpaElem
-    but with the module semantics (the permutation is a tensor factor).
-    Sums check F and n as AwpaElem's do; elements of different contexts
-    compare unequal."""
-
-    __slots__ = ("ctx",)
-    _context = ("ctx",)
-
-    def __init__(self, ctx: AwpaAlgebra, terms=None):
-        self.ctx = ctx
-        super().__init__(terms)
-
-    _check = AwpaElem._check
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PolyModElem) and other.ctx is not self.ctx:
-            return False
-        return super().__eq__(other)
 
 
 class IsCentralResult:
@@ -248,10 +228,6 @@ class AwpaAlgebra:
     def monomial(self, alpha, word, pi) -> AwpaElem:
         key = (self._exponents(alpha), self._word(word), self._perm(pi))
         return AwpaElem(self, {key: CycScalar.one(self.F.conductor)})
-
-    def module_one(self) -> PolyModElem:
-        terms = self._keyed(self.zero_alpha, self._unit_words, self.identity_perm)
-        return PolyModElem(self, terms)
 
     def basis_words(self):
         return [tuple(w) for w in product(range(self.F.dim), repeat=self.n)]
@@ -490,13 +466,14 @@ class AwpaAlgebra:
                 acc(out, (da, dw, sigma), -(c * dc))
         return out
 
-    def oracle_act(self, a: AwpaElem, v: PolyModElem) -> PolyModElem:
-        """Action of a on V = P_n(F) (x) kS_n:
+    def oracle_act(self, a: AwpaElem, v: AwpaElem) -> AwpaElem:
+        """Action of a on V = P_n(F) (x) kS_n, without mul:
         z . (p (x) w) = zp (x) w for z in P_n(F) and
-        s_i . (p (x) w) = (s_i . p) (x) s_i w - Delta_i(p) (x) w."""
+        s_i . (p (x) w) = (s_i . p) (x) s_i w - Delta_i(p) (x) w.
+        V is A_n(F) as a left module: v's key (alpha, word, w) is the basis
+        vector x^alpha word (x) w, and so is each key of the result."""
         self._check(a)
-        if v.ctx is not self:
-            raise SizeMismatch("module element from another context")
+        self._check(v)
         out: dict = {}
         for (alpha, word, pi), c in a.terms.items():
             cur = dict(v.terms)
@@ -508,12 +485,12 @@ class AwpaAlgebra:
                     acc(new, (a3, w3, sigma), c2 * c3)
             for k, c2 in new.items():
                 acc(out, k, c * c2)
-        return PolyModElem(self, out)
+        return self._elem(out)
 
-    def element_to_module(self, a: AwpaElem) -> PolyModElem:
-        """a . (1 (x) 1); on normal-form monomials this is the key-preserving
-        bijection of the basis theorem."""
-        return self.oracle_act(a, self.module_one())
+    def element_to_module(self, a: AwpaElem) -> AwpaElem:
+        """a . (1 (x) 1).  By the basis theorem this is a itself: it fixes
+        every normal-form monomial x^alpha b pi."""
+        return self.oracle_act(a, self.one())
 
     # -- Jucys-Murphy / evaluation ---------------------------------------------------
 
@@ -865,8 +842,8 @@ class AwpaMorphism:
     """A structural (anti)homomorphism A_n(F) -> A_n(F') given by the images
     of the generators: images = (x, slot, s), where x(i) is the image of x_i,
     slot(b, i) that of the basis element b of F in slot i and s(j) that of
-    s_j, each an element of the target.  Callable on elements of the source
-    context, producing elements of the target."""
+    s_j, each an element of the target.  Callable on elements over the
+    source's F and n, producing elements of the target."""
 
     def __init__(self, source: AwpaAlgebra, target: AwpaAlgebra, images, anti: bool):
         self.source = source
@@ -876,8 +853,7 @@ class AwpaMorphism:
         self._image_cache: dict = {}
 
     def __call__(self, a: AwpaElem) -> AwpaElem:
-        if a.ctx is not self.source:
-            raise AlgebraMismatch("element is not from the morphism's source")
+        self.source._check(a)
         out = self.target.zero()
         for key, coeff in a.terms.items():
             out = out + coeff * self._image(key)

@@ -285,6 +285,8 @@ class FrobAlg:
         return AlgElem(self, {i: self.scalar(c) for i, c in enumerate(coords)})
 
     def from_label(self, label: str) -> AlgElem:
+        if label not in self.basis_labels:
+            raise ParseError(f"unknown basis label {label!r}")
         return self.basis_elem(self.basis_labels.index(label))
 
     def scalar(self, value) -> CycScalar:

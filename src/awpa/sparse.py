@@ -8,8 +8,8 @@ product and printing):
 
 * ``engine.AwpaElem``: A_n(F) in normal form, keys (alpha, word, perm); the
   keys with alpha = 0 span the wreath product F^(x)n x| S_n, and those with
-  alpha = 0 and perm = 1 the tensor power F^(x)n;
-* ``engine.PolyModElem``: the module P_n(F) (x) kS_n, same keys;
+  alpha = 0 and perm = 1 the tensor power F^(x)n, and A_n(F) is also the
+  module P_n(F) (x) kS_n that ``oracle_act`` acts on;
 * ``cyclotomic.CycloElem``: the cyclotomic quotient, AwpaElem's keys;
 * ``frobenius.AlgElem``: F itself, keys are basis indices; ``FrobAlg``
   hands out its structure constants and psi-powers as such zero-free rows.

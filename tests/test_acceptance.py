@@ -206,7 +206,9 @@ def test_criterion_5_jucys_murphy():
 # itself and exits 1 on any mismatch.  With the argument "broken", graded_mul
 # drops the last term of its product, so a criterion 5 comparison must fail;
 # with "flat", superpermute_elem returns its input unchanged, so a criterion 4
-# verdict must fail.
+# verdict must fail; with "wrongmul", mul drops the last term of its product,
+# so the oracle equivalence of criterion 2, which never calls mul on the
+# module side, must fail.
 OPTIMIZED_CRITERIA = """
 import random, sys
 from awpa.engine import AwpaAlgebra
@@ -221,6 +223,12 @@ if sys.argv[1:] == ["broken"]:
     AwpaAlgebra.graded_mul = graded_mul
 if sys.argv[1:] == ["flat"]:
     AwpaAlgebra.superpermute_elem = lambda ctx, pi, a: a
+if sys.argv[1:] == ["wrongmul"]:
+    real_mul = AwpaAlgebra.mul
+    def mul(ctx, a, b):
+        out = real_mul(ctx, a, b)
+        return ctx._elem(dict(list(out.terms.items())[:-1]))
+    AwpaAlgebra.mul = mul
 ctx = AwpaAlgebra(clifford_algebra(), 2)
 ev, rng, failed = ctx.evaluation_hom, random.Random(2025), set()
 for _ in range(30):
@@ -277,6 +285,15 @@ def test_criterion_4_under_python_O():
     assert "4: " in flat.stdout
     assert "2: " not in flat.stdout and "5: " not in flat.stdout
     print("PASS criterion 4 under python -O on A_2(Cl)")
+
+
+def test_criterion_2_under_python_O_catches_a_wrong_product():
+    """The oracle equivalence of the script above, whose module side is
+    A_n(F) acted on by oracle_act, catches a product that drops a term."""
+    wrong = _optimized_criteria("wrongmul")
+    assert wrong.returncode == 1, wrong.stdout + wrong.stderr
+    assert "2: oracle equivalence" in wrong.stdout
+    print("PASS criterion 2 catches a wrong product under python -O on A_2(Cl)")
 
 
 def test_criterion_6_intertwiners():

@@ -124,6 +124,19 @@ def test_cyclo_params_constructor_validates():
     assert p.entries == {2: [Cl.scalar(2) * Cl.unit_elem()]} and p.level == 2
 
 
+def test_cyclo_params_take_labels():
+    """A string parameter is a basis label, as in slot_elem; a value that is
+    neither an element, a label nor coordinates is refused naming k."""
+    Cl = clifford_algebra()
+    assert CycloParams(Cl, {2: ["1"]}).entries == CycloParams(Cl, {2: [Cl.unit_elem()]}).entries
+    with pytest.raises(OddParity, match="k=2"):
+        CycloParams(Cl, {2: ["c"]})
+    with pytest.raises(ParseError, match="unknown basis label 'zz'"):
+        CycloParams(Cl, {2: ["zz"]})
+    with pytest.raises(BadParams, match="k=2"):
+        CycloParams(Cl, {2: [None]})
+
+
 def test_taft_level_one_with_y():
     # y in F_psi^(1)? condition: g y = y psi(g) i.e. omega^{-1} y g ... holds
     # exactly when k = 1 satisfies omega^k = omega^{-1+...}; check via solver
@@ -433,12 +446,14 @@ def test_cyclo_elem_checks_the_context():
     # printing x1*b(1,1,1)*s[1,2,3]; its product raised a bare IndexError
     Cl = clifford_algebra()
     Q = CyclotomicAlgebra(make_params(Cl, {2: [Cl.scalar(3) * Cl.unit_elem()]}), 2)
-    with pytest.raises(SizeMismatch):
-        CycloElem(Q, AwpaAlgebra(Cl, 3).x(1))
-    with pytest.raises(AlgebraMismatch):
-        CycloElem(Q, AwpaAlgebra(trivial_algebra(), 2).x(1))
+    for wrap in (lambda a: CycloElem(Q, a), Q.reduce):
+        with pytest.raises(SizeMismatch):
+            wrap(AwpaAlgebra(Cl, 3).x(1))
+        with pytest.raises(AlgebraMismatch):
+            wrap(AwpaAlgebra(trivial_algebra(), 2).x(1))
     # another context over the same F and n is taken, unreduced input as is
     assert CycloElem(Q, AwpaAlgebra(Cl, 2).x(1, 3)).terms == Q.ctx.x(1, 3).terms
+    assert Q.reduce(AwpaAlgebra(Cl, 2).x(1, 3)) == Q.reduce(Q.ctx.x(1, 3))
 
 
 def test_partial_trace_examples():

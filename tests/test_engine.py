@@ -156,6 +156,20 @@ def test_oracle_module_axiom(ctx_cl2):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize(
+    "make,n",
+    [(clifford_algebra, 2), (lambda: taft_algebra(3), 2), (trivial_algebra, 3)],
+    ids=["Cl-2", "Taft3-2", "k-3"],
+)
+def test_oracle_fixes_normal_form_monomials(make, n):
+    """The basis theorem: a -> a . (1 (x) 1) fixes every normal-form
+    monomial x^alpha b pi of polynomial degree <= 1."""
+    ctx = AwpaAlgebra(make(), n)
+    for key in ctx.candidate_monomials(1):
+        m = ctx.monomial(*key)
+        assert ctx.element_to_module(m) == m, key
+
+
 def test_jucys_murphy_examples():
     ctx = AwpaAlgebra(trivial_algebra(), 3)
     assert ctx.jucys_murphy(1).is_zero()
@@ -198,6 +212,8 @@ ONE_ELEMENT_MAPS = {
     "mul": lambda ctx, a: ctx.mul(a, a),
     "graded_mul": lambda ctx, a: ctx.graded_mul(a, a),
     "element_to_module": lambda ctx, a: ctx.element_to_module(a),
+    "oracle_act": lambda ctx, a: ctx.oracle_act(ctx.x(1), a),
+    "reverse": lambda ctx, a: ctx.automorphism("reverse")(a),
 }
 
 

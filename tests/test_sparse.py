@@ -1,10 +1,12 @@
 """The shared sparse-combination kernel under the element classes.
 
-Properties over AwpaElem, PolyModElem and AlgElem, with coefficients in Q
-(the Clifford algebra) and in Q(zeta_3) (Taft(3)).  The "tensor" kind is
-F^(x)n: AwpaElems on alpha = 0, pi = 1 keys, multiplied by mul.  The
-"wreath" kind is the wreath product F^(x)n x| S_n: AwpaElems on alpha = 0
-keys, multiplied by graded_mul.
+Properties over AwpaElem and AlgElem, with coefficients in Q (the Clifford
+algebra) and in Q(zeta_3) (Taft(3)).  The "tensor" kind is F^(x)n:
+AwpaElems on alpha = 0, pi = 1 keys, multiplied by mul.  The "wreath" kind
+is the wreath product F^(x)n x| S_n: AwpaElems on alpha = 0 keys,
+multiplied by graded_mul.  The "polymod" kind is the module
+V = P_n(F) (x) kS_n, which is A_n(F) on the same keys, multiplied by the
+module action oracle_act.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from awpa import permutations as perms
 from awpa.cyclotomic import CycloElem
-from awpa.engine import AwpaAlgebra, AwpaElem, PolyModElem
+from awpa.engine import AwpaAlgebra, AwpaElem
 from awpa.errors import AlgebraMismatch, SizeMismatch
 from awpa.frobenius import AlgElem, clifford_algebra, taft_algebra
 from awpa.scalars import CycScalar
@@ -51,11 +53,9 @@ def keys(F, kind):
 
 def build(name, kind, terms):
     ctx = CONTEXTS[name]
-    if kind in ("awpa", "tensor", "wreath"):
-        return AwpaElem(ctx, terms)
-    if kind == "polymod":
-        return PolyModElem(ctx, terms)
-    return AlgElem(ctx.F, terms)
+    if kind == "alg":
+        return AlgElem(ctx.F, terms)
+    return AwpaElem(ctx, terms)
 
 
 def elements(name, kind, max_size=3):
@@ -66,8 +66,8 @@ def elements(name, kind, max_size=3):
 
 def product(kind, a, b):
     if kind == "polymod":
-        # the module action of an algebra element on a module element
-        return a.ctx.oracle_act(AwpaElem(a.ctx, b.terms), a)
+        # the module action of the algebra element b on the module element a
+        return a.ctx.oracle_act(b, a)
     if kind == "wreath":
         return a.ctx.graded_mul(a, b)
     return a * b
@@ -138,13 +138,15 @@ def test_mismatch_errors(kind):
         return
     key = ((0, 0), (0, 0), (1, 2))
     one = CycScalar.one()
-    cls = PolyModElem if kind == "polymod" else AwpaElem
-    a = cls(AwpaAlgebra(F, 2), {key: one})
-    other_algebra = cls(AwpaAlgebra(G, 2), {key: one})
-    other_size = cls(AwpaAlgebra(F, 3), {((0,) * 3, (0,) * 3, (1, 2, 3)): one})
-    ops = [lambda x, y: x + y, lambda x, y: x - y]
-    if kind != "polymod":  # PolyModElem has no product and compares unequal
-        ops += [lambda x, y: product(kind, x, y), lambda x, y: x == y]
+    a = AwpaElem(AwpaAlgebra(F, 2), {key: one})
+    other_algebra = AwpaElem(AwpaAlgebra(G, 2), {key: one})
+    other_size = AwpaElem(AwpaAlgebra(F, 3), {((0,) * 3, (0,) * 3, (1, 2, 3)): one})
+    ops = [
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: product(kind, x, y),
+        lambda x, y: x == y,
+    ]
     for op in ops:
         with pytest.raises(AlgebraMismatch):
             op(a, other_algebra)
@@ -152,11 +154,13 @@ def test_mismatch_errors(kind):
             op(a, other_size)
 
 
-def test_polymod_equality_across_contexts_is_false():
+def test_polymod_equality_across_contexts():
+    """Module elements are AwpaElems, so two contexts over the same F and n
+    compare them by their terms, as they do algebra elements."""
     F = FIELDS["Q"]
     ctx1, ctx2 = AwpaAlgebra(F, 2), AwpaAlgebra(F, 2)
-    assert ctx1.module_one() == ctx1.module_one()
-    assert ctx1.module_one() != ctx2.module_one()
+    v1, v2 = ctx1.element_to_module(ctx1.x(1)), ctx2.element_to_module(ctx2.x(1))
+    assert v1 == v2 and v1 != ctx2.element_to_module(ctx2.x(2))
 
 
 def test_acc_drops_cancelled_keys():
@@ -173,9 +177,8 @@ def test_acc_drops_cancelled_keys():
 
 
 def test_element_classes_share_the_kernel():
-    for cls in (AwpaElem, PolyModElem, CycloElem, AlgElem):
+    for cls in (AwpaElem, CycloElem, AlgElem):
         assert issubclass(cls, SparseElem)
         for op in ("__add__", "__sub__", "__neg__", "__rmul__", "is_zero"):
             assert getattr(cls, op) is getattr(SparseElem, op)
-    # PolyModElem only adds the cross-context case to equality
     assert AwpaElem.__eq__ is SparseElem.__eq__

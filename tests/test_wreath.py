@@ -8,7 +8,7 @@ import pytest
 
 from awpa import permutations as perms
 from awpa.engine import AwpaAlgebra, AwpaElem
-from awpa.errors import AlgebraMismatch, SizeMismatch
+from awpa.errors import AlgebraMismatch, ParseError, SizeMismatch
 from awpa.frobenius import (
     BUILTINS,
     builtin,
@@ -143,3 +143,6 @@ def test_slot_of_another_algebra_is_rejected():
         ctx.slot_elem(taft_algebra(3).from_label("y^2*g"), 1)
     # an element of F itself is still taken, and so is its label
     assert ctx.slot_elem(F.from_label("c"), 1) == ctx.slot_elem("c", 1)
+    # an unknown label, read by F.from_label, used to raise a bare ValueError
+    with pytest.raises(ParseError, match="unknown basis label 'zz'"):
+        ctx.slot_elem("zz", 1)
