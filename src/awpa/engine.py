@@ -134,9 +134,12 @@ class AwpaAlgebra:
         self._twist_cache: dict = {}
         self._jm_cache: dict = {}
         self._mono_cache: dict = {}
+        self._perm_cache: dict = {}
 
     def _check(self, a):
         """Raise unless a is an element over this context's F and n."""
+        if not isinstance(a, AwpaElem):
+            raise AlgebraMismatch(f"{type(a).__name__} is not an element of A_n(F)")
         if a.ctx.F is not self.F:
             raise AlgebraMismatch("elements over different Frobenius algebras")
         if a.ctx.n != self.n:
@@ -387,6 +390,12 @@ class AwpaAlgebra:
         """pi * (x^alpha word) in normal form: {(alpha, word, perm): scalar}."""
         if pi == self.identity_perm:
             return {(alpha, word, pi): CycScalar.one(self.F.conductor)}
+        return self._perm_walk(pi, alpha, word)
+
+    @memoized("_perm_cache")
+    def _perm_walk(self, pi, alpha, word) -> dict:
+        """pi * (x^alpha word) for pi != 1: the reduced word of pi peeled off
+        one s_i at a time, right to left."""
         state = {(alpha, word, self.identity_perm): CycScalar.one(self.F.conductor)}
         for i in reversed(perms.reduced_word(pi)):
             new: dict = {}
@@ -554,11 +563,22 @@ class AwpaAlgebra:
         right = self.mul(g, z)
         return self.mul(z, g) - (-right if zp and gp else right)
 
+    def _is_scalar(self, g: AwpaElem) -> bool:
+        """Whether g, checked first, is a scalar multiple of 1 (zero
+        included): [z, g] = 0 for every z, so no bracket with g is needed."""
+        self._check(g)
+        one = self.one()
+        k0, c0 = next(iter(one.terms.items()))
+        lam = g.terms.get(k0)
+        # g = (lam / c0) 1, compared without a division
+        return not g.terms if lam is None else g * c0 == one * lam
+
     def _supercommutes_with_generators(self, z: AwpaElem):
         """The name of the first of x_1, the basis slots and the s_j (which
-        generate A_n(F)) that z does not supercommute with, or None."""
+        generate A_n(F)) that z does not supercommute with, or None.  The
+        scalar ones (the unit slots 1_i) are skipped."""
         gens = self.named_generators()
-        gens = gens[:1] + gens[self.n :]
+        gens = [(name, g) for name, g in gens[:1] + gens[self.n :] if not self._is_scalar(g)]
         for zp, zelem in z.parity_components().items():
             for name, g in gens:
                 if not self._bracket(zelem, zp, g, g.parity()).is_zero():
@@ -599,6 +619,7 @@ class AwpaAlgebra:
     def is_central(self, z: AwpaElem) -> IsCentralResult:
         """Whether z lies in the (super)center, with both the generator
         commutation route and the structural-form cross-check."""
+        self._check(z)
         failed = self._supercommutes_with_generators(z)
         reason = self._structural_center_check(z)
         if (failed is None) != (reason is None):
@@ -626,13 +647,17 @@ class AwpaAlgebra:
         Staged per parity: starting from all candidate monomials, each parity
         component g of a generator, in the order given, cuts the basis down to
         the nullspace of z -> [z, g] on it, and [z_j, g] is formed only for
-        monomials z_j still in its support.  The result is canonical, so
-        independent of the order and scaling of the generators: the reduced
-        basis with each vector's last monomial leading (rref on columns keyed
-        by minus the candidate index), by ascending leading monomial, which is
-        what one nullspace solve of the whole system gives."""
+        monomials z_j still in its support.  Every generator is checked
+        against this context first, and the scalar multiples of 1 among them
+        (zero included) are then skipped, since they supercommute with
+        everything.  The result is canonical, so independent of the order and
+        scaling of the generators: the reduced basis with each vector's last
+        monomial leading (rref on columns keyed by minus the candidate index),
+        by ascending leading monomial, which is what one nullspace solve of
+        the whole system gives."""
         one = CycScalar.one(self.F.conductor)
-        gens = [pair for g in generators for pair in g.parity_components().items()]
+        gens = [g for g in generators if not self._is_scalar(g)]
+        gens = [pair for g in gens for pair in g.parity_components().items()]
         out = []
         for par in (0, 1):
             monos = [

@@ -2,7 +2,8 @@
 
 None of this runs in the CLI, the benchmark or the package: the inverse of
 a permutation, Young subgroups and minimal double cosets with the affine
-Mackey dimension report, the expected centralizer of P_n(F), a span
+Mackey dimension report, the product pi * (x^alpha word) without the
+engine's memo, the expected centralizer of P_n(F), a span
 comparison, the dense coordinates of an element of F, the level-one
 quotient against the wreath product, the induction basis built by
 products, and the algebra k x k, whose unit is not a basis element.
@@ -22,6 +23,7 @@ from awpa.engine import AwpaElem
 from awpa.errors import AwpaError, InternalInconsistency, ParamsMismatch
 from awpa.frobenius import FrobAlg
 from awpa.scalars import CycScalar
+from awpa.sparse import acc
 
 
 class BadComposition(AwpaError):
@@ -227,6 +229,24 @@ def phi_is_algebra_map(ctx, pi, left_comp) -> bool:
             if ctx.mul(ctx.s(ii), ctx.mul(fb, ctx.s(ii))) != image:
                 return False
     return True
+
+
+# -- normal-form products ------------------------------------------------------
+
+
+def perm_times_pnf(ctx, pi, alpha, word) -> dict:
+    """pi * (x^alpha word) in normal form, {(alpha, word, perm): scalar}, by
+    the reduced-word walk with nothing kept: s_i is peeled off the reduced
+    word of pi right to left through ``_s_times_mono``."""
+    one = CycScalar.one(ctx.F.conductor)
+    state = {(alpha, word, ctx.identity_perm): one}
+    for i in reversed(perms.reduced_word(pi)):
+        new: dict = {}
+        for (a, w, tail), c in state.items():
+            for (a2, w2, t2), c2 in ctx._s_times_mono(i, a, w).items():
+                acc(new, (a2, w2, perms.mul(t2, tail)), c * c2)
+        state = new
+    return state
 
 
 # -- centralizers and spans -----------------------------------------------------

@@ -208,7 +208,7 @@ def test_criterion_5_jucys_murphy():
 # with "flat", superpermute_elem returns its input unchanged, so a criterion 4
 # verdict must fail; with "wrongmul", mul drops the last term of its product,
 # so the oracle equivalence of criterion 2, which never calls mul on the
-# module side, must fail.
+# module side, must fail, and so must the dimension of the centre solve.
 OPTIMIZED_CRITERIA = """
 import random, sys
 from awpa.engine import AwpaAlgebra
@@ -251,6 +251,8 @@ if central(ctx.x(1, 2) + ctx.x(2, 2)) is not True:
     failed.add("4: x_1^2 + x_2^2 central")
 if central(ctx.x(1, 2)) is not False:
     failed.add("4: x_1^2 not central")
+if len(ctx.center_up_to_degree(3)) != 2:  # 1 and x_1^2 + x_2^2
+    failed.add("4: centre dimension")
 print("__debug__", __debug__, "failed", sorted(failed))
 sys.exit(1 if failed or __debug__ else 0)
 """
@@ -279,11 +281,15 @@ def test_criteria_2_and_5_under_python_O():
 
 def test_criterion_4_under_python_O():
     """The centre verdicts of the script above catch a superpermutation that
-    moves nothing, and only they do."""
+    moves nothing, and only they do; the dimension of the centre to degree
+    3 catches a product that drops a term."""
     flat = _optimized_criteria("flat")
     assert flat.returncode == 1, flat.stdout + flat.stderr
     assert "4: " in flat.stdout
     assert "2: " not in flat.stdout and "5: " not in flat.stdout
+    wrong = _optimized_criteria("wrongmul")
+    assert wrong.returncode == 1, wrong.stdout + wrong.stderr
+    assert "4: centre dimension" in wrong.stdout
     print("PASS criterion 4 under python -O on A_2(Cl)")
 
 

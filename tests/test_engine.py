@@ -39,6 +39,7 @@ from oracles import (
     compositions,
     expected_pnf_centralizer,
     mackey_dimension_report,
+    perm_times_pnf,
     pnf_generators,
     same_span,
 )
@@ -214,19 +215,25 @@ ONE_ELEMENT_MAPS = {
     "element_to_module": lambda ctx, a: ctx.element_to_module(a),
     "oracle_act": lambda ctx, a: ctx.oracle_act(ctx.x(1), a),
     "reverse": lambda ctx, a: ctx.automorphism("reverse")(a),
+    "add": lambda ctx, a: ctx.x(1) + a,
+    # at bound -1 no product is formed, so only the check can refuse a
+    "centralizer_up_to_degree": lambda ctx, a: ctx.centralizer_up_to_degree([a], -1),
+    "is_central": lambda ctx, a: repr(ctx.is_central(a)),
 }
 
 
 @pytest.mark.parametrize("name", list(ONE_ELEMENT_MAPS))
 def test_engine_maps_check_the_context(name):
-    """An element of A_3(F) or of A_2(Cl) given to A_2(F) is refused, as in
-    a sum; one of another context over the same F and n is taken."""
+    """An element of A_3(F) or of A_2(Cl), an element of F itself or None
+    given to A_2(F) is refused, as in a sum; one of another context over
+    the same F and n is taken."""
     T = taft_algebra(3)
     ctx, apply = AwpaAlgebra(T, 2), ONE_ELEMENT_MAPS[name]
     with pytest.raises(SizeMismatch):
         apply(ctx, AwpaAlgebra(T, 3).x(1))
-    with pytest.raises(AlgebraMismatch):
-        apply(ctx, AwpaAlgebra(clifford_algebra(), 2).x(1))
+    for foreign in (AwpaAlgebra(clifford_algebra(), 2).x(1), T.unit_elem(), None):
+        with pytest.raises(AlgebraMismatch):
+            apply(ctx, foreign)
     assert apply(ctx, AwpaAlgebra(T, 2).x(1)) == apply(ctx, ctx.x(1))
 
 
@@ -398,13 +405,17 @@ def generator_orders(ctx, seed):
 )
 def test_staged_centralizer_matches_oneshot(make, n, bound):
     """The staged solve returns the one-shot basis term for term, whatever
-    the order and scaling of the generators."""
+    the order and scaling of the generators, and with the scalars -2 and 0
+    among them, which it skips and the one-shot solve does not."""
     ctx = AwpaAlgebra(make(), n)
+    scalars = [ctx.F.scalar(-2) * ctx.one(), ctx.zero()]
     for order, gens in generator_orders(ctx, seed=n * 10 + bound).items():
-        got = ctx.centralizer_up_to_degree(gens, bound)
-        want = oneshot_centralizer(ctx, gens, bound)
-        assert [z.terms for z in got] == [z.terms for z in want], order
-        assert got, order
+        for extra in ([], scalars):
+            mixed = gens[:1] + extra + gens[1:]
+            got = ctx.centralizer_up_to_degree(mixed, bound)
+            want = oneshot_centralizer(ctx, mixed, bound)
+            assert [z.terms for z in got] == [z.terms for z in want], (order, extra)
+            assert got, order
     # the centre: both is_central routes agree on every basis element
     assert all(ctx.is_central(z) for z in ctx.center_up_to_degree(bound))
 
@@ -418,12 +429,46 @@ def test_staged_centralizer_small_bounds(ctx_cl2, bound):
 
 
 def test_staged_centralizer_without_generators(ctx_cl2):
-    # nothing to commute with: every candidate monomial, in the candidate order
+    # nothing to commute with: every candidate monomial, in the candidate
+    # order; the unit alone imposes nothing either
     got = ctx_cl2.centralizer_up_to_degree([], 1)
     assert [z.terms for z in got] == [z.terms for z in oneshot_centralizer(ctx_cl2, [], 1)]
+    unit = ctx_cl2.centralizer_up_to_degree([ctx_cl2.one()], 1)
+    assert [z.terms for z in unit] == [z.terms for z in got]
     monos = ctx_cl2.candidate_monomials(1)
     assert sorted(k for z in got for k in z.terms) == sorted(monos)
     assert all(len(z.terms) == 1 and z.terms[k] == 1 for z in got for k in z.terms)
+
+
+def test_scalar_generators_form_no_products(monkeypatch):
+    """Adding -2 and 0 to the generators of A_3(k) adds no engine product
+    and leaves the centre as it is."""
+    ctx = AwpaAlgebra(trivial_algebra(), 3)
+    calls = []
+    real = AwpaAlgebra.mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(AwpaAlgebra, "mul", counting)
+    gens = ctx.generators()
+    want = ctx.centralizer_up_to_degree(gens, 3)
+    plain = len(calls)
+    calls.clear()
+    got = ctx.centralizer_up_to_degree(gens + [ctx.F.scalar(-2) * ctx.one(), ctx.zero()], 3)
+    assert len(calls) == plain > 0
+    assert [z.terms for z in got] == [z.terms for z in want]
+
+
+def test_scalar_generator_of_another_algebra_is_refused(ctx_cl2):
+    """A scalar over another F is refused, not skipped as a scalar."""
+    other = AwpaAlgebra(trivial_algebra(), 2)
+    for g in (other.one(), other.zero()):
+        with pytest.raises(AlgebraMismatch):
+            ctx_cl2.centralizer_up_to_degree([ctx_cl2.x(1), g], 1)
+    with pytest.raises(SizeMismatch):
+        ctx_cl2.centralizer_up_to_degree([AwpaAlgebra(ctx_cl2.F, 3).one()], 1)
 
 
 def test_staged_centralizer_mixed_parity_generator(ctx_cl2):
@@ -781,6 +826,28 @@ def test_delta_memo_matches_reference(make):
     assert len(ctx._delta_cache) == 2 * len(alphas) - 2 * (F.theta + 2)
 
 
+@pytest.mark.parametrize(
+    "make, n",
+    [(trivial_algebra, 3), (clifford_algebra, 2), (lambda: taft_algebra(3), 2)],
+    ids=["k-n3", "Cl-n2", "Taft3-n2"],
+)
+def test_perm_memo_matches_reference(make, n):
+    """The memoized pi * (x^alpha word) equals the reduced-word walk with
+    nothing kept, term for term, for every pi and every (alpha, word) of the
+    degree-<=2 candidates; each key is asked twice, so hits are checked
+    too.  The identity permutation is never stored."""
+    ctx = AwpaAlgebra(make(), n)
+    pds = sorted({(alpha, word) for alpha, word, _ in ctx.candidate_monomials(2)})
+    pis = perms.all_permutations(n)
+    for _ in range(2):
+        for pi in pis:
+            for alpha, word in pds:
+                expected = perm_times_pnf(ctx, pi, alpha, word)
+                assert ctx._perm_times_pnf(pi, alpha, word) == expected
+    assert len(ctx._perm_cache) == (len(pis) - 1) * len(pds)
+    assert ctx.identity_perm not in {pi for pi, _, _ in ctx._perm_cache}
+
+
 def test_memo_entries_match_fresh_values(monkeypatch):
     """After a relation suite on Taft(3) and a Cl Gram matrix, every word-memo
     and Delta-memo entry equals its value recomputed on a fresh F and
@@ -817,7 +884,7 @@ def test_memo_entries_match_fresh_values(monkeypatch):
 MEMOS = {
     "_word_cache", "_graded_piece_cache", "_t_cache", "_smono_cache", "_delta_cache",
     "_twist_cache", "_jm_cache", "_mono_cache", "_image_cache", "_chi_cache",
-    "_rewrite_cache", "_basis_keys_cache", "_transition_cache",
+    "_rewrite_cache", "_basis_keys_cache", "_transition_cache", "_perm_cache",
 }
 
 
@@ -877,7 +944,7 @@ def test_memo_cap_holds(monkeypatch):
     # the cap bites on the memos that fill up
     assert {name for name, size in uncapped.items() if size > 3} >= {
         "_word_cache", "_t_cache", "_smono_cache", "_delta_cache", "_twist_cache",
-        "_mono_cache", "_image_cache",
+        "_mono_cache", "_image_cache", "_perm_cache",
     }
     assert results == expected
     assert results["suite"][1] == [] and results["gram"][1]
