@@ -410,11 +410,14 @@ class InductionStructure:
         return True
 
     def mackey_dimensions(self) -> tuple[int, int]:
-        """dim A_{n+1}^C = d dim F dim A_n^C + n d dim F dim A_n^C."""
-        lhs = self.big.dim()
-        df = self.big.d * self.params.F.dim
-        rhs = df * self.small.dim() + self.n * df * self.small.dim()
-        return lhs, rhs
+        """dim A_{n+1}^C = d dim F dim A_n^C + n d dim F dim A_n^C, both
+        sides read off the transition: its rank, against its rows with
+        j = n+1 (the x_{n+1}^a F_{n+1} A_n^C summand) plus those with
+        j <= n."""
+        inv, slots = self._transition()
+        top = sum(1 for j, _, _, _ in slots if j == self.n + 1)
+        rest = sum(1 for j, _, _, _ in slots if j <= self.n)
+        return len(inv), top + rest
 
     def partial_trace(self, z: CycloElem) -> CycloElem:
         """tr^C_{n+1}: project onto the x_{n+1}^{d-1} F_{n+1} A_n^C summand

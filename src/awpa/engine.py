@@ -386,12 +386,6 @@ class AwpaAlgebra:
             acc(out, (da, dw, self.identity_perm), -dc)
         return out
 
-    def _perm_times_pnf(self, pi, alpha, word) -> dict:
-        """pi * (x^alpha word) in normal form: {(alpha, word, perm): scalar}."""
-        if pi == self.identity_perm:
-            return {(alpha, word, pi): CycScalar.one(self.F.conductor)}
-        return self._perm_walk(pi, alpha, word)
-
     @memoized("_perm_cache")
     def _perm_walk(self, pi, alpha, word) -> dict:
         """pi * (x^alpha word) for pi != 1: the reduced word of pi peeled off
@@ -407,33 +401,45 @@ class AwpaAlgebra:
 
     # -- multiplication ----------------------------------------------------------
 
-    def _mono_product(self, k1, k2) -> dict:
-        """The product of two monomials."""
-        a1, w1, p1 = k1
-        a2, w2, p2 = k2
+    def _product(self, left: dict, right: dict) -> dict:
+        """The product of two term dicts, grouped by left permutation: with
+        a_p the P_n(F) part of left at p, left * right = sum_p a_p (p * right).
+        Each p * right is brought to normal form once and merged by its
+        P_n(F) part, {(g, d): {tail: scalar}}, so terms that cancel or repeat
+        are combined before the P_n(F) products x^a1 w1 * x^g d."""
+        by_perm: dict = {}
+        for (a1, w1, p1), c1 in left.items():
+            by_perm.setdefault(p1, []).append((a1, w1, c1))
         out: dict = {}
-        for (g, d, tau), c in self._perm_times_pnf(p1, a2, w2).items():
-            tail = perms.mul(tau, p2)
-            for (alpha, w), c2 in self._pd_mono_mul(a1, w1, g, d):
-                acc(out, (alpha, w, tail), c * c2)
+        for p, part in by_perm.items():
+            moved: dict = {}
+            for (a2, w2, p2), c2 in right.items():
+                if p == self.identity_perm:  # 1 * x^a2 w2 is in normal form
+                    acc(moved.setdefault((a2, w2), {}), p2, c2)
+                    continue
+                for (g, d, tau), c in self._perm_walk(p, a2, w2).items():
+                    acc(moved.setdefault((g, d), {}), perms.mul(tau, p2), c2 * c)
+            for a1, w1, c1 in part:
+                for (g, d), tails in moved.items():
+                    if not tails:
+                        continue
+                    for (alpha, w), c in self._pd_mono_mul(a1, w1, g, d):
+                        c = c1 * c
+                        for tail, ct in tails.items():
+                            acc(out, (alpha, w, tail), c * ct)
         return out
 
-    _mono_mul = memoized("_mono_cache")(_mono_product)
+    @memoized("_mono_cache")
+    def _mono_mul(self, k1, k2) -> dict:
+        """The product of two monomials, kept for CyclotomicAlgebra.reduce,
+        whose substitution products recur."""
+        one = CycScalar.one(self.F.conductor)
+        return self._product({k1: one}, {k2: one})
 
     def mul(self, a: AwpaElem, b: AwpaElem) -> AwpaElem:
         self._check(a)
         self._check(b)
-        out: dict = {}
-        # a product of two monomials (a Gram entry, say) is rarely asked for
-        # again, so only products inside a longer sum are kept
-        many = len(a.terms) > 1 or len(b.terms) > 1
-        mono_mul = self._mono_mul if many else self._mono_product
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                c12 = c1 * c2
-                for k, c in mono_mul(k1, k2).items():
-                    acc(out, k, c12 * c)
-        return self._elem(out)
+        return self._elem(self._product(a.terms, b.terms))
 
     def graded_mul(self, a: AwpaElem, b: AwpaElem) -> AwpaElem:
         """Multiplication in the associated graded algebra
@@ -645,18 +651,23 @@ class AwpaAlgebra:
         polynomial degree <= bound, by exact linear solves.
 
         Staged per parity: starting from all candidate monomials, each parity
-        component g of a generator, in the order given, cuts the basis down to
-        the nullspace of z -> [z, g] on it, and [z_j, g] is formed only for
-        monomials z_j still in its support.  Every generator is checked
-        against this context first, and the scalar multiples of 1 among them
-        (zero included) are then skipped, since they supercommute with
-        everything.  The result is canonical, so independent of the order and
+        component g of a generator cuts the basis down to the nullspace of
+        z -> [z, g] on it, and [z_j, g] is formed only for monomials z_j
+        still in its support.  Every generator is checked against this
+        context first, and the scalar multiples of 1 among them (zero
+        included) are then skipped, since they supercommute with everything.
+        The rest are imposed in the order given, except that those whose
+        terms all have pi = 1 come before those with a nontrivial
+        permutation.  The result is canonical, so independent of the order and
         scaling of the generators: the reduced basis with each vector's last
         monomial leading (rref on columns keyed by minus the candidate index),
         by ascending leading monomial, which is what one nullspace solve of
         the whole system gives."""
         one = CycScalar.one(self.F.conductor)
         gens = [g for g in generators if not self._is_scalar(g)]
+        # permutation-free generators first: they cut the basis down with
+        # cheaper brackets, so fewer are formed with the s_j
+        gens.sort(key=lambda g: any(pi != self.identity_perm for _, _, pi in g.terms))
         gens = [pair for g in gens for pair in g.parity_components().items()]
         out = []
         for par in (0, 1):

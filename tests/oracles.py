@@ -3,7 +3,8 @@
 None of this runs in the CLI, the benchmark or the package: the inverse of
 a permutation, Young subgroups and minimal double cosets with the affine
 Mackey dimension report, the product pi * (x^alpha word) without the
-engine's memo, the expected centralizer of P_n(F), a span
+engine's memo and the product of two elements one monomial pair at a time,
+the expected centralizer of P_n(F), a span
 comparison, the dense coordinates of an element of F, the level-one
 quotient against the wreath product, the induction basis built by
 products, and the algebra k x k, whose unit is not a basis element.
@@ -247,6 +248,20 @@ def perm_times_pnf(ctx, pi, alpha, word) -> dict:
                 acc(new, (a2, w2, perms.mul(t2, tail)), c * c2)
         state = new
     return state
+
+
+def mono_pair_product(ctx, a, b) -> dict:
+    """a * b as {(alpha, word, perm): scalar}, one monomial pair at a time
+    with nothing kept or merged: pi1 * (x^a2 w2) by the reduced-word walk,
+    then x^a1 w1 times each of its P_n(F) parts, the tails multiplied on."""
+    out: dict = {}
+    for (a1, w1, p1), c1 in a.terms.items():
+        for (a2, w2, p2), c2 in b.terms.items():
+            for (g, d, tau), c in perm_times_pnf(ctx, p1, a2, w2).items():
+                tail = perms.mul(tau, p2)
+                for (alpha, w), c3 in ctx._pd_mono_mul(a1, w1, g, d):
+                    acc(out, (alpha, w, tail), c1 * c2 * c * c3)
+    return out
 
 
 # -- centralizers and spans -----------------------------------------------------

@@ -565,6 +565,22 @@ def test_nakayama_check_and_induction_basis_surface():
     assert lhs == rhs
 
 
+def test_mackey_dimensions_read_the_transition(monkeypatch):
+    """Both Mackey numbers come from the transition: its rank, and its rows
+    split by j = n+1 and j <= n.  A transition with a row placed off
+    1..n+1, or with a column fewer, breaks the identity."""
+    k = trivial_algebra()
+    ind = InductionStructure(make_params(k, {1: [k.zero_elem(), k.unit_elem()]}), 1)
+    inv, slots = ind._transition()
+    assert ind.mackey_dimensions() == (len(slots), len(slots)) == (8, 8)
+    stray = [(ind.n + 2, *slot[1:]) if i == 0 else slot for i, slot in enumerate(slots)]
+    monkeypatch.setattr(ind, "_transition", lambda: (inv, stray))
+    assert ind.mackey_dimensions() == (8, 7)
+    fewer = dict(list(inv.items())[1:])
+    monkeypatch.setattr(ind, "_transition", lambda: (fewer, slots))
+    assert ind.mackey_dimensions() == (7, 8)
+
+
 def test_nakayama_check_names_every_generator():
     """nu fixes the x_i and the s_j and twists each basis slot by psi^d."""
     Cl = clifford_algebra()

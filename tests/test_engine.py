@@ -39,6 +39,8 @@ from oracles import (
     compositions,
     expected_pnf_centralizer,
     mackey_dimension_report,
+    mono_pair_product,
+    perm_inverse,
     perm_times_pnf,
     pnf_generators,
     same_span,
@@ -471,6 +473,42 @@ def test_scalar_generator_of_another_algebra_is_refused(ctx_cl2):
         ctx_cl2.centralizer_up_to_degree([AwpaAlgebra(ctx_cl2.F, 3).one()], 1)
 
 
+@pytest.mark.parametrize(
+    "make, n, bound",
+    [(trivial_algebra, 3, 2), (clifford_algebra, 2, 2), (lambda: taft_algebra(2), 2, 1)],
+    ids=["k-n3", "Cl-n2", "Taft2-n2"],
+)
+def test_permutation_free_generators_are_imposed_first(monkeypatch, make, n, bound):
+    """Whatever the order given, the staged solve brackets with no generator
+    that has a nontrivial permutation before one whose terms all have
+    pi = 1, in either parity; a generator mixing both kinds counts as the
+    former.  The basis stays that of the order given."""
+    ctx = AwpaAlgebra(make(), n)
+    imposed = []
+    real = AwpaAlgebra._bracket
+
+    def spy(self, z, zp, g, gp):
+        imposed.append((zp, any(pi != self.identity_perm for _, _, pi in g.terms)))
+        return real(self, z, zp, g, gp)
+
+    orders = generator_orders(ctx, seed=n + bound)
+    mixed = ctx.x(1) + ctx.s(1)
+    for name, gens in orders.items():
+        for extra in ([], [mixed]):
+            want = oneshot_centralizer(ctx, extra + gens, bound)
+            imposed.clear()
+            monkeypatch.setattr(AwpaAlgebra, "_bracket", spy)
+            got = ctx.centralizer_up_to_degree(extra + gens, bound)
+            monkeypatch.setattr(AwpaAlgebra, "_bracket", real)
+            assert [z.terms for z in got] == [z.terms for z in want], (name, extra)
+            for par in (0, 1):
+                flags = [has_perm for zp, has_perm in imposed if zp == par]
+                assert flags == sorted(flags), (name, extra, par)
+            assert {has_perm for _, has_perm in imposed} == (
+                {False} if name == "no_perms" and not extra else {False, True}
+            ), name
+
+
 def test_staged_centralizer_mixed_parity_generator(ctx_cl2):
     # x_1 + c_1 has an even and an odd component, imposed one at a time
     g = ctx_cl2.x(1) + ctx_cl2.slot_elem(ctx_cl2.F.from_label("c"), 1)
@@ -832,10 +870,11 @@ def test_delta_memo_matches_reference(make):
     ids=["k-n3", "Cl-n2", "Taft3-n2"],
 )
 def test_perm_memo_matches_reference(make, n):
-    """The memoized pi * (x^alpha word) equals the reduced-word walk with
-    nothing kept, term for term, for every pi and every (alpha, word) of the
-    degree-<=2 candidates; each key is asked twice, so hits are checked
-    too.  The identity permutation is never stored."""
+    """pi * (x^alpha word), as mul forms it through the memoized walk,
+    equals the reduced-word walk with nothing kept, term for term, for every
+    pi and every (alpha, word) of the degree-<=2 candidates; each product is
+    asked twice, so hits are checked too.  The identity permutation is
+    never stored."""
     ctx = AwpaAlgebra(make(), n)
     pds = sorted({(alpha, word) for alpha, word, _ in ctx.candidate_monomials(2)})
     pis = perms.all_permutations(n)
@@ -843,9 +882,64 @@ def test_perm_memo_matches_reference(make, n):
         for pi in pis:
             for alpha, word in pds:
                 expected = perm_times_pnf(ctx, pi, alpha, word)
-                assert ctx._perm_times_pnf(pi, alpha, word) == expected
+                right = ctx.monomial(alpha, word, ctx.identity_perm)
+                assert ctx.mul(ctx.perm_elem(pi), right).terms == expected
+                if pi != ctx.identity_perm:
+                    assert ctx._perm_walk(pi, alpha, word) == expected
     assert len(ctx._perm_cache) == (len(pis) - 1) * len(pds)
     assert ctx.identity_perm not in {pi for pi, _, _ in ctx._perm_cache}
+
+
+def _shared_perm_element(ctx, rng, pi, terms=3):
+    """A random element whose terms all have the permutation pi."""
+    t = {}
+    for _ in range(terms):
+        alpha = tuple(rng.randrange(3) for _ in range(ctx.n))
+        word = tuple(rng.randrange(ctx.F.dim) for _ in range(ctx.n))
+        t[(alpha, word, pi)] = ctx.F.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return AwpaElem(ctx, t)
+
+
+def _cancels(ctx, pi, b) -> bool:
+    """Whether pi * b, formed term by term and merged, loses a key: some
+    terms of the products pi * (x^a w) of b's terms cancel."""
+    seen, merged = set(), {}
+    for (a2, w2, p2), c2 in b.terms.items():
+        for (g, d, tau), c in perm_times_pnf(ctx, pi, a2, w2).items():
+            key = (g, d, perms.mul(tau, p2))
+            seen.add(key)
+            acc(merged, key, c2 * c)
+    return len(merged) < len(seen)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "make",
+    [trivial_algebra, clifford_algebra, dual_numbers_algebra,
+     lambda: symmetric_group_algebra(3), lambda: taft_algebra(3)],
+    ids=["k", "Cl", "dual", "kS3", "Taft3"],
+)
+def test_mul_matches_monomial_pair_reference(make, n):
+    """mul, grouped by left permutation and merged before the P_n(F)
+    products, equals the product formed one monomial pair at a time, term
+    for term: on random multi-term elements, on left factors whose terms
+    share one permutation, and on right factors pi^-1 z whose product with
+    pi cancels terms (checked through the reference walk)."""
+    ctx = AwpaAlgebra(make(), n)
+    rng = random.Random(100 * n + ctx.F.dim)
+    pis = perms.all_permutations(n)
+    cancelling = 0
+    for _ in range(4):
+        a, b = (random_element(ctx, rng, terms=3) for _ in range(2))
+        assert ctx.mul(a, b).terms == mono_pair_product(ctx, a, b)
+        pi = rng.choice(pis)
+        shared = _shared_perm_element(ctx, rng, pi)
+        right = ctx.mul(ctx.perm_elem(perm_inverse(pi)), random_element(ctx, rng, terms=2))
+        cancelling += _cancels(ctx, pi, right)
+        for x, y in ((shared, b), (shared, right), (a + shared, right), (right, shared)):
+            assert ctx.mul(x, y).terms == mono_pair_product(ctx, x, y)
+    # at n = 1 every permutation is the identity, so nothing moves or cancels
+    assert cancelling > 0 if n > 1 else cancelling == 0
 
 
 def test_memo_entries_match_fresh_values(monkeypatch):
@@ -879,6 +973,27 @@ def test_memo_entries_match_fresh_values(monkeypatch):
             assert terms == again._delta_x(i, alpha)
             checked_deltas += 1
     assert checked_words > 500 and checked_deltas > 20
+
+
+def test_relation_suite_leaves_the_monomial_memo_empty(monkeypatch):
+    """mul keeps no monomial product: after relation suites on Taft(3) and
+    Cl every context's _mono_cache is empty, while a Gram matrix, whose
+    reduce keeps its substitution products there, fills it."""
+    contexts = []
+    init = AwpaAlgebra.__init__
+
+    def recording_init(self, F, n):
+        init(self, F, n)
+        contexts.append(self)
+
+    monkeypatch.setattr(AwpaAlgebra, "__init__", recording_init)
+    for F, n in ((taft_algebra(3), 2), (clifford_algebra(), 3)):
+        assert run_suite(F, n, seed=5, instances=20)[1] == []
+    assert len(contexts) == 2 and all(ctx._perm_cache for ctx in contexts)
+    assert [len(ctx._mono_cache) for ctx in contexts] == [0, 0]
+    Cl = clifford_algebra()
+    Q = CyclotomicAlgebra(make_params(Cl, {2: [Cl.zero_elem()]}), 2)
+    assert Q.gram_matrix()[1] and Q.ctx._mono_cache
 
 
 MEMOS = {
