@@ -410,14 +410,24 @@ class InductionStructure:
         return True
 
     def mackey_dimensions(self) -> tuple[int, int]:
-        """dim A_{n+1}^C = d dim F dim A_n^C + n d dim F dim A_n^C, both
-        sides read off the transition: its rank, against its rows with
-        j = n+1 (the x_{n+1}^a F_{n+1} A_n^C summand) plus those with
-        j <= n."""
+        """dim A_{n+1}^C = d dim F dim A_n^C + n d dim F dim A_n^C.  The left
+        side is the transition's rank.  The right side counts its rows with
+        j = n+1 (the x_{n+1}^a F_{n+1} A_n^C summand) and adds the dimension
+        of A_n^C s_n A_n^C, found apart from the transition."""
         inv, slots = self._transition()
         top = sum(1 for j, _, _, _ in slots if j == self.n + 1)
-        rest = sum(1 for j, _, _, _ in slots if j <= self.n)
+        rest = self._bimodule_rank(self.big.ctx.s(self.n)) if self.n else 0
         return len(inv), top + rest
+
+    def _bimodule_rank(self, middle: AwpaElem) -> int:
+        """dim A_n^C middle A_n^C: the rank of the reduced products
+        embed(u) middle embed(v), u and v running over the basis monomials
+        of A_n^C.  Guarded as a dim A_n^C square table of products."""
+        keys = self.small.basis_keys()
+        _check_matrix_size("bimodule product table", len(keys))
+        embedded = [self.embed(CycloElem(self.small, self.small.ctx.monomial(*k))) for k in keys]
+        middle = CycloElem(self.big, middle)
+        return linalg.rank([(u * middle * v).terms for u in embedded for v in embedded])
 
     def partial_trace(self, z: CycloElem) -> CycloElem:
         """tr^C_{n+1}: project onto the x_{n+1}^{d-1} F_{n+1} A_n^C summand

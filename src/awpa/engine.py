@@ -10,12 +10,14 @@ reflection at a time via
 where Delta_i is the deformed divided difference, and by commuting basis
 words left past polynomial parts with the Nakayama twist f x_i = x_i psi_i(f).
 Corrections strictly drop polynomial degree, so the rewriting terminates.
+One method, _act_simple, applies this rule, for mul's walk and for the
+module action below alike.
 
 The module also hosts everything built on that arithmetic: t-elements,
 Jucys-Murphy elements and the evaluation map onto the wreath product
 F^(x)n x| S_n (the alpha = 0 monomials, multiplied by graded_mul),
 the action on the module V = P_n(F) (x) kS_n, which is A_n(F) itself on the
-same keys, used as a multiplication oracle independent of mul,
+same keys, used as a multiplication oracle that shares only that step with mul,
 center and centralizer computations, intertwiners, automorphisms and graded
 dimensions.
 """
@@ -134,7 +136,6 @@ class AwpaAlgebra:
         self._twist_cache: dict = {}
         self._jm_cache: dict = {}
         self._mono_cache: dict = {}
-        self._perm_cache: dict = {}
 
     def _check(self, a):
         """Raise unless a is an element over this context's F and n."""
@@ -374,29 +375,26 @@ class AwpaAlgebra:
                 acc(out, (alpha, w2, pi), c * c2)
         return self._elem(out)
 
-    @memoized("_smono_cache")
-    def _s_times_mono(self, i: int, alpha, word) -> dict:
-        """s_i * (x^alpha word) = (s_i . x^alpha word) s_i - Delta_i(x^alpha word),
-        as {(alpha, word, perm): scalar} with perm in {s_i, id}."""
+    def _act_simple(self, i: int, terms: dict) -> dict:
+        """s_i times the terms {(alpha, word, sigma): scalar}: the one s_i step,
+        of mul's walk and of oracle_act alike, by
+        s_i x^alpha word = (s_i . x^alpha word) s_i - Delta_i(x^alpha word)."""
+        out: dict = {}
         si = perms.simple(self.n, i)
-        a2, w2, sgn = self.superpermute_pnf(si, alpha, word)
-        one = CycScalar.one(self.F.conductor)
-        out = {(a2, w2, si): -one if sgn else one}
-        for (da, dw), dc in self._delta_mono(i, alpha, word).items():
-            acc(out, (da, dw, self.identity_perm), -dc)
+        for (a, w, sigma), c in terms.items():
+            a2, w2, sgn = self.superpermute_pnf(si, a, w)
+            acc(out, (a2, w2, perms.mul(si, sigma)), -c if sgn else c)
+            for (da, dw), dc in self._delta_mono(i, a, w).items():
+                acc(out, (da, dw, sigma), -(c * dc))
         return out
 
-    @memoized("_perm_cache")
+    @memoized("_smono_cache")
     def _perm_walk(self, pi, alpha, word) -> dict:
         """pi * (x^alpha word) for pi != 1: the reduced word of pi peeled off
-        one s_i at a time, right to left."""
+        one s_i at a time, right to left, by the s_i step _act_simple."""
         state = {(alpha, word, self.identity_perm): CycScalar.one(self.F.conductor)}
         for i in reversed(perms.reduced_word(pi)):
-            new: dict = {}
-            for (a, w, tail), c in state.items():
-                for (a2, w2, t2), c2 in self._s_times_mono(i, a, w).items():
-                    acc(new, (a2, w2, perms.mul(t2, tail)), c * c2)
-            state = new
+            state = self._act_simple(i, state)
         return state
 
     # -- multiplication ----------------------------------------------------------
@@ -470,16 +468,6 @@ class AwpaAlgebra:
         return self._elem({k: c for k, c in a.terms.items() if sum(k[0]) == top})
 
     # -- module oracle -------------------------------------------------------------
-
-    def _act_simple(self, i: int, terms: dict) -> dict:
-        out: dict = {}
-        si = perms.simple(self.n, i)
-        for (a, w, sigma), c in terms.items():
-            a2, w2, sgn = self.superpermute_pnf(si, a, w)
-            acc(out, (a2, w2, perms.mul(si, sigma)), -c if sgn else c)
-            for (da, dw), dc in self._delta_mono(i, a, w).items():
-                acc(out, (da, dw, sigma), -(c * dc))
-        return out
 
     def oracle_act(self, a: AwpaElem, v: AwpaElem) -> AwpaElem:
         """Action of a on V = P_n(F) (x) kS_n, without mul:
@@ -605,13 +593,8 @@ class AwpaAlgebra:
             if not linalg.in_span(basis, wcoeffs):
                 return f"coefficient at alpha={alpha} is not in F_psi^(-alpha)"
         for j in range(1, self.n):
-            si = perms.simple(self.n, j)
-            for alpha, wcoeffs in by_alpha.items():
-                part = self._elem(self._keyed(alpha, wcoeffs, self.identity_perm))
-                salpha = tuple(alpha[si[t] - 1] for t in range(self.n))
-                target = self._keyed(salpha, by_alpha.get(salpha, {}), self.identity_perm)
-                if self.superpermute_elem(si, part).terms != target:
-                    return f"not superinvariant under s_{j} at alpha={alpha}"
+            if self.superpermute_elem(perms.simple(self.n, j), z) != z:
+                return f"not superinvariant under s_{j}"
         return None
 
     def _tensor_subspace_basis(self, ks) -> list:

@@ -238,15 +238,10 @@ def phi_is_algebra_map(ctx, pi, left_comp) -> bool:
 def perm_times_pnf(ctx, pi, alpha, word) -> dict:
     """pi * (x^alpha word) in normal form, {(alpha, word, perm): scalar}, by
     the reduced-word walk with nothing kept: s_i is peeled off the reduced
-    word of pi right to left through ``_s_times_mono``."""
-    one = CycScalar.one(ctx.F.conductor)
-    state = {(alpha, word, ctx.identity_perm): one}
+    word of pi right to left through the s_i step ``_act_simple``."""
+    state = {(alpha, word, ctx.identity_perm): CycScalar.one(ctx.F.conductor)}
     for i in reversed(perms.reduced_word(pi)):
-        new: dict = {}
-        for (a, w, tail), c in state.items():
-            for (a2, w2, t2), c2 in ctx._s_times_mono(i, a, w).items():
-                acc(new, (a2, w2, perms.mul(t2, tail)), c * c2)
-        state = new
+        state = ctx._act_simple(i, state)
     return state
 
 

@@ -208,7 +208,10 @@ def test_criterion_5_jucys_murphy():
 # with "flat", superpermute_elem returns its input unchanged, so a criterion 4
 # verdict must fail; with "wrongmul", mul drops the last term of its product,
 # so the oracle equivalence of criterion 2, which never calls mul on the
-# module side, must fail, and so must the dimension of the centre solve.
+# module side, must fail, and so must the dimension of the centre solve; with
+# "wrongstep", the s_i step that mul and oracle_act share adds Delta_i instead
+# of subtracting it, so the oracle equivalence cannot see it and the
+# evaluation map of criterion 5 must.
 OPTIMIZED_CRITERIA = """
 import random, sys
 from awpa.engine import AwpaAlgebra
@@ -230,6 +233,10 @@ if sys.argv[1:] == ["flat"]:
     AwpaAlgebra.superpermute_elem = lambda ctx, pi, a: a
 if sys.argv[1:] == ["wrongmul"]:
     AwpaAlgebra.mul = dropping_top(AwpaAlgebra.mul)
+if sys.argv[1:] == ["wrongstep"]:
+    # _act_simple is the only caller of _delta_mono that this script reaches
+    delta = AwpaAlgebra._delta_mono
+    AwpaAlgebra._delta_mono = lambda ctx, i, a, w: {k: -c for k, c in delta(ctx, i, a, w).items()}
 ctx = AwpaAlgebra(clifford_algebra(), 2)
 ev, rng, failed = ctx.evaluation_hom, random.Random(2025), set()
 for _ in range(30):
@@ -292,6 +299,17 @@ def test_criterion_4_under_python_O():
     assert wrong.returncode == 1, wrong.stdout + wrong.stderr
     assert "4: centre dimension" in wrong.stdout
     print("PASS criterion 4 under python -O on A_2(Cl)")
+
+
+def test_criterion_5_under_python_O_catches_a_wrong_step():
+    """A wrong s_i step reaches mul and oracle_act alike, so the oracle
+    equivalence agrees with it; the evaluation map of the script above,
+    whose graded_mul does not step, catches a step whose Delta_i sign is
+    flipped."""
+    wrong = _optimized_criteria("wrongstep")
+    assert wrong.returncode == 1, wrong.stdout + wrong.stderr
+    assert "5: evaluation map multiplicativity" in wrong.stdout
+    print("PASS criterion 5 under python -O catches a wrong s_i step on A_2(Cl)")
 
 
 def test_criterion_2_under_python_O_catches_a_wrong_product():

@@ -1,6 +1,7 @@
 """Cyclotomic quotients: parameters, reduction, trace, Frobenius structure,
 and the induction/restriction bookkeeping."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from awpa import linalg
 from awpa import permutations as perms
+from awpa.cli import main
 from awpa.cyclotomic import (
     CycloElem,
     CycloParams,
@@ -379,6 +381,7 @@ def test_induction_basis_counts():
     basis0 = ind0.right_module_basis()
     assert len(basis0) == 1
     assert ind0.verify_free_basis()
+    assert ind0.mackey_dimensions() == (1, 1)  # no s_0: A_1^C is the j = 1 part
 
     # n = 1, F = k, d = 2: 4 elements over the 2-dim A_1^C; dim A_2^C = 8
     params2 = make_params(F, {1: [F.zero_elem(), F.unit_elem()]})
@@ -565,20 +568,31 @@ def test_nakayama_check_and_induction_basis_surface():
     assert lhs == rhs
 
 
-def test_mackey_dimensions_read_the_transition(monkeypatch):
-    """Both Mackey numbers come from the transition: its rank, and its rows
-    split by j = n+1 and j <= n.  A transition with a row placed off
-    1..n+1, or with a column fewer, breaks the identity."""
+def test_mackey_dimensions_catch_a_wrong_middle_family(monkeypatch, capsys, tmp_path):
+    """The right side of the Mackey identity adds dim A_n^C s_n A_n^C, found
+    apart from the transition.  With s_n replaced by 1 the products span
+    only A_n^C, so the two numbers differ and ``cyclotomic basis`` exits 1.
+    The left side is the transition's rank: a column fewer breaks it too."""
     k = trivial_algebra()
     ind = InductionStructure(make_params(k, {1: [k.zero_elem(), k.unit_elem()]}), 1)
+    assert ind.mackey_dimensions() == (8, 8)
+    assert ind._bimodule_rank(ind.big.ctx.s(1)) == 4  # n d dim F dim A_1^C
     inv, slots = ind._transition()
-    assert ind.mackey_dimensions() == (len(slots), len(slots)) == (8, 8)
-    stray = [(ind.n + 2, *slot[1:]) if i == 0 else slot for i, slot in enumerate(slots)]
-    monkeypatch.setattr(ind, "_transition", lambda: (inv, stray))
-    assert ind.mackey_dimensions() == (8, 7)
-    fewer = dict(list(inv.items())[1:])
-    monkeypatch.setattr(ind, "_transition", lambda: (fewer, slots))
-    assert ind.mackey_dimensions() == (7, 8)
+    with monkeypatch.context() as patch:
+        patch.setattr(ind, "_transition", lambda: (dict(list(inv.items())[1:]), slots))
+        assert ind.mackey_dimensions() == (7, 8)
+    real = InductionStructure._bimodule_rank
+    monkeypatch.setattr(
+        InductionStructure, "_bimodule_rank", lambda self, _: real(self, self.big.ctx.one())
+    )
+    assert ind.mackey_dimensions() == (8, 6)
+    data = dual_numbers_algebra().to_json_dict()
+    data["cyclotomic"] = {"e": [1], "c": [["z"]]}
+    path = tmp_path / "dual_cyclo.json"
+    path.write_text(json.dumps(data))
+    assert main(["cyclotomic", "basis", "--params", str(path), "--n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "cyclotomic Mackey dimensions: 8 = 6\nFAIL\n" in out
 
 
 def test_nakayama_check_names_every_generator():

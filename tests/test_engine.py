@@ -886,8 +886,8 @@ def test_perm_memo_matches_reference(make, n):
                 assert ctx.mul(ctx.perm_elem(pi), right).terms == expected
                 if pi != ctx.identity_perm:
                     assert ctx._perm_walk(pi, alpha, word) == expected
-    assert len(ctx._perm_cache) == (len(pis) - 1) * len(pds)
-    assert ctx.identity_perm not in {pi for pi, _, _ in ctx._perm_cache}
+    assert len(ctx._smono_cache) == (len(pis) - 1) * len(pds)
+    assert ctx.identity_perm not in {pi for pi, _, _ in ctx._smono_cache}
 
 
 def _shared_perm_element(ctx, rng, pi, terms=3):
@@ -989,7 +989,7 @@ def test_relation_suite_leaves_the_monomial_memo_empty(monkeypatch):
     monkeypatch.setattr(AwpaAlgebra, "__init__", recording_init)
     for F, n in ((taft_algebra(3), 2), (clifford_algebra(), 3)):
         assert run_suite(F, n, seed=5, instances=20)[1] == []
-    assert len(contexts) == 2 and all(ctx._perm_cache for ctx in contexts)
+    assert len(contexts) == 2 and all(ctx._smono_cache for ctx in contexts)
     assert [len(ctx._mono_cache) for ctx in contexts] == [0, 0]
     Cl = clifford_algebra()
     Q = CyclotomicAlgebra(make_params(Cl, {2: [Cl.zero_elem()]}), 2)
@@ -999,7 +999,7 @@ def test_relation_suite_leaves_the_monomial_memo_empty(monkeypatch):
 MEMOS = {
     "_word_cache", "_graded_piece_cache", "_t_cache", "_smono_cache", "_delta_cache",
     "_twist_cache", "_jm_cache", "_mono_cache", "_image_cache", "_chi_cache",
-    "_rewrite_cache", "_basis_keys_cache", "_transition_cache", "_perm_cache",
+    "_rewrite_cache", "_basis_keys_cache", "_transition_cache",
 }
 
 
@@ -1059,7 +1059,7 @@ def test_memo_cap_holds(monkeypatch):
     # the cap bites on the memos that fill up
     assert {name for name, size in uncapped.items() if size > 3} >= {
         "_word_cache", "_t_cache", "_smono_cache", "_delta_cache", "_twist_cache",
-        "_mono_cache", "_image_cache", "_perm_cache",
+        "_mono_cache", "_image_cache",
     }
     assert results == expected
     assert results["suite"][1] == [] and results["gram"][1]

@@ -13,7 +13,8 @@ solves on sparse rows only.  Memos live on objects (F, a context): no
 module or class body binds a mutable container beyond a short list of
 tables, and ``functools.cache`` wraps only the int-keyed scalar tables.
 Every memo goes through ``sparse.memoized``: no other code looks up or
-stores in a ``*_cache`` dict, or reads ``MEMO_CAP``.
+stores in a ``*_cache`` dict, or reads ``MEMO_CAP``.  Each memo dict that
+``bench/tracing.py`` reads by name belongs to a reached memoized method.
 Every function, class and method of the package is reached from the CLI,
 the benchmark or the public names; code that only tests run lives in
 ``tests/oracles.py``.
@@ -582,3 +583,91 @@ def test_scan_finds_unreachable():
     }
     entry = ["from awpa.frob import Alg\nAlg().elem([1])\n"]
     assert unreached(package, entry) == ["frob.Alg.coords"]
+
+
+# The memo dicts that bench/tracing.py reads off each context by name.
+TRACED_MEMOS = ["_mono_cache", "_smono_cache", "_twist_cache"]
+
+
+def _class_body(source: str, cls: str) -> list:
+    return next(n.body for n in ast.parse(source).body if getattr(n, "name", None) == cls)
+
+
+def memo_methods(source: str, cls: str) -> dict[str, str]:
+    """{memo dict: method} for each method of class ``cls`` decorated with
+    ``memoized("<memo dict>")``."""
+    return {
+        dec.args[0].value: item.name
+        for item in _class_body(source, cls)
+        for dec in getattr(item, "decorator_list", ())
+        if isinstance(dec, ast.Call) and ast.unparse(dec.func) == "memoized"
+    }
+
+
+def init_memos(source: str, cls: str) -> list[str]:
+    """The ``self.*_cache`` attributes that ``cls.__init__`` binds."""
+    init = next(f for f in _class_body(source, cls) if getattr(f, "name", None) == "__init__")
+    return [
+        n.attr for n in ast.walk(init)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and ast.unparse(n.value) == "self" and n.attr.endswith("_cache")
+    ]
+
+
+def tracer_memos(source: str) -> list[str]:
+    """The memo dicts ``window_counts`` reads off a context: ``_<c>_cache``
+    for each c of a loop ``for cache in (...)`` that reads
+    ``getattr(ctx, f"_{cache}_cache")``."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "window_counts":
+            for loop in ast.walk(fn):
+                if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Tuple) and any(
+                    ast.unparse(n) == "getattr(ctx, f'_{cache}_cache')" for n in ast.walk(loop)
+                ):
+                    out += [f"_{elt.value}_cache" for elt in loop.iter.elts]
+    return out
+
+
+def test_traced_memos_are_live():
+    """Each memo dict the tracer reads by name is the dict of a reached
+    ``sparse.memoized`` method of AwpaAlgebra, and each memo dict that
+    AwpaAlgebra binds has such a method: a change that drops a memo fails
+    here, not in the benchmark, and leaves no dead dict behind."""
+    assert tracer_memos((BENCH / "tracing.py").read_text()) == TRACED_MEMOS
+    source = (SRC / "engine.py").read_text()
+    methods = memo_methods(source, "AwpaAlgebra")
+    assert set(TRACED_MEMOS) <= set(methods)
+    unreached = set(_package_unreached())
+    assert [m for m in TRACED_MEMOS if f"engine.AwpaAlgebra.{methods[m]}" in unreached] == []
+    assert sorted(init_memos(source, "AwpaAlgebra")) == sorted(methods)
+
+
+def test_scan_finds_memo_names():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._a_cache = {}\n"
+        "        self._dead_cache: dict = {}\n"
+        "        self.size = 0\n"
+        "    @memoized('_a_cache')\n"
+        "    def a(self, k): pass\n"
+        "    @other('_b_cache')\n"
+        "    def b(self, k): pass\n"
+        "class B:\n"
+        "    @memoized('_c_cache')\n"
+        "    def c(self, k): pass\n"
+    )
+    assert memo_methods(source, "A") == {"_a_cache": "a"}
+    assert init_memos(source, "A") == ["_a_cache", "_dead_cache"]
+    tracer = (
+        "def window_counts(ctx):\n"
+        "    for cache in ('a', 'dead'):\n"
+        "        len(getattr(ctx, f'_{cache}_cache'))\n"
+        "    for other in ('x',):\n"
+        "        pass\n"
+        "def elsewhere(ctx):\n"
+        "    for cache in ('y',):\n"
+        "        getattr(ctx, f'_{cache}_cache')\n"
+    )
+    assert tracer_memos(tracer) == ["_a_cache", "_dead_cache"]
