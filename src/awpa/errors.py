@@ -29,10 +29,6 @@ class NakayamaInfiniteOrder(BadSpec):
     pass
 
 
-class NakayamaNotDiagonalizable(BadSpec):
-    pass
-
-
 class BadParams(BadSpec):
     pass
 

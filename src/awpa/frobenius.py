@@ -2,11 +2,11 @@
 
 An algebra is described by a homogeneous basis, structure constants
 b_i b_j = sum_k c[i][j][k] b_k, a grading, a parity, and a trace vector.
-Construction validates associativity, unitality, grading multiplicativity,
-homogeneity of the trace, and nondegeneracy of the pairing (f, g) -> tr(fg),
-then derives the left dual basis, the Nakayama automorphism psi (the unique
-linear map with tr(fg) = (-1)^{|f||g|} tr(g psi(f))), its order theta, the
-top degree delta, and a psi-eigenbasis.
+Construction validates the basis labels, associativity, unitality, grading
+multiplicativity, homogeneity of the trace, and nondegeneracy of the pairing
+(f, g) -> tr(fg), then derives the left dual basis, the Nakayama automorphism
+psi (the unique linear map with tr(fg) = (-1)^{|f||g|} tr(g psi(f))), its
+order theta, and the top degree delta.
 
 The coefficient field is Q(zeta_m); the conductor is extended at build time
 so that all theta-th roots of unity (the psi-eigenvalues) are representable.
@@ -26,7 +26,6 @@ from .errors import (
     GradingViolation,
     InternalInconsistency,
     NakayamaInfiniteOrder,
-    NakayamaNotDiagonalizable,
     NoUnit,
     NotAssociative,
     ParseError,
@@ -116,9 +115,16 @@ class FrobAlg:
     of ``AlgElem.terms``: ``struct[i][j]`` (b_i b_j, given as a dense list
     or as such a dict), ``psi_on_basis(i, k)``, ``unit_elem().terms`` and
     ``dual_basis()[b].terms``.  The construction checks and the derivation
-    of the duals (``linalg.inverse`` of the Gram rows), psi, theta and the
-    psi-eigenbasis work on these rows; only ``unit`` and ``trace_vec`` stay
-    dense."""
+    of the duals (``linalg.inverse`` of the Gram rows), psi and theta work on
+    these rows; only ``unit`` and ``trace_vec`` stay dense.
+
+    psi is diagonalizable, with theta-th roots of unity as eigenvalues: psi
+    is annihilated by x^theta - 1, which is separable in characteristic 0
+    and splits over the field once the conductor is a multiple of theta.
+
+    The basis labels are distinct nonempty strings without whitespace or
+    any of ``+ - , ( ) [ ]``, so that the element grammars read printed
+    elements back (``parse_alg_elem``, ``textio.parse_element``)."""
 
     def __init__(
         self,
@@ -136,6 +142,14 @@ class FrobAlg:
         self.degrees = list(degrees)
         self.parities = list(parities)
         self.name = name or "algebra"
+        for label in self.basis_labels:
+            if not isinstance(label, str) or not label or any(
+                ch in "+-,()[]" or ch.isspace() for ch in label
+            ):
+                raise BadSpec(f"basis label {label!r} is not a nonempty string free of"
+                              " whitespace and + - , ( ) [ ]")
+        if len(set(self.basis_labels)) != self.dim:
+            raise BadSpec("basis labels repeat")
         if len(self.degrees) != self.dim or len(self.parities) != self.dim:
             raise BadSpec("degrees/parities length does not match basis")
         if len(struct) != self.dim or any(len(plane) != self.dim for plane in struct):
@@ -242,20 +256,6 @@ class FrobAlg:
 
         if self.conductor % self.theta:
             self._lift_field(lcm(self.conductor, self.theta))
-
-        # eigen-decomposition: eigenvalues are theta-th roots of unity
-        zero = CycScalar.zero(self.conductor)
-        columns = _columns(self._psi_rows[1 % self.theta], self.dim)
-        self.psi_eigenvalues, self.psi_eigenbasis = [], []
-        for j in range(self.theta):
-            ev = root_of_unity(self.theta, j).lift(self.conductor)
-            # row c: column c of psi - ev, so the nullspace holds the v with v psi = ev v
-            shifted = [{**col, c: col.get(c, zero) - ev} for c, col in enumerate(columns)]
-            for vec in linalg.nullspace(shifted, range(self.dim)):
-                self.psi_eigenvalues.append(ev)
-                self.psi_eigenbasis.append(vec)
-        if len(self.psi_eigenbasis) != self.dim:
-            raise NakayamaNotDiagonalizable("psi eigenvectors do not span")
 
     def _lift_field(self, big: int):
         self.conductor = big
@@ -379,6 +379,8 @@ class FrobAlg:
     def from_json_dict(data: dict, name: str = "") -> FrobAlg:
         try:
             cond = int(data["conductor"])
+            if not isinstance(data["basis"], list):
+                raise TypeError("basis must be a list of labels")
             parse = lambda s: parse_scalar(str(s), cond)
             return FrobAlg(
                 data["basis"],
@@ -462,19 +464,14 @@ def dual_numbers_algebra() -> FrobAlg:
 def group_algebra(table, labels=None, name="group_algebra") -> FrobAlg:
     """Group algebra from a multiplication table table[i][j] = index of g_i g_j.
 
-    The trace is the coefficient of the identity element.  Associativity,
-    identity, and inverses are validated.
+    The trace is the coefficient of the identity element.  The table must
+    be square with an identity and inverses, which the unit needs; FrobAlg
+    validates the structure constants it gives, so an entry out of range
+    raises BadSpec and a non-associative table NotAssociative.
     """
     size = len(table)
     if any(len(row) != size for row in table):
         raise BadParams("multiplication table must be square")
-    if any(not 0 <= v < size for row in table for v in row):
-        raise BadParams("table entries out of range")
-    for i in range(size):
-        for j in range(size):
-            for k in range(size):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise BadParams("multiplication table is not associative")
     ident = None
     for e in range(size):
         if all(table[e][j] == j and table[j][e] == j for j in range(size)):

@@ -211,9 +211,13 @@ def test_criterion_5_jucys_murphy():
 # module side, must fail, and so must the dimension of the centre solve; with
 # "wrongstep", the s_i step that mul and oracle_act share adds Delta_i instead
 # of subtracting it, so the oracle equivalence cannot see it and the
-# evaluation map of criterion 5 must.
+# evaluation map of criterion 5 must.  Criterion 8 runs on the quotient
+# Cl d=1 n=2 (dim 8); with "wrongpsi", F's psi is the identity, as dropping
+# the parity sign (-1)^{|b_i|} from psi(b_i) makes it on Cl, so the
+# quotient's Nakayama identity must fail.
 OPTIMIZED_CRITERIA = """
 import random, sys
+from awpa.cyclotomic import CyclotomicAlgebra, make_params, nakayama_counterexample
 from awpa.engine import AwpaAlgebra
 from awpa.errors import InternalInconsistency
 from awpa.frobenius import clifford_algebra
@@ -237,7 +241,10 @@ if sys.argv[1:] == ["wrongstep"]:
     # _act_simple is the only caller of _delta_mono that this script reaches
     delta = AwpaAlgebra._delta_mono
     AwpaAlgebra._delta_mono = lambda ctx, i, a, w: {k: -c for k, c in delta(ctx, i, a, w).items()}
-ctx = AwpaAlgebra(clifford_algebra(), 2)
+F = clifford_algebra()
+if sys.argv[1:] == ["wrongpsi"]:
+    F._psi_rows, F.theta = F._psi_rows[:1], 1  # psi^0, the identity rows
+ctx = AwpaAlgebra(F, 2)
 ev, rng, failed = ctx.evaluation_hom, random.Random(2025), set()
 for _ in range(30):
     a, b, c = (random_element(ctx, rng) for _ in range(3))
@@ -261,6 +268,11 @@ if central(ctx.x(1, 2)) is not False:
     failed.add("4: x_1^2 not central")
 if len(ctx.center_up_to_degree(3)) != 2:  # 1 and x_1^2 + x_2^2
     failed.add("4: centre dimension")
+Q = CyclotomicAlgebra(make_params(F, {1: [F.zero_elem()]}), 2)
+if not Q.gram_matrix()[1]:
+    failed.add("8: Gram invertible")
+if nakayama_counterexample(Q, 50, 1) is not None:
+    failed.add("8: Nakayama identity")
 print("__debug__", __debug__, "failed", sorted(failed))
 sys.exit(1 if failed or __debug__ else 0)
 """
@@ -275,16 +287,16 @@ def _optimized_criteria(*args):
 
 
 def test_criteria_2_and_5_under_python_O():
-    """Oracle equivalence, associativity, the evaluation map and the centre
-    verdicts hold with every assert stripped, and the script does catch a
-    wrong product."""
+    """Oracle equivalence, associativity, the evaluation map, the centre
+    verdicts and the quotient's Gram and Nakayama identity hold with every
+    assert stripped, and the script does catch a wrong product."""
     proc = _optimized_criteria()
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "__debug__ False failed []\n"
     broken = _optimized_criteria("broken")
     assert broken.returncode == 1, broken.stdout + broken.stderr
     assert "5: " in broken.stdout and "2: " not in broken.stdout
-    print("PASS criteria 2, 4 and 5 under python -O on A_2(Cl)")
+    print("PASS criteria 2, 4 and 5 on A_2(Cl) and 8 on Cl d=1 n=2 under python -O")
 
 
 def test_criterion_4_under_python_O():
@@ -310,6 +322,16 @@ def test_criterion_5_under_python_O_catches_a_wrong_step():
     assert wrong.returncode == 1, wrong.stdout + wrong.stderr
     assert "5: evaluation map multiplicativity" in wrong.stdout
     print("PASS criterion 5 under python -O catches a wrong s_i step on A_2(Cl)")
+
+
+def test_criterion_8_under_python_O_catches_a_wrong_psi():
+    """The Nakayama identity of the quotient Cl d=1 n=2 in the script above
+    catches an F whose psi lost its parity sign; its Gram stays invertible."""
+    wrong = _optimized_criteria("wrongpsi")
+    assert wrong.returncode == 1, wrong.stdout + wrong.stderr
+    assert "8: Nakayama identity" in wrong.stdout
+    assert "8: Gram invertible" not in wrong.stdout
+    print("PASS criterion 8 catches a wrong psi under python -O on Cl d=1 n=2")
 
 
 def test_criterion_2_under_python_O_catches_a_wrong_product():

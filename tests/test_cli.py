@@ -167,6 +167,18 @@ def test_math_failure_exit_1(capsys, tmp_path, monkeypatch):
     assert code == 1 and out.endswith("FAIL: stub failure\n")
 
 
+def test_repeated_basis_labels_exit_1(capsys, tmp_path):
+    """Cl with its labels given as 1, 1 would print s_1 x_1 as
+    x2*s[2,1] - 1 - b(1,1), which reads back as another element; the
+    algebra is refused as other bad specs are."""
+    data = clifford_algebra().to_json_dict()
+    data["basis"] = ["1", "1"]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "mul", "--algebra", str(path), "--n", "2", "s[2,1]", "x1")
+    assert (code, out) == (1, "FAIL: basis labels repeat\n")
+
+
 def test_builtin_file_collision_warns(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     bad = tmp_path / "clifford"

@@ -128,10 +128,20 @@ def test_builtin_refusals(name, params, error):
 
 
 def test_group_algebra_validation():
+    """group_algebra checks what it needs to build the unit; FrobAlg checks
+    the structure constants the table gives."""
     with pytest.raises(BadParams):
-        group_algebra([[0, 1], [1, 1]])  # not associative / no inverse
+        group_algebra([[0, 1], [1, 1]])  # no inverse
     with pytest.raises(BadParams):
         group_algebra([[1, 0], [1, 0]])  # no identity
+    with pytest.raises(BadParams):
+        group_algebra([[0, 1], [1]])  # not square
+    # identity 0 and inverses, but (1*1)*2 = 0 while 1*(1*2) = 1
+    with pytest.raises(NotAssociative, match=r"\(g1\*g1\)\*g2"):
+        group_algebra([[0, 1, 2], [1, 2, 0], [2, 0, 0]])
+    for entry in (3, -1):
+        with pytest.raises(BadSpec, match="row index outside 0..2"):
+            group_algebra([[0, 1, 2], [1, entry, 0], [2, 0, 1]])
 
 
 def test_nakayama_of_infinite_order_is_refused():
@@ -188,10 +198,6 @@ def test_nakayama_is_algebra_automorphism(make):
         for j in range(F.dim):
             prod = F.mul(F.basis_elem(i), F.basis_elem(j))
             assert F.psi(prod) == F.mul(F.psi(F.basis_elem(i)), F.psi(F.basis_elem(j)))
-    # psi-eigenvalues are theta-th roots of unity and the eigenbasis spans
-    assert len(F.psi_eigenbasis) == F.dim
-    for ev in F.psi_eigenvalues:
-        assert ev ** F.theta == 1
 
 
 @pytest.mark.parametrize("make", ALL_BUILTINS)
@@ -249,7 +255,8 @@ def test_supercenter_taft():
 # The construction as it was before F was built on its rows: unit and
 # associativity checked on dense coordinate vectors, theta found by powers of
 # the dense Nakayama matrix, and the psi-eigenbasis as the nullspace of the
-# dense shifted matrix.
+# dense shifted matrix, which F does not compute: psi^theta = 1 makes psi
+# diagonalizable over Q(zeta_theta).
 
 
 def _dense_mul(cube, u, v):
@@ -335,21 +342,22 @@ def _builtin(spec):
 @pytest.mark.parametrize("op", [False, True], ids=["F", "op"])
 @pytest.mark.parametrize("spec", BUILTIN_SPECS)
 def test_derived_data_matches_dense_reference(spec, op):
+    """F's theta, dual and psi rows equal the dense reference's, and the
+    reference's psi is diagonalizable with theta-th roots of unity as its
+    eigenvalues, as FrobAlg's docstring states."""
     F = _builtin(spec)
     if op:
         F = opposite_algebra(F)
     ref = reference_frobenius_data(F)
-    assert len(F.psi_eigenbasis) == F.dim
+    assert len(ref.pop("psi_eigenbasis")) == F.dim
+    assert all(ev ** F.theta == 1 for ev in ref.pop("psi_eigenvalues"))
     # F's dual and psi rows, densified to the reference's matrices
     got = {
         "theta": F.theta,
         "dual_matrix": [coords(d) for d in F.dual_basis()],
         "nakayama": [coords(F.psi(F.basis_elem(i))) for i in range(F.dim)],
-        "psi_eigenvalues": F.psi_eigenvalues,
-        "psi_eigenbasis": F.psi_eigenbasis,
     }
-    for name, value in ref.items():
-        assert got[name] == value, name
+    assert got == ref
 
 
 def test_taft4_build_cost(monkeypatch):
@@ -420,6 +428,16 @@ def test_build_errors():
             FrobAlg(labels, [0] * dim, [0] * dim, cube, unit, unit)
         with pytest.raises(error):
             reference_unit_and_associativity(cube, unit)
+    # labels the element grammars cannot read back: repeated, empty, not a
+    # string, or holding a sign, comma, bracket or whitespace
+    cl = clifford_algebra()
+    for labels in (["1", "1"], ["1", ""], ["1", 2], ["1", None], ["1", "c-1"], ["1", "+c"],
+                   ["a,b", "c"], ["1", "(c)"], ["1", "c]"], ["1", "[c"], ["1", "c d"],
+                   ["1", "c\t"]):
+        with pytest.raises(BadSpec, match="label"):
+            FrobAlg(labels, cl.degrees, cl.parities, cl.struct, cl.unit, cl.trace_vec)
+    with pytest.raises(BadSpec, match="basis must be a list"):
+        FrobAlg.from_json_dict({**cl.to_json_dict(), "basis": "1c"})
     # grading violation: z * z = 1 with |z| = 2
     with pytest.raises(GradingViolation):
         FrobAlg(

@@ -17,7 +17,8 @@ stores in a ``*_cache`` dict, or reads ``MEMO_CAP``.  Each memo dict that
 ``bench/tracing.py`` reads by name belongs to a reached memoized method.
 Every function, class and method of the package is reached from the CLI,
 the benchmark or the public names; code that only tests run lives in
-``tests/oracles.py``.
+``tests/oracles.py``.  Every attribute a function stores on ``self`` is read
+by some other function, so no derived data is kept that nothing reads.
 """
 
 import ast
@@ -671,3 +672,54 @@ def test_scan_finds_memo_names():
         "        getattr(ctx, f'_{cache}_cache')\n"
     )
     assert tracer_memos(tracer) == ["_a_cache", "_dead_cache"]
+
+
+def unread_attributes(sources: list[str]) -> list[str]:
+    """The attributes that a function of the sources stores on ``self`` and
+    that no function but those storing it reads.  Matching is by attribute
+    name: a load of ``.name`` on any receiver counts as a read of every
+    attribute so named.  ``*_cache`` memo dicts are exempt; the memo tests
+    cover them."""
+    stores, reads = {}, {}
+    for source in sources:
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                    if ast.unparse(n.value) == "self":
+                        stores.setdefault(n.attr, set()).add(fn)
+                elif isinstance(n, ast.Attribute):
+                    reads.setdefault(n.attr, set()).add(fn)
+    return sorted(
+        attr for attr, storers in stores.items()
+        if not attr.endswith("_cache") and not reads.get(attr, set()) - storers
+    )
+
+
+def test_stored_attributes_are_read():
+    assert unread_attributes([path.read_text() for path in sorted(SRC.glob("*.py"))]) == []
+
+
+def test_scan_finds_unread_attributes():
+    source = (
+        "class F:\n"
+        "    def __init__(self, rows):\n"
+        "        self.rows, self.basis = rows, []\n"
+        "        self.size = len(rows)\n"
+        "        self.tmp = 0\n"
+        "        self._memo_cache = {}\n"
+        "        self.basis.append(self.tmp)\n"
+        "    def grow(self):\n"
+        "        self.size += 1\n"
+        "        self.extra = self.extra_seen\n"
+        "    def lift(self):\n"
+        "        self.size = 2 * self.size\n"
+        "def width(other):\n"
+        "    return other.rows\n"
+    )
+    assert unread_attributes([source]) == ["basis", "extra", "size", "tmp"]
+    # a read in another source counts, whatever its receiver
+    assert unread_attributes([source, "def f(g):\n    return g.tmp, g.size\n"]) == [
+        "basis", "extra",
+    ]
